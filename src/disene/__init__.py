@@ -7,8 +7,9 @@ positional coherence) and evaluate downstream link prediction and node
 classification with attribution-based plausibility.
 """
 
-from .graph_core import (Community, EdgeMask, EdgeSplit, Graph, GroundTruth,
-                         build_graph, communities_from_labels, load_edge_list,
+from .graph_core import (Community, EdgeSplit, Graph, GroundTruth,
+                         build_graph, communities_from_labels,
+                         community_indicators, load_edge_list,
                          load_ground_truth, load_labels, split_edges,
                          train_subgraph)
 from .synth import KINDS, SynthSpec, default_spec, generate_synthetic
@@ -21,11 +22,11 @@ from .training import (GradBuffer, LossConfig, TrainResult, adam_step,
                        entropy_reg, loss_dis, loss_rw, total_loss_and_grads,
                        train)
 from .explain import (AttributionContext, Explanation, affiliation_matrix,
-                      attribution, build_explanations)
+                      attribution, build_explanations, node_support)
 from .metrics import (MetricsReport, auc_pr, comprehensibility, compute_report,
-                      fpc, jaccard, overlap_consistency, pearson,
+                      fpc_matrix, jaccard, overlap_consistency, pearson,
                       positional_coherence, sparsity)
-from .downstream import (LogRegModel, TaskMasks, TaskResult, build_task_masks,
+from .downstream import (LogRegModel, TaskResult, build_task_masks,
                          edge_features, fit_logreg, linear_shap, plausibility,
                          run_task)
 

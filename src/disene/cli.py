@@ -21,7 +21,10 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import asdict, replace
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .metrics import compute_report
 from .model import (ACTIVATIONS, load_embedding_binary, save_embedding_binary,
                     save_embedding_text)
 from .sampling import WalkConfig
-from .synth import KINDS, default_spec, generate_synthetic
+from .synth import KINDS, SynthSpec, default_spec, generate_synthetic
 from .training import LossConfig, train
 
 METHODS = ("disene-fc", "disene-gcn", "baseline-sgns")
@@ -150,14 +153,7 @@ def cmd_gen(args) -> int:
             fh.write(f"{v} {labels[v]}\n")
 
     payload = ground_truth_to_json(g, gts)
-    payload["generator"] = {"kind": spec.kind, "seed": spec.seed,
-                            "num_cliques": spec.num_cliques,
-                            "clique_size": spec.clique_size,
-                            "base_nodes": spec.base_nodes,
-                            "attach_edges_per_clique": spec.attach_edges_per_clique,
-                            "noise_edges": spec.noise_edges,
-                            "er_p": spec.er_p, "sbm_p_out": spec.sbm_p_out,
-                            "ba_m": spec.ba_m}
+    payload["generator"] = asdict(spec)
     _write_json(os.path.join(out, "ground_truth.json"), payload)
     print(f"gen {kind}: {g.num_nodes} nodes, {g.num_edges} edges, "
           f"{len(gts.communities)} communities -> {out}")
@@ -167,43 +163,64 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- train
 
 def _load_graph(args):
-    """Graph from --data, or generated from --kind. Returns (g, data_ref)."""
+    """Graph from --data, or generated from --kind. Returns (g, data_ref).
+
+    data_ref records where the graph came from: the edge list's path and
+    sha256, or the resolved generator spec.
+    """
     data = _get(args, "data")
     kind = _get(args, "kind")
     if data and kind:
         raise ValueError("give either --data or --kind, not both")
     if data:
-        g = load_edge_list(data)
-        return g, {"path": data}
+        with open(data, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        return load_edge_list(data), {"path": data, "sha256": digest}
     if kind:
-        seed = _get(args, "seed", 0)
-        spec = _synth_spec(args, _kind_of(kind), seed)
+        spec = _synth_spec(args, _kind_of(kind), _get(args, "seed", 0))
         g, _ = generate_synthetic(spec)
-        return g, {"kind": spec.kind, "gen_seed": seed}
+        return g, {"spec": asdict(spec)}
     raise ValueError("need --data or --kind")
 
 
-def _graph_and_truth(args, sidecar=None):
-    """Resolve graph + optional ground truth for a checkpoint command."""
+def _fingerprint(g: Graph) -> dict:
+    edges = np.ascontiguousarray(g.edges, dtype="<i8")
+    return {"num_nodes": g.num_nodes, "num_edges": g.num_edges,
+            "edges_sha256": hashlib.sha256(edges.tobytes()).hexdigest()}
+
+
+def _graph_and_truth(args, sidecar):
+    """Resolve graph + optional ground truth for a checkpoint command.
+
+    --data or --kind (flag or config) name the graph; without either, the
+    source recorded in run.json is used. The graph must be the one the
+    checkpoint was trained on.
+    """
     data = _get(args, "data")
     kind = _get(args, "kind")
-    if not data and not kind and sidecar:
-        ref = sidecar.get("data", {})
-        data, kind = ref.get("path"), ref.get("kind")
-        if kind:
-            spec = default_spec(kind, seed=ref.get("gen_seed", 0))
-            g, gts = generate_synthetic(spec)
-            return g, gts
-    if data:
-        g = load_edge_list(data)
+    ref = sidecar.get("data", {})
+    if data or (not kind and "path" in ref):
+        g = load_edge_list(data or ref["path"])
         gt_path = _get(args, "ground_truth")
         gts = load_ground_truth(gt_path, g) if gt_path else None
-        return g, gts
-    if kind:
-        seed = _get(args, "seed", 0)
-        spec = _synth_spec(args, _kind_of(kind), seed)
-        return generate_synthetic(spec)
-    raise ValueError("need --data, --kind, or a checkpoint sidecar with one")
+    elif kind:
+        spec = _synth_spec(args, _kind_of(kind), _get(args, "seed", 0))
+        g, gts = generate_synthetic(spec)
+    elif "spec" in ref:
+        g, gts = generate_synthetic(SynthSpec(**ref["spec"]))
+    else:
+        raise ValueError("need --data, --kind, or a checkpoint sidecar with one")
+    want = sidecar.get("graph")
+    if want is None:
+        raise ValueError("run.json records no graph fingerprint; retrain the "
+                         "checkpoint")
+    got = _fingerprint(g)
+    if got != want:
+        raise ValueError(
+            f"the graph ({got['num_nodes']} nodes, {got['num_edges']} edges) "
+            f"is not the one the checkpoint was trained on "
+            f"({want['num_nodes']} nodes, {want['num_edges']} edges)")
+    return g, gts
 
 
 def cmd_train(args) -> int:
@@ -274,6 +291,7 @@ def cmd_train(args) -> int:
                 "negatives_per_positive": walk_cfg.negatives_per_positive,
                 "split": split_f, "split_seed": split_seed, "seed": seed}
     sidecar = {"label": label, "seed": seed, "data": data_ref,
+               "graph": _fingerprint(g),
                "config": resolved, "config_hash": config_hash(resolved),
                "num_nodes": g.num_nodes, "dim": dim,
                "final_loss": res.final_loss, "loss_trace": res.loss_trace}
@@ -314,7 +332,7 @@ def cmd_explain(args) -> int:
         raise ValueError("background must be 'all' or 'train'")
 
     out = _outdir(args, default=ckpt)
-    save_explanation(os.path.join(out, "explanations.json"), expl)
+    save_explanation(os.path.join(out, "explanations.json"), expl, g)
     print(f"explain: {h.shape[1]} dimensions, {len(expl.empty_dims)} empty "
           f"-> {out}")
     return 0
@@ -564,19 +582,23 @@ def cmd_bench(args) -> int:
             fh.flush()
             print(f"  done {job[0]} {job[1]} K={job[2]} seed={job[3]}")
 
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for job, rows in zip(todo, pool.map(_bench_one, todo)):
-                    emit(job, rows)
-        else:
-            for job in todo:
+        # one loop for both paths: a failed job is counted and reported,
+        # the other jobs still write their rows
+        pool = (ProcessPoolExecutor(max_workers=workers,
+                                    mp_context=get_context("spawn"))
+                if workers > 1 else None)
+        with pool or nullcontext():
+            pending = ([pool.submit(_bench_one, job) for job in todo]
+                       if pool else todo)
+            for job, item in zip(todo, pending):
                 try:
-                    emit(job, _bench_one(job))
+                    rows = item.result() if pool else _bench_one(item)
                 except Exception as exc:
                     failures += 1
                     print(f"  FAILED {job[0]} {job[1]} K={job[2]} "
                           f"seed={job[3]}: {exc}", file=sys.stderr)
+                    continue
+                emit(job, rows)
 
     with open(results_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -707,8 +729,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _maybe_reexec(args, argv):
-    threads = getattr(args, "threads", None)
-    if threads is None and getattr(args, "deterministic", None):
+    threads = _get(args, "threads")
+    if threads is None and _get(args, "deterministic"):
         threads = 1
     if threads is None:
         return
@@ -729,8 +751,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _maybe_reexec(args, argv)
     args.run_config = _load_config(args.config) if args.config else {}
+    _maybe_reexec(args, argv)
     try:
         return args.func(args)
     except SystemExit:

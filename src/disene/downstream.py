@@ -7,7 +7,8 @@ explain the classifier with exact per-feature attributions for linear
 models: Psi_j(x) = beta_j (x_j - mu_j) against the training-feature means.
 
 The positive parts of Psi_j over a global universe (all graph edges, or all
-nodes) form per-feature masks B^(j); plausibility of one prediction is the
+nodes) form per-feature masks B^(j), one (N, J) array whose rows follow
+g.edges or the node index; plausibility of one prediction is the
 attribution-weighted F1 of those masks against the instance's own
 ground-truth community.
 """
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .graph_core import EdgeSplit, Graph, GroundTruth, canonical_edge
+from .graph_core import (EdgeSplit, Graph, GroundTruth, community_indicators,
+                         sample_non_edges)
 from .metrics import auc_pr, weighted_f1
 
 
@@ -38,12 +40,11 @@ class LogRegModel:
 
 
 def fit_logreg(features: np.ndarray, labels: np.ndarray, l2: float = 1e-4,
-               iters: int = 2000, lr: float = 0.05, seed: int = 0) -> LogRegModel:
+               iters: int = 2000, lr: float = 0.05) -> LogRegModel:
     """Binary logistic regression by full-batch Adam.
 
     Objective: mean log loss plus 0.5 * l2 * ||beta||^2 (intercept
-    unpenalized). Weights start at zero, so the fit is deterministic; the
-    seed parameter is accepted for interface stability.
+    unpenalized). Weights start at zero, so the fit is deterministic.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -91,58 +92,29 @@ def linear_shap(model: LogRegModel, x: np.ndarray,
     return model.beta * (x - mu)
 
 
-@dataclass
-class TaskMasks:
-    """Per-feature attribution masks over a global instance universe."""
-    kind: str                       # "edge" or "node"
-    masks: list[dict]               # feature j -> {key: positive weight}
+def build_task_masks(model: LogRegModel, features: np.ndarray,
+                     background: np.ndarray | None = None) -> np.ndarray:
+    """B^(j) = max(0, Psi_j) over every universe instance: (N, J).
 
-    def support(self, j) -> frozenset:
-        return frozenset(self.masks[j])
-
-
-def build_task_masks(model: LogRegModel, features: np.ndarray, keys: list,
-                     background: np.ndarray | None = None) -> TaskMasks:
-    """B^(j) = max(0, Psi_j) over every universe instance, per feature.
-
-    `keys` names each feature row: canonical edge tuples for the link task,
-    node ints for the node task. Non-positive attributions are dropped, so
-    mask support is strictly positive.
+    Row i is the instance of features row i: an edge of g.edges for the link
+    task, a node for the node task. Column j is feature j's mask.
     """
-    psi = linear_shap(model, features, background)
-    kind = "edge" if keys and isinstance(keys[0], tuple) else "node"
-    masks = []
-    for j in range(psi.shape[1]):
-        col = psi[:, j]
-        masks.append({keys[i]: float(col[i]) for i in np.nonzero(col > 0.0)[0]})
-    return TaskMasks(kind=kind, masks=masks)
+    return np.maximum(linear_shap(model, features, background), 0.0)
 
 
-def plausibility(psi: np.ndarray, masks: TaskMasks, gts: GroundTruth,
-                 g_index: int, f1_cache: dict | None = None) -> float | None:
-    """Attribution-weighted mask F1 against the instance's own community.
+def plausibility(psi: np.ndarray, f1: np.ndarray, g_index) -> np.ndarray:
+    """Attribution-weighted mask F1 of each instance against its community.
 
-    P = sum_j f(Psi_j) F1(B^(j), C^g) / sum_j f(Psi_j) with f = max(0, .).
-    None when no attribution is positive (zero denominator).
+    P_i = sum_j f(Psi_ij) F1[j, g_i] / sum_j f(Psi_ij) with f = max(0, .),
+    for the instances' attributions psi (N, J), the masks' F1 against every
+    community (J, C) and each instance's community index g_i. nan where no
+    attribution is positive (zero denominator).
     """
     f = np.maximum(np.asarray(psi, dtype=np.float64), 0.0)
-    tot = f.sum()
-    if tot <= 0.0:
-        return None
-    comm = gts.communities[g_index]
-    truth = comm.edges if masks.kind == "edge" else frozenset(comm.nodes)
-    acc = 0.0
-    for j in np.nonzero(f > 0.0)[0]:
-        key = (int(j), g_index)
-        if f1_cache is not None and key in f1_cache:
-            f1 = f1_cache[key]
-        else:
-            mask = masks.masks[j]
-            f1 = weighted_f1(mask.items(), frozenset(mask), truth, len(truth))
-            if f1_cache is not None:
-                f1_cache[key] = f1
-        acc += f[j] * f1
-    return acc / tot
+    total = f.sum(axis=1)
+    acc = np.einsum("ij,ji->i", f, f1[:, np.asarray(g_index, dtype=np.int64)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(total > 0.0, acc / total, np.nan)
 
 
 @dataclass
@@ -153,26 +125,6 @@ class TaskResult:
     per_instance: list = field(default_factory=list)   # (key, g_index, value)
     skipped: int = 0
     model: LogRegModel | None = None
-
-
-def _sample_train_negatives(g: Graph, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
-    n_pairs = g.num_nodes * (g.num_nodes - 1) // 2
-    if n_pairs - g.num_edges < count:
-        raise ValueError("not enough non-edges for classifier negatives")
-    out = []
-    taken = set()
-    while len(out) < count:
-        u = int(rng.integers(g.num_nodes))
-        v = int(rng.integers(g.num_nodes))
-        if u == v:
-            continue
-        e = canonical_edge(u, v)
-        if e in g.edge_set or e in taken:
-            continue
-        taken.add(e)
-        out.append(e)
-    return np.array(out, dtype=np.int64)
 
 
 def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
@@ -191,12 +143,13 @@ def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
     onto the complement of their region, which buries the informative
     dimensions (most visible on the node task).
     """
-    train_neg = _sample_train_negatives(g, len(split.train_edges), seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
+    train_neg = sample_non_edges(g, len(split.train_edges), rng)
     x_train = np.concatenate([edge_features(h, split.train_edges),
                               edge_features(h, train_neg)])
     y_train = np.concatenate([np.ones(len(split.train_edges)),
                               np.zeros(len(train_neg))])
-    model = fit_logreg(x_train, y_train, l2=l2, seed=seed)
+    model = fit_logreg(x_train, y_train, l2=l2)
 
     x_test = np.concatenate([edge_features(h, split.test_edges),
                              edge_features(h, split.test_negatives)])
@@ -205,26 +158,15 @@ def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
     auc = auc_pr(model.predict_proba(x_test), y_test)
 
     zero_bg = np.zeros_like(model.background_mean)
-    keys = [canonical_edge(int(u), int(v)) for u, v in g.edges.tolist()]
-    masks = build_task_masks(model, edge_features(h, g.edges), keys, zero_bg)
-
-    cache: dict = {}
-    per_instance = []
-    skipped = 0
-    for u, v in split.test_edges.tolist():
-        gi = gts.community_of_edge(u, v)
-        if gi is None:
-            continue
-        psi = linear_shap(model, edge_features(h, np.array([[u, v]]))[0],
-                          zero_bg)
-        val = plausibility(psi, masks, gts, gi, cache)
-        if val is None:
-            skipped += 1
-        else:
-            per_instance.append(((u, v), gi, val))
-    mean = float(np.mean([p[2] for p in per_instance])) if per_instance else None
-    return TaskResult(task="link", auc_pr=auc, plausibility_mean=mean,
-                      per_instance=per_instance, skipped=skipped, model=model)
+    edge_truth, _ = community_indicators(g, gts)
+    masks = build_task_masks(model, edge_features(h, g.edges), zero_bg)
+    f1 = weighted_f1(masks, edge_truth)
+    comm = [gts.community_of_edge(u, v) for u, v in split.test_edges.tolist()]
+    inside = np.array([c is not None for c in comm], dtype=bool)
+    pairs = split.test_edges[inside]
+    psi = linear_shap(model, edge_features(h, pairs), zero_bg)
+    return _task_result("link", auc, model, list(map(tuple, pairs.tolist())),
+                        [c for c in comm if c is not None], psi, f1)
 
 
 def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
@@ -236,10 +178,8 @@ def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
     background nodes are rejected). Masks B^(j) span all nodes and, as in
     the link task, attributions are taken against the zero background.
     """
-    y = np.zeros(g.num_nodes)
-    for c in gts.communities:
-        for v in c.nodes:
-            y[v] = 1.0
+    _, node_truth = community_indicators(g, gts)
+    y = node_truth.any(axis=1).astype(np.float64)
     if y.min() == y.max():
         raise ValueError("node task needs both community and background nodes")
 
@@ -254,29 +194,29 @@ def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
         raise ValueError("node split left a side single-class; use another seed")
 
     x = h.astype(np.float64)
-    model = fit_logreg(x[train_idx], y[train_idx], l2=l2, seed=seed)
+    model = fit_logreg(x[train_idx], y[train_idx], l2=l2)
     auc = auc_pr(model.predict_proba(x[test_idx]), y[test_idx])
 
     zero_bg = np.zeros_like(model.background_mean)
-    masks = build_task_masks(model, x, list(range(g.num_nodes)), zero_bg)
-    cache: dict = {}
-    per_instance = []
-    skipped = 0
-    for v in test_idx.tolist():
-        if y[v] != 1.0:
-            continue
-        gi = gts.community_of_node(v)
-        if gi is None:
-            continue
-        psi = linear_shap(model, x[v], zero_bg)
-        val = plausibility(psi, masks, gts, gi, cache)
-        if val is None:
-            skipped += 1
-        else:
-            per_instance.append((v, gi, val))
+    masks = build_task_masks(model, x, zero_bg)
+    f1 = weighted_f1(masks, node_truth)
+    nodes = test_idx[y[test_idx] == 1.0]
+    psi = linear_shap(model, x[nodes], zero_bg)
+    return _task_result("node", auc, model, nodes.tolist(),
+                        [gts.community_of_node(v) for v in nodes.tolist()],
+                        psi, f1)
+
+
+def _task_result(task, auc, model, keys, g_index, psi, f1) -> TaskResult:
+    """Plausibility of each instance; those with no positive attribution are skipped."""
+    values = plausibility(psi, f1, g_index)
+    per_instance = [(key, gi, float(val))
+                    for key, gi, val in zip(keys, g_index, values)
+                    if not math.isnan(val)]
     mean = float(np.mean([p[2] for p in per_instance])) if per_instance else None
-    return TaskResult(task="node", auc_pr=auc, plausibility_mean=mean,
-                      per_instance=per_instance, skipped=skipped, model=model)
+    return TaskResult(task=task, auc_pr=auc, plausibility_mean=mean,
+                      per_instance=per_instance,
+                      skipped=len(keys) - len(per_instance), model=model)
 
 
 def run_task(task: str, h: np.ndarray, g: Graph, gts: GroundTruth,

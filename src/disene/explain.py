@@ -8,7 +8,8 @@ over a background edge set,
 
 the positive part of phi_d over the graph's edges is dimension d's
 explanation mask; its strictly positive support is the explanation
-subgraph E_d with node set V_d.
+subgraph E_d with node set V_d. All K masks form one (E, K) array
+Phi+ whose rows follow g.edges.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import EdgeMask, Graph
+from .graph_core import Graph
 
 
 @dataclass
@@ -43,19 +44,32 @@ def attribution(h: np.ndarray, ctx: AttributionContext, d: int, u: int, v: int) 
 
 @dataclass
 class Explanation:
-    """All K explanation masks plus their supports."""
-    masks: list[EdgeMask]
-    edge_sets: list[frozenset]
-    node_sets: list[frozenset]
+    """Phi+ = max(0, phi) over the graph's edges, every dimension.
+
+    weights[i, d] is dimension d's mask weight on edge g.edges[i]; it is
+    non-zero exactly where phi_d is positive, so column d's support is the
+    explanation subgraph E_d.
+    """
+    weights: np.ndarray       # (E, K) float64
     context: AttributionContext
 
     @property
     def num_dims(self):
-        return len(self.masks)
+        return self.weights.shape[1]
+
+    @property
+    def support(self) -> np.ndarray:
+        """(E, K) bool: edge i lies in E_d."""
+        return self.weights > 0.0
+
+    @property
+    def edge_sets(self) -> list[np.ndarray]:
+        """Per dimension, the rows of g.edges that form E_d."""
+        return [np.flatnonzero(col) for col in self.support.T]
 
     @property
     def empty_dims(self) -> list[int]:
-        return [d for d in range(self.num_dims) if not self.edge_sets[d]]
+        return np.flatnonzero(~self.support.any(axis=0)).tolist()
 
 
 def build_explanations(h: np.ndarray, g: Graph,
@@ -69,34 +83,28 @@ def build_explanations(h: np.ndarray, g: Graph,
     ctx = AttributionContext.build(h, bg)
     eu, ev = g.edges[:, 0], g.edges[:, 1]
     phi = h[eu].astype(np.float64) * h[ev].astype(np.float64) - ctx.mu[None, :]
-    masks, edge_sets, node_sets = [], [], []
-    for d in range(h.shape[1]):
-        idx = np.nonzero(phi[:, d] > 0.0)[0]
-        m = EdgeMask()
-        for i in idx.tolist():
-            m.add(int(eu[i]), int(ev[i]), float(phi[i, d]))
-        masks.append(m)
-        edge_sets.append(m.support())
-        node_sets.append(m.nodes())
-    return Explanation(masks=masks, edge_sets=edge_sets, node_sets=node_sets, context=ctx)
+    return Explanation(weights=np.maximum(phi, 0.0, out=phi), context=ctx)
 
 
-def affiliation_matrix(h: np.ndarray, expl: Explanation) -> np.ndarray:
+def node_support(expl: Explanation, g: Graph) -> np.ndarray:
+    """(V, K) bool: node v is an endpoint of an edge in E_d, i.e. v in V_d."""
+    out = np.zeros((g.num_nodes, expl.num_dims), dtype=bool)
+    support = expl.support
+    np.logical_or.at(out, g.edges[:, 0], support)
+    np.logical_or.at(out, g.edges[:, 1], support)
+    return out
+
+
+def affiliation_matrix(h: np.ndarray, expl: Explanation, g: Graph) -> np.ndarray:
     """Node-dimension affiliations F_ud = sum_{v in V_d} phi_d(u, v).
 
     Closed form: the sum over the explanation's node set expands to
-    H_ud * (sum_{v in V_d} H_vd) - |V_d| mu_d. Dimensions with empty node
-    sets get a zero column.
+    H_ud * (sum_{v in V_d} H_vd) - |V_d| mu_d, which is zero for a
+    dimension with an empty node set.
     """
-    v, k = h.shape
-    out = np.zeros((v, k), dtype=np.float64)
-    for d in range(k):
-        nodes = np.fromiter(expl.node_sets[d], dtype=np.int64)
-        if len(nodes) == 0:
-            continue
-        col = h[:, d].astype(np.float64)
-        out[:, d] = col * col[nodes].sum() - len(nodes) * expl.context.mu[d]
-    return out
+    h = h.astype(np.float64)
+    nodes = node_support(expl, g)
+    return h * (h * nodes).sum(axis=0) - nodes.sum(axis=0) * expl.context.mu
 
 
 def reconstruction_logit(h: np.ndarray, ctx: AttributionContext, u: int, v: int) -> float:
@@ -105,16 +113,16 @@ def reconstruction_logit(h: np.ndarray, ctx: AttributionContext, u: int, v: int)
     return float(sum(attribution(h, ctx, d, u, v) for d in range(k)) + ctx.mu.sum())
 
 
-def explanation_to_json(expl: Explanation) -> dict:
+def explanation_to_json(expl: Explanation, g: Graph) -> dict:
+    nodes = node_support(expl, g)
     dims = []
-    for d in range(expl.num_dims):
-        items = sorted(expl.masks[d].items())
+    for d, rows in enumerate(expl.edge_sets):
         dims.append({
             "dim": d,
-            "edges": [[int(u), int(v)] for (u, v), _ in items],
-            "weights": [w for _, w in items],
-            "nodes": sorted(int(n) for n in expl.node_sets[d]),
-            "empty": len(items) == 0,
+            "edges": g.edges[rows].tolist(),
+            "weights": expl.weights[rows, d].tolist(),
+            "nodes": np.flatnonzero(nodes[:, d]).tolist(),
+            "empty": len(rows) == 0,
         })
     return {
         "num_dims": expl.num_dims,
@@ -124,7 +132,7 @@ def explanation_to_json(expl: Explanation) -> dict:
     }
 
 
-def save_explanation(path, expl: Explanation):
+def save_explanation(path, expl: Explanation, g: Graph):
     with open(path, "w") as fh:
-        json.dump(explanation_to_json(expl), fh, indent=1, sort_keys=True)
+        json.dump(explanation_to_json(expl, g), fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-INF = math.inf
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
@@ -24,30 +24,36 @@ def canonical_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Immutable undirected graph.
 
-    Nodes are dense integers 0..num_nodes-1. Edges are stored both as a
-    lexicographically sorted (E, 2) int array with u < v per row and as
-    per-node sorted neighbor arrays. `node_ids` optionally keeps the original
-    string tokens of a loaded edge list (index-aligned).
+    Nodes are dense integers 0..num_nodes-1. Edges are a lexicographically
+    sorted (E, 2) int array with u < v per row; arrays indexed by edge
+    (explanation masks, community indicators) follow its row order. The
+    adjacency is stored once, in CSR form: the sorted neighbors of v are
+    indices[indptr[v]:indptr[v + 1]]. `node_ids` optionally keeps the
+    original string tokens of a loaded edge list (index-aligned).
 
     Instances are meant to be treated as immutable; mutate nothing after
     construction.
     """
 
-    def __init__(self, num_nodes: int, edges: np.ndarray,
-                 adjacency: list[np.ndarray], node_ids: list[str] | None):
+    def __init__(self, num_nodes: int, edges: np.ndarray, node_ids: list[str] | None):
         self.num_nodes = num_nodes
         self.edges = edges
-        self.adjacency = adjacency
         self.node_ids = node_ids
+        # both directions of every edge, ordered by (row, column)
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        self.indices = dst[np.lexsort((dst, src))]
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(src, minlength=num_nodes))]).astype(np.int64)
+        self.degrees = np.diff(self.indptr)
         self._edge_set = frozenset(map(tuple, edges.tolist()))
-        self.degrees = np.array([len(a) for a in adjacency], dtype=np.int64)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self.adjacency[v]
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(u, v) in self._edge_set
@@ -56,12 +62,36 @@ class Graph:
     def edge_set(self) -> frozenset:
         return self._edge_set
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map canonical edge -> row index into self.edges."""
-        return {tuple(e): i for i, e in enumerate(self.edges.tolist())}
+    def matrix(self, dtype=np.float64) -> sp.csr_matrix:
+        """Symmetric 0/1 adjacency matrix over the CSR arrays."""
+        data = np.ones(len(self.indices), dtype=dtype)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.num_nodes, self.num_nodes))
+
+    def edge_rows(self, pairs) -> np.ndarray:
+        """Row in self.edges of each (u, v) pair, in either orientation.
+
+        Looks the pair codes u * V + v up in the edge codes, which the
+        lexicographic edge order keeps sorted. Raises on a non-edge.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        codes = _pair_codes(self.edges, self.num_nodes)
+        want = _pair_codes(np.sort(pairs, axis=1), self.num_nodes)
+        rows = np.searchsorted(codes, want)
+        found = rows < len(codes)
+        found[found] = codes[rows[found]] == want[found]
+        if not found.all():
+            u, v = pairs[np.argmin(found)]
+            raise ValueError(f"({u}, {v}) is not an edge of the graph")
+        return rows
 
     def __repr__(self):
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+
+
+def _pair_codes(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
+    """u * V + v per (u, v) row: one integer per node pair, ordered as the pairs."""
+    return pairs[:, 0] * num_nodes + pairs[:, 1]
 
 
 def build_graph(num_nodes: int, edges, node_ids=None) -> Graph:
@@ -85,39 +115,15 @@ def build_graph(num_nodes: int, edges, node_ids=None) -> Graph:
         arr = np.array(sorted(seen), dtype=np.int64)
     else:
         arr = np.empty((0, 2), dtype=np.int64)
-    adjacency = _adjacency_from_edges(num_nodes, arr)
-    return Graph(num_nodes, arr, adjacency, list(node_ids) if node_ids else None)
-
-
-def _adjacency_from_edges(num_nodes, edges):
-    nbrs = [[] for _ in range(num_nodes)]
-    for u, v in edges.tolist():
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return [np.array(sorted(a), dtype=np.int64) for a in nbrs]
+    return Graph(num_nodes, arr, list(node_ids) if node_ids else None)
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as node lists, each sorted, ordered by first node."""
-    unvisited = np.ones(g.num_nodes, dtype=bool)
-    comps = []
-    for s in range(g.num_nodes):
-        if not unvisited[s]:
-            continue
-        comp = [s]
-        unvisited[s] = False
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.adjacency[u].tolist():
-                    if unvisited[w]:
-                        unvisited[w] = False
-                        comp.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        comps.append(sorted(comp))
-    return comps
+    count, labels = csgraph.connected_components(g.matrix(), directed=False)
+    order = np.argsort(labels, kind="stable")
+    comps = np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    return sorted((c.tolist() for c in comps), key=lambda c: c[0])
 
 
 def largest_component_subgraph(g: Graph) -> Graph:
@@ -259,14 +265,28 @@ def communities_from_labels(g: Graph, labels: np.ndarray,
     return GroundTruth(communities=comms, labels=labels)
 
 
+def community_indicators(g: Graph, gts: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
+    """Community membership as an (E, C) edge and a (V, C) node indicator.
+
+    Edge rows follow g.edges, node rows the node index; column c is
+    community c. Every community edge must be an edge of g.
+    """
+    c = len(gts.communities)
+    edges = np.zeros((g.num_edges, c), dtype=bool)
+    nodes = np.zeros((g.num_nodes, c), dtype=bool)
+    for i, comm in enumerate(gts.communities):
+        edges[g.edge_rows(list(comm.edges)), i] = True
+        nodes[list(comm.nodes), i] = True
+    return edges, nodes
+
+
 def ground_truth_to_json(g: Graph, gt: GroundTruth) -> dict:
     """Serialize communities as edge-index lists (indices into g.edges)."""
-    eidx = g.edge_index()
     payload = {"communities": []}
     for c in gt.communities:
         payload["communities"].append({
             "nodes": sorted(c.nodes),
-            "edge_indices": sorted(eidx[e] for e in c.edges),
+            "edge_indices": sorted(g.edge_rows(list(c.edges)).tolist()),
         })
     if gt.labels is not None:
         payload["labels"] = [int(x) for x in gt.labels]
@@ -312,21 +332,28 @@ def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgeSplit:
     n_test = int(math.floor(test_fraction * m + 0.5))
     if n_test < 1:
         raise ValueError(f"graph too small: round({test_fraction} * {m}) < 1 test edge")
-    n_pairs = g.num_nodes * (g.num_nodes - 1) // 2
-    if n_pairs - m < n_test:
-        raise ValueError("not enough non-edges to sample negatives")
     rng = np.random.default_rng(seed)
     order = rng.permutation(m)
     test_idx = np.sort(order[:n_test])
     train_mask = np.ones(m, dtype=bool)
     train_mask[test_idx] = False
-    negatives = _sample_non_edges(g, n_test, rng)
+    negatives = sample_non_edges(g, n_test, rng)
     return EdgeSplit(train_edges=g.edges[train_mask],
                      test_edges=g.edges[test_idx],
                      test_negatives=negatives)
 
 
-def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
+def sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
+    """`count` distinct node pairs (u < v) that are not edges of g.
+
+    Pairs are rejection-sampled from uniform node draws. If that stalls, as
+    on a dense graph, the rest are drawn without replacement from the
+    remaining non-edges, enumerated in lexicographic order.
+    """
+    n = g.num_nodes
+    available = n * (n - 1) // 2 - g.num_edges
+    if available < count:
+        raise ValueError(f"asked for {count} non-edges, the graph has only {available}")
     chosen: list = []
     taken = set()
     attempts = 0
@@ -334,14 +361,12 @@ def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
     while len(chosen) < count:
         attempts += 1
         if attempts > limit:
-            # dense corner: enumerate what is left instead of rejection sampling
-            rest = [e for e in _all_non_edges(g) if e not in taken]
-            need = count - len(chosen)
-            pick = rng.choice(len(rest), size=need, replace=False)
-            chosen.extend(rest[i] for i in sorted(pick))
+            rest = _remaining_non_edges(g, np.array(list(taken), dtype=np.int64))
+            pick = rng.choice(len(rest), size=count - len(chosen), replace=False)
+            chosen.extend(map(tuple, rest[np.sort(pick)].tolist()))
             break
-        u = int(rng.integers(g.num_nodes))
-        v = int(rng.integers(g.num_nodes))
+        u = int(rng.integers(n))
+        v = int(rng.integers(n))
         if u == v:
             continue
         e = canonical_edge(u, v)
@@ -349,16 +374,16 @@ def _sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
             continue
         taken.add(e)
         chosen.append(e)
-    return np.array(chosen, dtype=np.int64)
+    return np.array(chosen, dtype=np.int64).reshape(-1, 2)
 
 
-def _all_non_edges(g: Graph):
-    out = []
-    for u in range(g.num_nodes):
-        for v in range(u + 1, g.num_nodes):
-            if (u, v) not in g.edge_set:
-                out.append((u, v))
-    return out
+def _remaining_non_edges(g: Graph, taken: np.ndarray) -> np.ndarray:
+    """Every pair u < v that is neither an edge nor in `taken`, lexicographic."""
+    n = g.num_nodes
+    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+    blocked = np.concatenate([_pair_codes(g.edges, n),
+                              _pair_codes(taken.reshape(-1, 2), n)])
+    return pairs[~np.isin(_pair_codes(pairs, n), blocked)]
 
 
 def train_subgraph(g: Graph, split: EdgeSplit) -> Graph:
@@ -366,74 +391,8 @@ def train_subgraph(g: Graph, split: EdgeSplit) -> Graph:
     return build_graph(g.num_nodes, split.train_edges, g.node_ids)
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from one source; unreachable nodes get inf."""
-    dist = np.full(g.num_nodes, INF)
-    dist[source] = 0.0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in g.adjacency[u].tolist():
-                if dist[w] == INF:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def distances_to_anchors(g: Graph, anchors) -> dict[int, np.ndarray]:
-    """BFS distance row per anchor node: {anchor: (num_nodes,) float array}.
-
-    Each row is independent, so callers may parallelize across anchors;
-    results do not depend on ordering.
-    """
-    anchors = list(anchors)
-    if not anchors:
-        raise ValueError("anchors must be non-empty")
-    return {int(a): bfs_distances(g, int(a)) for a in anchors}
-
-
-class EdgeMask:
-    """Sparse non-negative edge weights keyed by unordered node pairs.
-
-    Used for explanation masks M^(d) and downstream attribution masks B^(j).
-    Zero or negative weights are not stored; support is strictly positive.
-    """
-
-    def __init__(self, weights=None):
-        self._w: dict[tuple[int, int], float] = {}
-        if weights:
-            for (u, v), w in (weights.items() if isinstance(weights, dict) else weights):
-                self.add(u, v, w)
-
-    def add(self, u, v, w):
-        w = float(w)
-        if w > 0.0:
-            self._w[canonical_edge(int(u), int(v))] = w
-
-    def get(self, u, v) -> float:
-        return self._w.get(canonical_edge(int(u), int(v)), 0.0)
-
-    def items(self):
-        return self._w.items()
-
-    def support(self) -> frozenset:
-        return frozenset(self._w)
-
-    def nodes(self) -> frozenset:
-        return frozenset(n for e in self._w for n in e)
-
-    def total(self) -> float:
-        return float(sum(self._w.values()))
-
-    def __len__(self):
-        return len(self._w)
-
-    def __contains__(self, edge):
-        return canonical_edge(*edge) in self._w
-
-    def __repr__(self):
-        return f"EdgeMask({len(self._w)} edges, total={self.total():.4g})"
+def bfs_distances(g: Graph, sources) -> np.ndarray:
+    """Hop distances from each source node: (len(sources), V), inf where unreachable."""
+    # the matrix is symmetric, so the directed search needs no symmetrizing
+    return csgraph.shortest_path(g.matrix(), unweighted=True,
+                                 indices=np.asarray(sources, dtype=np.int64))

@@ -12,9 +12,26 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 
-from .explain import Explanation
-from .graph_core import EdgeMask, Graph, GroundTruth, bfs_distances
+from .explain import Explanation, node_support
+from .graph_core import Graph, GroundTruth, bfs_distances, community_indicators
+
+
+def correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pearson correlation of every row of `a` with every row of `b`.
+
+    nan where either row has zero variance.
+    """
+    # C order makes each row mean the same pairwise sum as a 1-D mean
+    a = np.array(a, dtype=np.float64, ndmin=2, order="C")
+    b = np.array(b, dtype=np.float64, ndmin=2, order="C")
+    a -= a.mean(axis=1, keepdims=True)
+    b -= b.mean(axis=1, keepdims=True)
+    den = np.outer(np.sqrt(np.einsum("ij,ij->i", a, a)),
+                   np.sqrt(np.einsum("ij,ij->i", b, b)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, (a @ b.T) / den, np.nan)
 
 
 def pearson(x, y) -> float:
@@ -25,81 +42,67 @@ def pearson(x, y) -> float:
         raise ValueError("pearson expects two equal-length vectors")
     if len(x) < 2:
         return float("nan")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    den = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
-    if den == 0.0:
-        return float("nan")
-    return float(xc @ yc) / den
+    return float(correlations(x, y)[0, 0])
 
 
-def weighted_f1(mask_items, mask_support, truth: frozenset, truth_size: int) -> float:
-    """F1 with weighted precision and binarized recall.
+def weighted_f1(weights: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """F1 of every mask column against every truth column: (K, C).
 
-    Precision weights each key by its mask value; recall counts the strictly
-    positive support against the full truth size. Zero mask or zero truth
-    gives 0.
+    `weights` (N, K) holds non-negative masks and `truth` (N, C) 0/1
+    indicators over the same N rows. Precision weights each row by its mask
+    value (W^T T / sum w); recall counts the mask's strictly positive support
+    against the truth size ([W > 0]^T T / |C|). A zero mask or an empty
+    truth column scores 0.
     """
-    if truth_size == 0:
-        return 0.0
-    total = 0.0
-    hit = 0.0
-    for key, w in mask_items:
-        total += w
-        if key in truth:
-            hit += w
-    if total <= 0.0:
-        return 0.0
-    prec = hit / total
-    rec = len(mask_support & truth) / truth_size
-    if prec <= 0.0 or rec <= 0.0:
-        return 0.0
-    return 2.0 * prec * rec / (prec + rec)
+    w = np.asarray(weights, dtype=np.float64)
+    t = np.asarray(truth, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prec = (w.T @ t) / w.sum(axis=0)[:, None]
+        rec = ((w > 0.0).T.astype(np.float64) @ t) / t.sum(axis=0)[None, :]
+        f1 = 2.0 * prec * rec / (prec + rec)
+    return np.where((prec > 0.0) & (rec > 0.0), f1, 0.0)
 
 
-def comprehensibility(mask: EdgeMask, gts: GroundTruth) -> tuple[float, int | None]:
-    """Best F1 of the mask against any ground-truth community.
+def comprehensibility(weights: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, list]:
+    """Best F1 of each mask column against any ground-truth community.
 
-    Returns (score, index of the best community). An empty mask scores 0
+    `truth` is the (E, C) community edge indicator. Returns the (K,) scores
+    and the index of each column's best community; an empty mask scores 0
     with no community.
     """
-    if len(mask) == 0:
-        return 0.0, None
-    items = list(mask.items())
-    support = mask.support()
-    best, best_i = 0.0, None
-    for i, c in enumerate(gts.communities):
-        f1 = weighted_f1(items, support, c.edges, len(c.edges))
-        if best_i is None or f1 > best:
-            best, best_i = f1, i
-    return best, best_i
+    f1 = weighted_f1(weights, truth)
+    empty = ~(np.asarray(weights) > 0.0).any(axis=0)
+    scores = np.where(empty, 0.0, f1.max(axis=1))
+    best = [None if e else int(i) for e, i in zip(empty, f1.argmax(axis=1))]
+    return scores, best
 
 
-def sparsity(mask: EdgeMask, total_edges: int) -> float:
-    """Normalized Shannon entropy of the mask's weight distribution.
+def sparsity(weights: np.ndarray) -> np.ndarray:
+    """Normalized Shannon entropy of each mask column's weight distribution.
 
-    0 means all mass on one edge, 1 means uniform over all `total_edges`
-    edges of the graph. Empty masks score 0.
+    0 means all mass on one edge, 1 means uniform over all E rows (every
+    edge of the graph). Empty masks score 0.
     """
-    if total_edges < 2:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape[0] < 2:
         raise ValueError("sparsity needs a graph with at least 2 edges")
-    if len(mask) == 0:
-        return 0.0
-    w = np.array([x for _, x in mask.items()], dtype=np.float64)
-    q = w / w.sum()
-    ent = -float(np.sum(q * np.log(q)))
-    return ent / math.log(total_edges)
+    total = w.sum(axis=0)
+    q = w / np.where(total > 0.0, total, 1.0)
+    entropy = -xlogy(q, q).sum(axis=0)
+    return np.where(total > 0.0, entropy / math.log(w.shape[0]), 0.0)
 
 
-def jaccard(a: frozenset, b: frozenset) -> float:
-    """|intersection| / |union|; two empty sets give 0."""
-    if not a and not b:
-        return 0.0
-    return len(a & b) / len(a | b)
+def jaccard(support: np.ndarray) -> np.ndarray:
+    """|E_d & E_l| / |E_d | E_l| for every pair of boolean columns: (K, K).
 
-
-def _condensed_pairs(k):
-    return [(d, l) for d in range(k) for l in range(d + 1, k)]
+    Two empty columns give 0.
+    """
+    s = np.asarray(support, dtype=np.float64)
+    inter = s.T @ s
+    size = np.diag(inter)
+    union = size[:, None] + size[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, inter / union, 0.0)
 
 
 def overlap_consistency(h: np.ndarray, expl: Explanation) -> tuple[float | None, str | None]:
@@ -113,68 +116,39 @@ def overlap_consistency(h: np.ndarray, expl: Explanation) -> tuple[float | None,
     k = h.shape[1]
     if k < 3:
         return None, "overlap consistency needs K >= 3"
-    pairs = _condensed_pairs(k)
-    jsi = np.array([jaccard(expl.edge_sets[d], expl.edge_sets[l]) for d, l in pairs])
-    rho2 = np.empty(len(pairs))
-    for i, (d, l) in enumerate(pairs):
-        r = pearson(h[:, d], h[:, l])
-        rho2[i] = 0.0 if math.isnan(r) else r * r
-    value = pearson(jsi, rho2)
+    pairs = np.triu_indices(k, k=1)
+    rho = correlations(h.T, h.T)
+    rho2 = np.where(np.isnan(rho), 0.0, rho * rho)
+    value = pearson(jaccard(expl.support)[pairs], rho2[pairs])
     if math.isnan(value):
         return None, "zero variance in JSI or rho^2 vector"
     return value, None
 
 
-def proximity_to_set(g: Graph, nodes, dist_cache: dict | None = None) -> np.ndarray:
-    """zeta(u, S) = sum_{v in S} 1 / (1 + dist(u, v)) for every node u.
+def proximities(g: Graph, sources) -> np.ndarray:
+    """1 / (1 + dist(s, u)) for each source s and node u: (len(sources), V).
 
-    Unreachable pairs contribute 0 (1 / (1 + inf)). `dist_cache` memoizes
-    BFS rows across calls.
+    Unreachable pairs get 0.
     """
-    zeta = np.zeros(g.num_nodes, dtype=np.float64)
-    for v in nodes:
-        v = int(v)
-        if dist_cache is not None:
-            if v not in dist_cache:
-                dist_cache[v] = bfs_distances(g, v)
-            row = dist_cache[v]
-        else:
-            row = bfs_distances(g, v)
-        zeta += 1.0 / (1.0 + row)
-    return zeta
-
-
-def fpc(h: np.ndarray, expl: Explanation, d: int, l: int, g: Graph,
-        dist_cache: dict | None = None) -> float | None:
-    """Feature-positional coherence: Pearson(zeta(., V_d), H_:,l).
-
-    None when V_d is empty or either vector is constant.
-    """
-    nodes = expl.node_sets[d]
-    if not nodes:
-        return None
-    zeta = proximity_to_set(g, nodes, dist_cache)
-    r = pearson(zeta, h[:, l])
-    return None if math.isnan(r) else r
+    prox = bfs_distances(g, sources)
+    # in place: for FPC this block is the largest array of the evaluation
+    prox += 1.0
+    return np.reciprocal(prox, out=prox)
 
 
 def fpc_matrix(h: np.ndarray, expl: Explanation, g: Graph) -> np.ndarray:
-    """All FPC(d, l) values; undefined entries are nan."""
+    """All FPC(d, l) = Pearson(zeta(., V_d), H_:,l); undefined entries are nan.
+
+    zeta(u, V_d) = sum_{v in V_d} 1 / (1 + dist(u, v)), the proximities
+    from the union of the V_d summed per dimension.
+    """
     k = h.shape[1]
-    out = np.full((k, k), np.nan)
-    cache: dict = {}
-    zetas = []
-    for d in range(k):
-        nodes = expl.node_sets[d]
-        zetas.append(proximity_to_set(g, nodes, cache) if nodes else None)
-    for d in range(k):
-        if zetas[d] is None:
-            continue
-        for l in range(k):
-            r = pearson(zetas[d], h[:, l])
-            if not math.isnan(r):
-                out[d, l] = r
-    return out
+    nodes = node_support(expl, g)
+    used = np.flatnonzero(nodes.any(axis=1))
+    if len(used) == 0:
+        return np.full((k, k), np.nan)
+    zeta = nodes[used].T.astype(np.float64) @ proximities(g, used)
+    return correlations(zeta, h.T)
 
 
 def positional_coherence(h: np.ndarray, expl: Explanation, g: Graph,
@@ -264,23 +238,19 @@ def compute_report(g: Graph, h: np.ndarray, expl: Explanation,
     """
     on = lambda name: toggles is None or toggles.get(name, True)
     rep = MetricsReport(metadata=metadata or {})
-    k = h.shape[1]
-    rep.metrics["num_dims"] = k
+    rep.metrics["num_dims"] = h.shape[1]
     rep.metrics["empty_dims"] = len(expl.empty_dims)
 
     if on("comprehensibility") and gts is not None and gts.communities:
-        scores, best = [], []
-        for d in range(k):
-            s, i = comprehensibility(expl.masks[d], gts)
-            scores.append(s)
-            best.append(i)
-        rep.per_dimension["comprehensibility"] = scores
+        edge_truth, _ = community_indicators(g, gts)
+        scores, best = comprehensibility(expl.weights, edge_truth)
+        rep.per_dimension["comprehensibility"] = scores.tolist()
         rep.per_dimension["best_community"] = best
         rep.metrics["comprehensibility_mean"] = float(np.mean(scores))
 
     if on("sparsity"):
-        sp = [sparsity(expl.masks[d], g.num_edges) for d in range(k)]
-        rep.per_dimension["sparsity"] = sp
+        sp = sparsity(expl.weights)
+        rep.per_dimension["sparsity"] = sp.tolist()
         rep.metrics["sparsity_score"] = 1.0 - float(np.mean(sp))
 
     if on("ovc"):

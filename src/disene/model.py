@@ -76,17 +76,8 @@ def normalized_adjacency(g: Graph, dtype=np.float32) -> sp.csr_matrix:
     Self loops guarantee every degree is positive, so the normalization
     never divides by zero.
     """
-    n = g.num_nodes
-    if len(g.edges):
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        rows = np.concatenate([u, v, np.arange(n)])
-        cols = np.concatenate([v, u, np.arange(n)])
-    else:
-        rows = cols = np.arange(n)
-    data = np.ones(len(rows), dtype=dtype)
-    a = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    dinv = 1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel())
-    scale = sp.diags(dinv.astype(dtype))
+    a = g.matrix(dtype) + sp.identity(g.num_nodes, dtype=dtype, format="csr")
+    scale = sp.diags(1.0 / np.sqrt((g.degrees + 1).astype(dtype)))
     return (scale @ a @ scale).tocsr()
 
 

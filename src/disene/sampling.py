@@ -57,12 +57,6 @@ def generate_walks(g: Graph, cfg: WalkConfig) -> list[np.ndarray]:
     seeded stream, so results do not depend on iteration order.
     """
     cfg.validate()
-    maxdeg = int(g.degrees.max()) if g.num_nodes else 0
-    nbr = np.zeros((g.num_nodes, max(maxdeg, 1)), dtype=np.int64)
-    for v in range(g.num_nodes):
-        d = g.degrees[v]
-        if d:
-            nbr[v, :d] = g.adjacency[v]
     walks = []
     for v in range(g.num_nodes):
         if g.degrees[v] == 0:
@@ -74,7 +68,7 @@ def generate_walks(g: Graph, cfg: WalkConfig) -> list[np.ndarray]:
         trace[:, 0] = cur
         for t in range(1, cfg.walk_length):
             step = rng.integers(0, g.degrees[cur])
-            cur = nbr[cur, step]
+            cur = g.indices[g.indptr[cur] + step]
             trace[:, t] = cur
         walks.extend(trace)
     return walks

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_core import Community, Graph, GroundTruth, build_graph, canonical_edge, connected_components
+from .graph_core import (Community, Graph, GroundTruth, build_graph, canonical_edge,
+                         connected_components, sample_non_edges)
 
 KINDS = ("ring_cliques", "sbm_cliques", "ba_cliques", "er_cliques")
 
@@ -115,28 +116,10 @@ def _ring_cliques(spec: SynthSpec):
         if e not in edge_set and u != v:
             edge_set.add(e)
             edges.append(e)
-    rng = np.random.default_rng(spec.seed)
-    _add_noise(edges, edge_set, spec.noise_edges, n, rng)
-    g = build_graph(n, edges, None)
+    noise = sample_non_edges(build_graph(n, edges, None), spec.noise_edges,
+                             np.random.default_rng(spec.seed))
+    g = build_graph(n, edges + noise.tolist(), None)
     return g, GroundTruth(communities=comms, labels=labels)
-
-
-def _add_noise(edges, edge_set, count, num_nodes, rng):
-    possible = num_nodes * (num_nodes - 1) // 2 - len(edge_set)
-    if count > possible:
-        raise ValueError(f"cannot place {count} noise edges, only {possible} non-edges left")
-    added = 0
-    while added < count:
-        u = int(rng.integers(num_nodes))
-        v = int(rng.integers(num_nodes))
-        if u == v:
-            continue
-        e = canonical_edge(u, v)
-        if e in edge_set:
-            continue
-        edge_set.add(e)
-        edges.append(e)
-        added += 1
 
 
 def _sbm_cliques(spec: SynthSpec):

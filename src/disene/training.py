@@ -149,11 +149,6 @@ def _rw_value_grad(h, pos: _Weighted, neg: _Weighted):
     return value, dh
 
 
-def affiliation_column_stats(h: np.ndarray) -> np.ndarray:
-    """Column masses S_d = sum_u H_ud."""
-    return h.sum(axis=0)
-
-
 def _cosine_parts(h):
     s = h.sum(axis=0)
     f = h * s[None, :]

@@ -18,13 +18,14 @@ import numpy as np
 from conftest import ACCEPTANCE_LOG
 
 from disene.cli import main as cli_main
-from disene.downstream import (TaskMasks, LogRegModel, linear_shap,
-                               plausibility, run_link_task, run_node_task)
+from disene.downstream import (LogRegModel, linear_shap, plausibility,
+                               run_link_task, run_node_task)
 from disene.explain import build_explanations
-from disene.graph_core import (EdgeMask, build_graph, canonical_edge,
-                               communities_from_labels)
+from disene.graph_core import (build_graph, canonical_edge,
+                               communities_from_labels, community_indicators)
 from disene.metrics import (auc_pr, comprehensibility, jaccard,
-                            overlap_consistency, pearson, sparsity)
+                            overlap_consistency, pearson, sparsity,
+                            weighted_f1)
 from disene.model import init_params
 from disene.sampling import WalkConfig, build_pair_batch
 from disene.training import LossConfig, total_loss_and_grads
@@ -171,24 +172,35 @@ def test_criterion_2_metric_oracles():
         k = int(rng.integers(2, 9))
         h = np.abs(rng.normal(size=(g.num_nodes, k)))
         all_edges = [tuple(e) for e in g.edges.tolist()]
+        edge_truth, _ = community_indicators(g, gts)
+
+        def mask_array(dicts):
+            """(E, len(dicts)) weights over g.edges from {edge: weight} dicts."""
+            w = np.zeros((len(all_edges), len(dicts)))
+            for j, d in enumerate(dicts):
+                for e, x in d.items():
+                    w[all_edges.index(e), j] = x
+            return w
 
         # comprehensibility + sparsity on a random positive mask
         take = rng.choice(len(all_edges), size=int(rng.integers(1, len(all_edges) + 1)),
                           replace=False)
-        mask = EdgeMask({all_edges[i]: float(rng.uniform(0.1, 2.0)) for i in take})
-        items, support = list(mask.items()), mask.support()
-        score, _ = comprehensibility(mask, gts)
-        check(score, max(_f1_oracle(items, support, c.edges)
-                         for c in gts.communities))
-        q = [w / mask.total() for _, w in items]
-        check(sparsity(mask, g.num_edges),
+        mask = {all_edges[i]: float(rng.uniform(0.1, 2.0)) for i in take}
+        items, support = list(mask.items()), frozenset(mask)
+        scores, _ = comprehensibility(mask_array([mask]), edge_truth)
+        check(scores[0], max(_f1_oracle(items, support, c.edges)
+                             for c in gts.communities))
+        total = sum(w for _, w in items)
+        q = [w / total for _, w in items]
+        check(sparsity(mask_array([mask]))[0],
               -sum(x * math.log(x) for x in q) / math.log(g.num_edges))
 
         # JSI on two random edge subsets (possibly empty)
         a = frozenset(e for e in all_edges if rng.random() < 0.5)
         b = frozenset(e for e in all_edges if rng.random() < 0.5)
         want = 0.0 if not a and not b else len(a & b) / len(a | b)
-        check(jaccard(a, b), want)
+        support_ab = np.array([[e in a, e in b] for e in all_edges])
+        check(jaccard(support_ab)[0, 1], want)
 
         # Pearson on two embedding columns
         x, y = h[:, 0].tolist(), h[:, k - 1].tolist()
@@ -220,7 +232,8 @@ def test_criterion_2_metric_oracles():
         psi2 = rng.normal(size=k)
         psi2[0] = abs(psi2[0]) + 0.1
         gi = int(rng.integers(0, len(gts.communities)))
-        got = plausibility(psi2, TaskMasks(kind="edge", masks=dicts), gts, gi)
+        f1 = weighted_f1(mask_array(dicts), edge_truth)
+        got = plausibility(psi2[None, :], f1, [gi])[0]
         f = [max(p, 0.0) for p in psi2]
         want = sum(fj * _f1_oracle(list(d.items()), frozenset(d),
                                    gts.communities[gi].edges)

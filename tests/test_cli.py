@@ -160,6 +160,63 @@ class TestConfigFile:
                  "--out", str(tmp_path))
         assert ei.value.code == 2
 
+    def test_config_deterministic_reexecs_single_threaded(self, tmp_path,
+                                                         monkeypatch):
+        class Reexec(Exception):
+            pass
+
+        def fake_execvpe(path, argv, env):
+            raise Reexec(env)
+
+        monkeypatch.delenv("DISENE_THREADS", raising=False)
+        monkeypatch.setattr(os, "execvpe", fake_execvpe)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deterministic": True}))
+        with pytest.raises(Reexec) as ei:
+            _run("gen", "--kind", "ring", *MICRO_GEN, "--config", str(cfg),
+                 "--out", str(tmp_path))
+        env = ei.value.args[0]
+        assert env["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["DISENE_THREADS"] == "1"
+
+
+@pytest.fixture(scope="module")
+def ring_noiseless_ckpt(tmp_path_factory):
+    """Checkpoint on the default ring graph with the noise edges turned off."""
+    out = tmp_path_factory.mktemp("ring_noiseless")
+    assert _run("train", "--kind", "ring", "--noise-edges", "0",
+                *MICRO_TRAIN, "--out", str(out)) == 0
+    return out
+
+
+class TestProvenance:
+    def test_checkpoint_rebuilds_its_own_graph(self, ring_noiseless_ckpt,
+                                               tmp_path):
+        sidecar = json.loads((ring_noiseless_ckpt / "run.json").read_text())
+        assert sidecar["data"]["spec"]["noise_edges"] == 0
+        assert sidecar["graph"]["num_edges"] == 1472
+        assert _run("explain", "--checkpoint", str(ring_noiseless_ckpt),
+                    "--out", str(tmp_path)) == 0
+        data = json.loads((tmp_path / "explanations.json").read_text())
+        assert data["background_size"] == 1472
+        assert _run("evaluate", "--checkpoint", str(ring_noiseless_ckpt),
+                    "--permutations", "5", "--out", str(tmp_path)) == 0
+
+    @pytest.mark.parametrize("command", [
+        ["explain"], ["evaluate"], ["downstream", "--task", "node"]])
+    def test_other_graph_is_refused(self, ring_noiseless_ckpt, tmp_path,
+                                    command, capsys):
+        # --kind ring alone means the default ring, 147 noise edges more
+        assert _run(*command, "--checkpoint", str(ring_noiseless_ckpt),
+                    "--kind", "ring", "--out", str(tmp_path)) == 2
+        assert "not the one the checkpoint was trained on" in \
+            capsys.readouterr().err
+
+    def test_data_checkpoint_records_the_file(self, ring_ckpt, ring_data):
+        sidecar = json.loads((ring_ckpt / "run.json").read_text())
+        assert sidecar["data"]["path"] == str(ring_data / "edges.txt")
+        assert len(sidecar["data"]["sha256"]) == 64
+
 
 class TestExplain:
     def test_writes_explanations(self, ring_ckpt, ring_data, tmp_path):
@@ -313,3 +370,15 @@ class TestBench:
     def test_unknown_method_fails(self, tmp_path):
         assert main(["bench", "--methods", "deepwalk",
                      "--out", str(tmp_path)]) == 2
+
+    def test_failed_job_under_workers_spares_the_rest(self, tmp_path, capsys):
+        # K=0 fails in the trainer; the K=2 job must still write its rows
+        rc = main(["bench", "--datasets", "ring", "--methods", "disene-fc",
+                   "--dims", "0,2", "--seeds", "0", "--tasks", "link",
+                   "--permutations", "5", "--workers", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "FAILED ring_cliques disene-fc K=0" in capsys.readouterr().err
+        with open(tmp_path / "results.csv", newline="") as fh:
+            dims = {r["dim"] for r in csv.DictReader(fh)}
+        assert dims == {"2"}

@@ -9,12 +9,13 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from disene.downstream import (LogRegModel, TaskMasks, _sample_train_negatives,
-                               build_task_masks, edge_features, fit_logreg,
-                               linear_shap, plausibility, run_link_task,
-                               run_node_task, run_task)
+from disene.downstream import (LogRegModel, build_task_masks, edge_features,
+                               fit_logreg, linear_shap, plausibility,
+                               run_link_task, run_node_task, run_task)
 from disene.graph_core import (build_graph, canonical_edge,
-                               communities_from_labels, split_edges)
+                               communities_from_labels, community_indicators,
+                               sample_non_edges, split_edges)
+from disene.metrics import weighted_f1
 
 
 def _toy_dataset(seed=0, n=60, k=3):
@@ -148,18 +149,25 @@ class TestTaskMasks:
         model = LogRegModel(beta=np.array([1.0, -1.0]), intercept=0.0,
                             background_mean=np.array([0.0, 0.0]))
         feats = np.array([[2.0, 1.0], [0.0, 3.0], [4.0, 0.0]])
-        keys = [(0, 1), (1, 2), (2, 3)]
-        masks = build_task_masks(model, feats, keys)
-        assert masks.kind == "edge"
-        assert masks.masks[0] == {(0, 1): 2.0, (2, 3): 4.0}
-        assert masks.masks[1] == {}  # negative coefficient, non-negative feats
+        masks = build_task_masks(model, feats)
+        assert masks[:, 0].tolist() == [2.0, 0.0, 4.0]
+        assert masks[:, 1].tolist() == [0.0, 0.0, 0.0]  # negative coefficient
 
-    def test_node_kind_from_int_keys(self):
+    def test_background_override(self):
         model = LogRegModel(beta=np.ones(1), intercept=0.0,
                             background_mean=np.zeros(1))
-        masks = build_task_masks(model, np.array([[1.0], [0.0]]), [0, 1])
-        assert masks.kind == "node"
-        assert masks.masks[0] == {0: 1.0}
+        masks = build_task_masks(model, np.array([[1.0], [0.0]]),
+                                 np.array([0.5]))
+        assert masks.tolist() == [[0.5], [0.0]]
+
+
+def _f1(g, gts, masks):
+    """F1 of {edge: weight} task masks against every community: (J, C)."""
+    w = np.zeros((g.num_edges, len(masks)))
+    for j, m in enumerate(masks):
+        for e, x in m.items():
+            w[g.edge_rows([e]), j] = x
+    return weighted_f1(w, community_indicators(g, gts)[0])
 
 
 class TestPlausibility:
@@ -167,38 +175,40 @@ class TestPlausibility:
         g, gts = two_cliques
         perfect = {e: 1.0 for e in gts.communities[0].edges}
         useless = {canonical_edge(4, 5): 1.0}  # the bridge: in no community
-        masks = TaskMasks(kind="edge", masks=[perfect, useless])
+        f1 = _f1(g, gts, [perfect, useless])
         # f1 = (1.0, 0.0) weighted by psi = (3, 1) -> 0.75
-        got = plausibility(np.array([3.0, 1.0]), masks, gts, 0)
-        assert got == pytest.approx(0.75, abs=1e-12)
+        got = plausibility(np.array([[3.0, 1.0]]), f1, [0])
+        assert got[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_negative_attributions_are_ignored(self, two_cliques):
-        _, gts = two_cliques
+        g, gts = two_cliques
         perfect = {e: 1.0 for e in gts.communities[0].edges}
-        masks = TaskMasks(kind="edge", masks=[perfect, {(0, 1): 5.0}])
-        got = plausibility(np.array([2.0, -7.0]), masks, gts, 0)
-        assert got == pytest.approx(1.0, abs=1e-12)
+        f1 = _f1(g, gts, [perfect, {(0, 1): 5.0}])
+        got = plausibility(np.array([[2.0, -7.0]]), f1, [0])
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_none_when_nothing_positive(self, two_cliques):
-        _, gts = two_cliques
-        masks = TaskMasks(kind="edge", masks=[{}, {}])
-        assert plausibility(np.array([-1.0, 0.0]), masks, gts, 0) is None
+        g, gts = two_cliques
+        f1 = _f1(g, gts, [{}, {}])
+        assert math.isnan(plausibility(np.array([[-1.0, 0.0]]), f1, [0])[0])
 
-    def test_cache_consistency(self, two_cliques):
-        _, gts = two_cliques
-        perfect = {e: 1.0 for e in gts.communities[1].edges}
-        masks = TaskMasks(kind="edge", masks=[perfect])
-        cache = {}
-        a = plausibility(np.array([1.0]), masks, gts, 1, cache)
-        b = plausibility(np.array([1.0]), masks, gts, 1, cache)
-        assert a == b == pytest.approx(1.0)
-        assert cache == {(0, 1): 1.0}
+    def test_batch_matches_single_instances(self, two_cliques):
+        g, gts = two_cliques
+        f1 = _f1(g, gts, [{e: 1.0 for e in gts.communities[1].edges},
+                          {(0, 1): 2.0, (5, 6): 1.0}])
+        psi = np.array([[1.0, 0.5], [0.2, 3.0], [-1.0, -2.0]])
+        comm = [1, 0, 1]
+        batch = plausibility(psi, f1, comm)
+        for i in range(3):
+            one = plausibility(psi[i:i + 1], f1, comm[i:i + 1])
+            np.testing.assert_array_equal(batch[i:i + 1], one)
+        assert math.isnan(batch[2])
 
 
 class TestTrainNegatives:
     def test_valid_distinct_non_edges(self, two_cliques):
         g, _ = two_cliques
-        neg = _sample_train_negatives(g, 10, seed=0)
+        neg = sample_non_edges(g, 10, np.random.default_rng(0))
         assert len(neg) == 10
         seen = set()
         for u, v in neg.tolist():
@@ -209,13 +219,25 @@ class TestTrainNegatives:
 
     def test_deterministic(self, two_cliques):
         g, _ = two_cliques
-        np.testing.assert_array_equal(_sample_train_negatives(g, 8, 3),
-                                      _sample_train_negatives(g, 8, 3))
+        np.testing.assert_array_equal(
+            sample_non_edges(g, 8, np.random.default_rng(3)),
+            sample_non_edges(g, 8, np.random.default_rng(3)))
 
     def test_exhaustion_rejected(self):
         g = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         with pytest.raises(ValueError):
-            _sample_train_negatives(g, 1, seed=0)  # complete graph
+            sample_non_edges(g, 1, np.random.default_rng(0))  # complete graph
+
+    def test_every_remaining_non_edge(self):
+        # a complete graph missing three edges: rejection sampling stalls,
+        # so the sampler falls back to enumerating what is left
+        n = 200
+        missing = {(3, 50), (7, 199), (120, 121)}
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if (u, v) not in missing])
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0xD0]))
+        neg = sample_non_edges(g, 3, rng)
+        assert {tuple(e) for e in neg.tolist()} == missing
 
 
 def _indicator_embedding(n=10):

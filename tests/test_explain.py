@@ -6,10 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from disene.explain import (AttributionContext, Explanation, affiliation_matrix,
-                            attribution, build_explanations,
-                            explanation_to_json, reconstruction_logit,
-                            save_explanation)
+from disene.explain import (AttributionContext, affiliation_matrix,
+                            attribution, build_explanations, node_support,
+                            reconstruction_logit, save_explanation)
 from disene.graph_core import build_graph, canonical_edge
 
 
@@ -63,38 +62,36 @@ class TestMasks:
     def test_weights_strictly_positive_and_on_graph_edges(self):
         g, h = _random_case(3)
         expl = build_explanations(h, g)
-        graph_edges = {canonical_edge(*e) for e in g.edges.tolist()}
-        for d, mask in enumerate(expl.masks):
-            for (u, v), w in mask.items():
-                assert w > 0.0
-                assert (u, v) in graph_edges
-                assert w == pytest.approx(
-                    attribution(h, expl.context, d, u, v), abs=1e-12)
+        assert expl.weights.shape == (g.num_edges, h.shape[1])
+        assert (expl.weights >= 0.0).all()
+        for i, d in zip(*np.nonzero(expl.weights)):
+            u, v = g.edges[i]
+            assert expl.weights[i, d] == pytest.approx(
+                attribution(h, expl.context, d, u, v), abs=1e-12)
 
     def test_mask_keeps_exactly_the_positive_attributions(self):
         g, h = _random_case(4)
         expl = build_explanations(h, g)
-        for d, mask in enumerate(expl.masks):
-            for u, v in g.edges.tolist():
+        for d in range(expl.num_dims):
+            for i, (u, v) in enumerate(g.edges.tolist()):
                 phi = attribution(h, expl.context, d, u, v)
-                if phi > 0:
-                    assert (u, v) in mask
-                else:
-                    assert (u, v) not in mask
+                assert (phi > 0) == (expl.weights[i, d] > 0)
 
     def test_node_sets_are_mask_endpoints(self):
         g, h = _random_case(5)
         expl = build_explanations(h, g)
+        nodes = node_support(expl, g)
         for d in range(expl.num_dims):
-            assert expl.node_sets[d] == expl.masks[d].nodes()
-            assert expl.edge_sets[d] == expl.masks[d].support()
+            rows = np.flatnonzero(expl.weights[:, d])
+            assert expl.edge_sets[d].tolist() == rows.tolist()
+            assert set(np.flatnonzero(nodes[:, d])) == set(g.edges[rows].ravel())
 
     def test_zero_column_yields_empty_dim(self):
         g, h = _random_case(6)
         h[:, 1] = 0.0
         expl = build_explanations(h, g)
         assert 1 in expl.empty_dims
-        assert len(expl.masks[1]) == 0
+        assert not expl.weights[:, 1].any()
 
 
 class TestReconstruction:
@@ -113,18 +110,19 @@ class TestAffiliation:
         for seed in range(4):
             g, h = _random_case(seed, n=8, k=4)
             expl = build_explanations(h, g)
-            f = affiliation_matrix(h, expl)
+            f = affiliation_matrix(h, expl, g)
+            nodes = node_support(expl, g)
             for d in range(4):
                 for u in range(8):
                     want = sum(attribution(h, expl.context, d, u, v)
-                               for v in expl.node_sets[d])
+                               for v in np.flatnonzero(nodes[:, d]))
                     assert f[u, d] == pytest.approx(want, abs=1e-9)
 
     def test_empty_dimension_gets_zero_column(self):
         g, h = _random_case(8)
         h[:, 0] = 0.0
         expl = build_explanations(h, g)
-        f = affiliation_matrix(h, expl)
+        f = affiliation_matrix(h, expl, g)
         np.testing.assert_array_equal(f[:, 0], 0.0)
 
 
@@ -133,7 +131,7 @@ class TestJsonExport:
         g, h = _random_case(9)
         expl = build_explanations(h, g)
         p = tmp_path / "expl.json"
-        save_explanation(p, expl)
+        save_explanation(p, expl, g)
         data = json.loads(p.read_text())
         assert data["num_dims"] == expl.num_dims
         assert data["background_size"] == len(g.edges)
@@ -143,14 +141,16 @@ class TestJsonExport:
             assert entry["empty"] == (d in expl.empty_dims)
             got = {(u, v): w for (u, v), w in
                    zip(map(tuple, entry["edges"]), entry["weights"])}
-            want = dict(expl.masks[d].items())
+            rows = expl.edge_sets[d]
+            want = {tuple(g.edges[i].tolist()): expl.weights[i, d] for i in rows}
             assert got == pytest.approx(want)
-            assert entry["nodes"] == sorted(expl.node_sets[d])
+            assert list(got) == sorted(want)
+            assert entry["nodes"] == np.flatnonzero(node_support(expl, g)[:, d]).tolist()
 
     def test_export_is_deterministic(self, tmp_path):
         g, h = _random_case(10)
         expl = build_explanations(h, g)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_explanation(a, expl)
-        save_explanation(b, expl)
+        save_explanation(a, expl, g)
+        save_explanation(b, expl, g)
         assert a.read_bytes() == b.read_bytes()

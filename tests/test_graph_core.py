@@ -1,4 +1,4 @@
-"""Graph container, file loaders, edge splits, BFS, and mask basics."""
+"""Graph container, file loaders, community indicators, edge splits, BFS."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
-from disene.graph_core import (EdgeMask, build_graph, canonical_edge,
-                               communities_from_labels, connected_components,
-                               bfs_distances, distances_to_anchors,
+from disene.graph_core import (build_graph, canonical_edge,
+                               communities_from_labels, community_indicators,
+                               connected_components, bfs_distances,
                                ground_truth_from_json, ground_truth_to_json,
                                largest_component_subgraph, load_edge_list,
                                load_labels, split_edges, train_subgraph)
@@ -42,6 +42,14 @@ class TestGraphBasics:
         assert g.degrees.tolist() == [3, 1, 1, 1]
         assert g.neighbors(0).tolist() == [1, 2, 3]
         assert g.has_edge(2, 0) and not g.has_edge(2, 3)
+        assert g.indptr.tolist() == [0, 3, 4, 5, 6]
+        assert g.indices.tolist() == [1, 2, 3, 0, 0, 0]
+
+    def test_edge_rows(self):
+        g = build_graph(5, [(3, 4), (0, 1), (1, 3)])
+        assert g.edge_rows([(0, 1), (4, 3), (3, 1)]).tolist() == [0, 2, 1]
+        with pytest.raises(ValueError, match="not an edge"):
+            g.edge_rows([(0, 4)])
 
     def test_components_and_largest(self):
         ids = list("abcdefg")
@@ -107,6 +115,17 @@ class TestCommunities:
         assert gts.community_of_edge(0, 1) == 0
         assert gts.community_of_edge(4, 5) is None  # bridge
 
+    def test_indicators_match_lookups(self, two_cliques):
+        g, gts = two_cliques
+        edges, nodes = community_indicators(g, gts)
+        assert edges.shape == (g.num_edges, 2) and nodes.shape == (10, 2)
+        for (u, v), row in zip(g.edges.tolist(), edges):
+            c = gts.community_of_edge(u, v)
+            assert row.tolist() == [c == 0, c == 1]
+        for v, row in enumerate(nodes):
+            assert row.tolist() == [gts.community_of_node(v) == 0,
+                                    gts.community_of_node(v) == 1]
+
 
 class TestSplits:
     def test_exact_counts_and_disjointness(self):
@@ -156,13 +175,13 @@ class TestBfs:
             adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                                 shape=(g.num_nodes, g.num_nodes))
             want = shortest_path(adj, method="BF", unweighted=True)
-            for s in range(g.num_nodes):
-                np.testing.assert_array_equal(bfs_distances(g, s), want[s])
+            np.testing.assert_array_equal(
+                bfs_distances(g, np.arange(g.num_nodes)), want)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(23)
         g = random_graph(rng, 15, 0.25)
-        d = np.stack([bfs_distances(g, s) for s in range(g.num_nodes)])
+        d = bfs_distances(g, np.arange(g.num_nodes))
         finite = np.isfinite(d)
         for k in range(g.num_nodes):
             lhs = d
@@ -171,23 +190,6 @@ class TestBfs:
             assert ok.all()
 
     def test_anchors(self, path_graph):
-        d = distances_to_anchors(path_graph, [0, 5])
+        d = bfs_distances(path_graph, [0, 5])
         assert d[0].tolist() == [0, 1, 2, 3, 4, 5]
-        assert d[5].tolist() == [5, 4, 3, 2, 1, 0]
-
-
-class TestEdgeMask:
-    def test_positive_only_storage(self):
-        m = EdgeMask()
-        m.add(2, 1, 0.5)
-        m.add(3, 4, 0.0)
-        m.add(5, 6, -1.0)
-        assert len(m) == 1
-        assert m.get(1, 2) == 0.5
-        assert m.support() == frozenset({(1, 2)})
-        assert m.nodes() == frozenset({1, 2})
-
-    def test_init_from_dict(self):
-        m = EdgeMask({(1, 0): 2.0, (2, 3): 1.0})
-        assert m.get(0, 1) == 2.0 and m.total() == 3.0
-        assert (0, 1) in m and (1, 0) in m
+        assert d[1].tolist() == [5, 4, 3, 2, 1, 0]

@@ -6,26 +6,38 @@ import math
 import numpy as np
 import pytest
 
-from disene.explain import AttributionContext, Explanation, build_explanations
-from disene.graph_core import EdgeMask, build_graph
+from disene.explain import (AttributionContext, Explanation, build_explanations,
+                            node_support)
+from disene.graph_core import build_graph, community_indicators
 from disene.metrics import (MetricsReport, auc_pr, comprehensibility,
-                            compute_report, fpc, fpc_matrix, jaccard,
+                            compute_report, fpc_matrix, jaccard,
                             overlap_consistency, pearson,
-                            positional_coherence, proximity_to_set, sparsity,
+                            positional_coherence, proximities, sparsity,
                             weighted_f1)
 
 
-def _expl_from_sets(edge_sets, k, weights=None):
-    """Hand-built Explanation: only the sets matter to the metrics here."""
-    masks = []
-    for i, es in enumerate(edge_sets):
-        m = EdgeMask()
-        for u, v in es:
-            m.add(u, v, 1.0 if weights is None else weights[i][(u, v)])
-        masks.append(m)
-    ctx = AttributionContext(mu=np.zeros(k), background=np.array([[0, 1]]))
-    return Explanation(masks=masks, edge_sets=[m.support() for m in masks],
-                       node_sets=[m.nodes() for m in masks], context=ctx)
+def _expl_from_sets(edge_sets, g=None):
+    """Hand-built Explanation with unit weights on each dimension's edge set.
+
+    Without a graph, the union of the sets is the edge universe.
+    """
+    if g is None:
+        union = sorted(set().union(*edge_sets))
+        g = build_graph(1 + max(max(e) for e in union), union)
+    w = np.zeros((g.num_edges, len(edge_sets)))
+    for d, es in enumerate(edge_sets):
+        w[g.edge_rows(sorted(es)), d] = 1.0
+    ctx = AttributionContext(mu=np.zeros(len(edge_sets)),
+                             background=np.array([[0, 1]]))
+    return Explanation(weights=w, context=ctx)
+
+
+def _mask(g, weights):
+    """(E, 1) mask column over g's edges from an {edge: weight} dict."""
+    w = np.zeros((g.num_edges, 1))
+    for e, x in weights.items():
+        w[g.edge_rows([e]), 0] = x
+    return w
 
 
 class TestPearson:
@@ -46,73 +58,77 @@ class TestPearson:
 
 class TestWeightedF1:
     def test_hand_case(self):
-        # precision 2/3 (weighted), recall 1 -> f1 = 0.8
-        mask = EdgeMask({(0, 1): 2.0, (2, 3): 1.0})
-        truth = frozenset({(0, 1)})
-        got = weighted_f1(mask.items(), mask.support(), truth, len(truth))
-        assert got == pytest.approx(0.8, abs=1e-12)
+        # rows (0,1), (2,3); precision 2/3 (weighted), recall 1 -> f1 = 0.8
+        got = weighted_f1(np.array([[2.0], [1.0]]), np.array([[1], [0]]))
+        assert got.shape == (1, 1)
+        assert got[0, 0] == pytest.approx(0.8, abs=1e-12)
 
     def test_zero_truth_or_no_overlap_scores_zero(self):
-        mask = EdgeMask({(0, 1): 1.0})
-        assert weighted_f1(mask.items(), mask.support(), frozenset(), 0) == 0.0
-        assert weighted_f1(mask.items(), mask.support(),
-                           frozenset({(5, 6)}), 1) == 0.0
+        # rows (0,1), (5,6); the mask holds (0,1); truths: empty, {(5,6)}
+        got = weighted_f1(np.array([[1.0], [0.0]]),
+                          np.array([[0, 0], [0, 1]]))
+        assert got.tolist() == [[0.0, 0.0]]
 
 
 class TestComprehensibility:
     def test_exact_community_mask_scores_one(self, two_cliques):
         g, gts = two_cliques
-        mask = EdgeMask({e: 1.0 for e in gts.communities[0].edges})
-        score, best = comprehensibility(mask, gts)
-        assert score == pytest.approx(1.0, abs=1e-12)
-        assert best == 0
+        mask = _mask(g, {e: 1.0 for e in gts.communities[0].edges})
+        score, best = comprehensibility(mask, community_indicators(g, gts)[0])
+        assert score[0] == pytest.approx(1.0, abs=1e-12)
+        assert best == [0]
 
     def test_picks_the_best_community(self, two_cliques):
         g, gts = two_cliques
-        mask = EdgeMask({e: 1.0 for e in gts.communities[1].edges})
-        _, best = comprehensibility(mask, gts)
-        assert best == 1
+        mask = _mask(g, {e: 1.0 for e in gts.communities[1].edges})
+        _, best = comprehensibility(mask, community_indicators(g, gts)[0])
+        assert best == [1]
 
     def test_empty_mask(self, two_cliques):
-        _, gts = two_cliques
-        assert comprehensibility(EdgeMask(), gts) == (0.0, None)
+        g, gts = two_cliques
+        score, best = comprehensibility(np.zeros((g.num_edges, 1)),
+                                        community_indicators(g, gts)[0])
+        assert score.tolist() == [0.0] and best == [None]
 
     def test_partial_mask_hand_value(self, two_cliques):
         # 3 of community 0's 10 edges, uniform: prec 1, rec 0.3 -> 6/13
-        _, gts = two_cliques
-        mask = EdgeMask({(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
-        score, best = comprehensibility(mask, gts)
-        assert score == pytest.approx(6.0 / 13.0, abs=1e-12)
-        assert best == 0
+        g, gts = two_cliques
+        mask = _mask(g, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+        score, best = comprehensibility(mask, community_indicators(g, gts)[0])
+        assert score[0] == pytest.approx(6.0 / 13.0, abs=1e-12)
+        assert best == [0]
 
 
 class TestSparsity:
     def test_single_edge_is_perfectly_sparse(self):
-        assert sparsity(EdgeMask({(0, 1): 5.0}), 10) == 0.0
+        w = np.zeros((10, 1))
+        w[3, 0] = 5.0
+        assert sparsity(w).tolist() == [0.0]
 
     def test_uniform_over_all_edges_is_one(self):
-        mask = EdgeMask({(i, i + 1): 2.0 for i in range(7)})
-        assert sparsity(mask, 7) == pytest.approx(1.0, abs=1e-12)
+        assert sparsity(np.full((7, 1), 2.0))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
         # two equal weights over a 4-edge graph: ln2 / ln4 = 0.5
-        mask = EdgeMask({(0, 1): 3.0, (1, 2): 3.0})
-        assert sparsity(mask, 4) == pytest.approx(0.5, abs=1e-12)
+        w = np.array([[3.0], [3.0], [0.0], [0.0]])
+        assert sparsity(w)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_mask_and_tiny_graph(self):
-        assert sparsity(EdgeMask(), 5) == 0.0
+        assert sparsity(np.zeros((5, 1))).tolist() == [0.0]
         with pytest.raises(ValueError):
-            sparsity(EdgeMask({(0, 1): 1.0}), 1)
+            sparsity(np.ones((1, 1)))
 
 
 class TestJaccard:
     def test_hand_values(self):
-        a = frozenset({(0, 1), (1, 2), (2, 3)})
-        b = frozenset({(1, 2), (2, 3), (3, 4)})
-        assert jaccard(a, b) == pytest.approx(0.5)
-        assert jaccard(a, a) == 1.0
-        assert jaccard(a, frozenset()) == 0.0
-        assert jaccard(frozenset(), frozenset()) == 0.0
+        # rows (0,1), (1,2), (2,3), (3,4); columns a, b and an empty set
+        a = [1, 1, 1, 0]
+        b = [0, 1, 1, 1]
+        got = jaccard(np.array([a, b, [0, 0, 0, 0]], dtype=bool).T)
+        assert got[0, 1] == got[1, 0] == pytest.approx(0.5)
+        assert got[0, 0] == 1.0
+        assert got[0, 2] == 0.0
+        assert got[2, 2] == 0.0
 
 
 class TestOverlapConsistency:
@@ -120,7 +136,7 @@ class TestOverlapConsistency:
         # dims 0 and 1: identical columns and identical edge sets;
         # dim 2: exactly uncorrelated column, disjoint edge set
         h = np.array([[1, 1, 1], [2, 2, 0], [3, 3, 0], [4, 4, 1]], dtype=float)
-        expl = _expl_from_sets([{(0, 1), (1, 2)}, {(0, 1), (1, 2)}, {(2, 3)}], 3)
+        expl = _expl_from_sets([{(0, 1), (1, 2)}, {(0, 1), (1, 2)}, {(2, 3)}])
         val, reason = overlap_consistency(h, expl)
         assert reason is None
         assert val == pytest.approx(1.0, abs=1e-12)
@@ -128,83 +144,99 @@ class TestOverlapConsistency:
     def test_anti_alignment_hand_value(self):
         # JSI = (0.5, 0.5, 1.0) against rho^2 = (1, 0, 0) -> pearson -0.5
         h = np.array([[1, 1, 1], [2, 2, 0], [3, 3, 0], [4, 4, 1]], dtype=float)
-        expl = _expl_from_sets([{(0, 1)}, {(0, 1), (1, 2)}, {(0, 1), (1, 2)}], 3)
+        expl = _expl_from_sets([{(0, 1)}, {(0, 1), (1, 2)}, {(0, 1), (1, 2)}])
         val, reason = overlap_consistency(h, expl)
         assert reason is None
         assert val == pytest.approx(-0.5, abs=1e-12)
 
     def test_constant_column_counts_as_zero_correlation(self):
         h = np.array([[1, 1, 7], [2, 2, 7], [3, 3, 7], [4, 5, 7]], dtype=float)
-        expl = _expl_from_sets([{(0, 1)}, {(0, 1)}, {(2, 3)}], 3)
+        expl = _expl_from_sets([{(0, 1)}, {(0, 1)}, {(2, 3)}])
         val, reason = overlap_consistency(h, expl)
         assert reason is None
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_undefined_cases(self):
         h2 = np.random.default_rng(0).random((5, 2))
-        expl2 = _expl_from_sets([{(0, 1)}, {(1, 2)}], 2)
+        expl2 = _expl_from_sets([{(0, 1)}, {(1, 2)}])
         val, reason = overlap_consistency(h2, expl2)
         assert val is None and "K >= 3" in reason
 
         h3 = np.random.default_rng(1).random((5, 3))
         same = {(0, 1), (1, 2)}
-        expl3 = _expl_from_sets([same, same, same], 3)
+        expl3 = _expl_from_sets([same, same, same])
         val, reason = overlap_consistency(h3, expl3)
         assert val is None and "variance" in reason
 
 
 class TestProximity:
     def test_single_source_on_path(self, path_graph):
-        zeta = proximity_to_set(path_graph, {0})
+        zeta = proximities(path_graph, [0])[0]
         want = 1.0 / (1.0 + np.arange(6))
         np.testing.assert_allclose(zeta, want, atol=1e-12)
 
     def test_additive_over_sources(self, path_graph):
-        both = proximity_to_set(path_graph, {0, 5})
-        want = proximity_to_set(path_graph, {0}) + proximity_to_set(path_graph, {5})
+        both = proximities(path_graph, [0, 5]).sum(axis=0)
+        want = proximities(path_graph, [0])[0] + proximities(path_graph, [5])[0]
         np.testing.assert_allclose(both, want, atol=1e-12)
 
     def test_unreachable_contributes_zero(self):
         g = build_graph(4, [(0, 1)])  # nodes 2, 3 isolated
-        zeta = proximity_to_set(g, {0})
+        zeta = proximities(g, [0])[0]
         assert zeta[2] == 0.0 and zeta[3] == 0.0
         assert zeta[0] == 1.0 and zeta[1] == 0.5
 
-    def test_cache_is_transparent(self, path_graph):
-        cache = {}
-        a = proximity_to_set(path_graph, {1, 3}, cache)
-        b = proximity_to_set(path_graph, {1, 3}, cache)
-        np.testing.assert_array_equal(a, b)
-        assert set(cache) == {1, 3}
+
+def _fpc_oracle(h, g, nodes, l):
+    """Pearson(zeta(., V_d), H_:,l) from a plain BFS per node of V_d."""
+    def hops(s):
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in g.neighbors(u).tolist():
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        return dist
+    zeta = np.zeros(g.num_nodes)
+    for v in nodes:
+        for u, d in hops(v).items():
+            zeta[u] += 1.0 / (1.0 + d)
+    return pearson(zeta, h[:, l])
 
 
 class TestFpc:
     def test_perfect_coherence_on_path(self, path_graph):
         h = np.zeros((6, 2))
-        h[:, 0] = 1.0 / (1.0 + np.arange(6))   # equals zeta(., {0})
-        h[:, 1] = np.arange(6.0)
-        expl = _expl_from_sets([{(0, 1)}, {(4, 5)}], 2)
-        expl.node_sets[0] = frozenset({0})
-        got = fpc(h, expl, 0, 0, path_graph)
+        u = np.arange(6.0)
+        h[:, 0] = 1.0 / (1.0 + u) + 1.0 / (1.0 + np.abs(u - 1))  # zeta(., {0, 1})
+        h[:, 1] = u
+        expl = _expl_from_sets([{(0, 1)}, {(4, 5)}], path_graph)
+        got = fpc_matrix(h, expl, path_graph)[0, 0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_none_for_empty_set_or_constant_column(self, path_graph):
         h = np.ones((6, 2))
         h[:, 0] = np.arange(6.0)
-        expl = _expl_from_sets([set(), {(0, 1)}], 2)
-        assert fpc(h, expl, 0, 0, path_graph) is None      # empty V_d
-        assert fpc(h, expl, 1, 1, path_graph) is None      # constant column
+        expl = _expl_from_sets([set(), {(0, 1)}], path_graph)
+        mat = fpc_matrix(h, expl, path_graph)
+        assert math.isnan(mat[0, 0])      # empty V_d
+        assert math.isnan(mat[1, 1])      # constant column
 
     def test_matrix_matches_entrywise(self):
         rng = np.random.default_rng(2)
         g = build_graph(7, [(i, i + 1) for i in range(6)] + [(0, 3)])
         h = np.abs(rng.normal(size=(7, 3)))
         expl = build_explanations(h, g)
+        nodes = node_support(expl, g)
         mat = fpc_matrix(h, expl, g)
         for d in range(3):
             for l in range(3):
-                want = fpc(h, expl, d, l, g)
-                if want is None:
+                want = _fpc_oracle(h, g, np.flatnonzero(nodes[:, d]), l)
+                if math.isnan(want):
                     assert math.isnan(mat[d, l])
                 else:
                     assert mat[d, l] == pytest.approx(want, abs=1e-12)
