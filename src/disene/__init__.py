@@ -18,9 +18,9 @@ from .model import (EncoderParams, edge_likelihood, encode, init_params,
                     load_embedding_binary, load_embedding_text,
                     normalized_adjacency, save_embedding_binary,
                     save_embedding_text)
-from .training import (GradBuffer, LossConfig, TrainResult, adam_step,
-                       entropy_reg, loss_dis, loss_rw, total_loss_and_grads,
-                       train)
+from .training import (AdamState, GradBuffer, LossConfig, TrainResult,
+                       adam_step, entropy_reg, loss_dis, loss_rw,
+                       total_loss_and_grads, train)
 from .explain import (AttributionContext, Explanation, affiliation_matrix,
                       attribution, build_explanations, node_support)
 from .metrics import (MetricsReport, auc_pr, comprehensibility, compute_report,

@@ -133,6 +133,8 @@ def explanation_to_json(expl: Explanation, g: Graph) -> dict:
 
 
 def save_explanation(path, expl: Explanation, g: Graph):
+    # json.dumps without indent runs the C encoder; json.dump never does
+    text = json.dumps(explanation_to_json(expl, g), sort_keys=True,
+                      separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(explanation_to_json(expl, g), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

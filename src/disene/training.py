@@ -15,6 +15,17 @@ with three ingredients, all on the non-negative embedding matrix H:
 - H_ent:  Shannon entropy of the normalized column masses p_d = S_d / sum_l S_l,
           so the penalty 1 - H_ent/ln K discourages dead dimensions
 
+L_rw is computed as a weighted factorisation of pair counts (Levy &
+Goldberg, NeurIPS 2014). With P(u, v) and N(u, v) the number of times the
+corpus holds (u, v) as a positive and as a negative pair, and S = H H^T,
+
+    L_rw = -sum P * log sigmoid(S) - sum N * log sigmoid(-S)
+    dL_rw/dH = (C + C^T) H,   C = P * (sigmoid(S) - 1) + N * sigmoid(S)
+
+summed over the entries where P or N is non-zero. The counts live on one
+symmetric CSR pattern built once per corpus; each step evaluates S on the
+pattern from row blocks of H H^T and takes one sparse product.
+
 Gradients are computed analytically (no autodiff) and pass a central
 finite-difference check in 64-bit mode; see the test suite. Optimization is
 bias-corrected Adam, full batch by default.
@@ -70,9 +81,14 @@ class LossConfig:
 
 @dataclass
 class GradBuffer:
-    """Gradients plus Adam moments, shaped like the parameters."""
+    """Parameter gradients, shaped like the parameters."""
     dW1: np.ndarray
     dW: np.ndarray
+
+
+@dataclass
+class AdamState:
+    """Adam's first and second moments and its step count."""
     m_W1: np.ndarray
     v_W1: np.ndarray
     m_W: np.ndarray
@@ -82,8 +98,7 @@ class GradBuffer:
     @classmethod
     def zeros(cls, params: EncoderParams):
         z = lambda a: np.zeros_like(a)
-        return cls(z(params.W1), z(params.W), z(params.W1), z(params.W1),
-                   z(params.W), z(params.W))
+        return cls(z(params.W1), z(params.W1), z(params.W), z(params.W))
 
 
 @dataclass
@@ -94,59 +109,103 @@ class _Weighted:
     w: np.ndarray
 
 
-def _aggregate(pairs: np.ndarray) -> _Weighted:
-    if len(pairs) == 0:
-        e = np.empty(0, dtype=np.int64)
-        return _Weighted(e, e, np.empty(0))
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    return _Weighted(uniq[:, 0], uniq[:, 1], counts.astype(np.float64))
+def _distinct(codes: np.ndarray):
+    """Distinct values of non-negative int64 codes, ascending, with counts."""
+    codes = np.sort(codes)
+    first = np.flatnonzero(np.diff(codes, prepend=-1))
+    return codes[first], np.diff(first, append=len(codes))
 
 
-def _pair_dots(h, wp: _Weighted):
-    if len(wp.u) == 0:
-        return np.empty(0, dtype=h.dtype)
-    return np.einsum("ij,ij->i", h[wp.u], h[wp.v])
+def _aggregate(pairs: np.ndarray, num_nodes: int) -> _Weighted:
+    """Unique pairs in lexicographic order, with their counts."""
+    codes, counts = _distinct(pairs[:, 0].astype(np.int64) * num_nodes
+                              + pairs[:, 1])
+    return _Weighted(codes // num_nodes, codes % num_nodes,
+                     counts.astype(np.float64))
 
 
-def _rw_value(h, pos: _Weighted, neg: _Weighted) -> float:
+@dataclass
+class _CountPattern:
+    """Positive and negative pair counts on one symmetric CSR pattern.
+
+    The pattern holds every positive and negative pair and its mirror. Entry
+    i is the pair (code // V, code % V); `pos` and `neg` count how often the
+    corpus holds that ordered pair, and `mirror[i]` is the entry of the
+    reversed pair. `matrix.data` is scratch that each gradient overwrites.
+    """
+    matrix: sp.csr_matrix
+    codes: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    mirror: np.ndarray
+
+
+def _count_pattern(positives: np.ndarray, negatives: np.ndarray,
+                   num_nodes: int) -> _CountPattern:
+    n = num_nodes
+    pos = _aggregate(positives, n)
+    neg = _aggregate(negatives, n)
+    u = np.concatenate([pos.u, neg.u])
+    v = np.concatenate([pos.v, neg.v])
+    codes, _ = _distinct(np.concatenate([u * n + v, v * n + u]))
+    counts = []
+    for side in (pos, neg):
+        c = np.zeros(len(codes))
+        c[np.searchsorted(codes, side.u * n + side.v)] = side.w
+        counts.append(c)
+    rows, cols = codes // n, codes % n
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    matrix = sp.csr_matrix((np.zeros(len(codes)), cols, indptr), shape=(n, n))
+    return _CountPattern(matrix, codes, counts[0], counts[1],
+                         np.searchsorted(codes, cols * n + rows))
+
+
+def _as_pattern(batch, num_nodes: int) -> _CountPattern:
+    if isinstance(batch, PairBatch):
+        return _count_pattern(batch.positives, batch.negatives, num_nodes)
+    return batch  # already built
+
+
+# entries of the dense product h[r0:r1] @ h.T held at once
+BLOCK_ENTRIES = 1 << 20
+
+
+def _pattern_dots(h, cp: _CountPattern) -> np.ndarray:
+    """S = h h^T at the pattern's entries, from row blocks of the product."""
+    n = h.shape[0]
+    indptr = cp.matrix.indptr
+    s = np.empty(len(cp.codes))
+    height = max(1, BLOCK_ENTRIES // n)
+    for r0 in range(0, n, height):
+        r1 = min(r0 + height, n)
+        lo, hi = indptr[r0], indptr[r1]
+        if lo < hi:
+            block = h[r0:r1] @ h.T
+            s[lo:hi] = block.ravel()[cp.codes[lo:hi] - r0 * n]
+    return s
+
+
+def _rw_value_sigma(h, cp: _CountPattern):
+    """L_rw and sigma(S) on the pattern."""
     lo, hi = SIGMA_CLAMP, 1.0 - SIGMA_CLAMP
-    total = 0.0
-    s = _pair_dots(h, pos)
-    if len(s):
-        total -= float(np.sum(pos.w * np.log(np.clip(expit(s), lo, hi))))
-    s = _pair_dots(h, neg)
-    if len(s):
-        total -= float(np.sum(neg.w * np.log(np.clip(expit(-s), lo, hi))))
-    return total
+    s = _pattern_dots(h, cp)
+    sig = expit(s)
+    value = -(float(np.sum(cp.pos * np.log(np.clip(sig, lo, hi))))
+              + float(np.sum(cp.neg * np.log(np.clip(expit(-s), lo, hi)))))
+    return value, sig
 
 
 def loss_rw(h: np.ndarray, batch: PairBatch) -> float:
     """Skip-gram negative-sampling loss, summed over the batch."""
-    return _rw_value(h, _aggregate(batch.positives), _aggregate(batch.negatives))
+    return _rw_value_sigma(h, _as_pattern(batch, h.shape[0]))[0]
 
 
-def _rw_value_grad(h, pos: _Weighted, neg: _Weighted):
-    value = _rw_value(h, pos, neg)
-    n = h.shape[0]
-    rows, cols, data = [], [], []
-    s = _pair_dots(h, pos)
-    if len(s):
-        rows.append(pos.u)
-        cols.append(pos.v)
-        data.append(pos.w * (expit(s.astype(np.float64)) - 1.0))
-    s = _pair_dots(h, neg)
-    if len(s):
-        rows.append(neg.u)
-        cols.append(neg.v)
-        data.append(neg.w * expit(s.astype(np.float64)))
-    if not rows:
-        return value, np.zeros_like(h)
-    coef = sp.coo_matrix(
-        (np.concatenate(data).astype(h.dtype),
-         (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
-    # d/dh(u) of a pair term is coef * h(v) and symmetrically for h(v)
-    dh = coef @ h + coef.T @ h
-    return value, dh
+def _rw_value_grad(h, cp: _CountPattern):
+    value, sig = _rw_value_sigma(h, cp)
+    # d/dh(u) of a pair term is C(u, v) h(v), and C(u, v) h(u) for h(v)
+    c = cp.pos * (sig - 1.0) + cp.neg * sig
+    cp.matrix.data = (c + c[cp.mirror]).astype(h.dtype)
+    return value, cp.matrix @ h
 
 
 def _cosine_parts(h):
@@ -223,36 +282,32 @@ def _ent_value_grad(h):
 
 
 def loss_breakdown(params, g, batch, cfg: LossConfig, adj=None) -> dict:
-    """Loss terms at the current parameters, for reporting and tests."""
+    """Loss terms at the current parameters, for reporting and tests.
+
+    `batch` is a PairBatch or the count pattern `train` built from one.
+    """
     _, _, h = forward(params, g, adj)
-    pos, neg = _as_weighted(batch)
-    out = {"rw": _rw_value(h, pos, neg)}
+    out = {"rw": _rw_value_sigma(h, _as_pattern(batch, g.num_nodes))[0]}
     out["dis"] = loss_dis(h) if (cfg.lambda_dis > 0 and h.shape[1] >= 2) else 0.0
     out["ent"] = entropy_reg(h) if cfg.lambda_ent > 0 else 0.0
     out["total"] = out["rw"] + cfg.lambda_dis * out["dis"] + cfg.lambda_ent * out["ent"]
     return out
 
 
-def _as_weighted(batch):
-    if isinstance(batch, PairBatch):
-        return _aggregate(batch.positives), _aggregate(batch.negatives)
-    return batch  # already a (_Weighted, _Weighted) tuple
-
-
 def total_loss_and_grads(params: EncoderParams, g: Graph, batch, cfg: LossConfig,
                          adj=None):
     """Total loss and analytic parameter gradients.
 
-    `batch` is a PairBatch (or a pre-aggregated pair of weighted lists).
+    `batch` is a PairBatch or the count pattern `train` built from one.
     The two regularizers always see the full-graph embedding, regardless of
     which pairs the batch holds.
     """
-    pos, neg = _as_weighted(batch)
+    cp = _as_pattern(batch, g.num_nodes)
     if params.kind == "gcn" and adj is None:
         adj = normalized_adjacency(g, dtype=params.W1.dtype)
     z, pre, h = forward(params, g, adj)
 
-    value, dh = _rw_value_grad(h, pos, neg)
+    value, dh = _rw_value_grad(h, cp)
     if cfg.lambda_dis > 0 and h.shape[1] >= 2:
         v_dis, dh_dis = _dis_value_grad(h)
         value += cfg.lambda_dis * v_dis
@@ -269,24 +324,22 @@ def total_loss_and_grads(params: EncoderParams, g: Graph, batch, cfg: LossConfig
     dW = z.T @ dpre
     dz = dpre @ params.W.T
     dW1 = (adj.T @ dz) if params.kind == "gcn" else dz
-
-    buf = GradBuffer.zeros(params)
-    buf.dW1 = dW1.astype(params.W1.dtype, copy=False)
-    buf.dW = dW.astype(params.W.dtype, copy=False)
-    return value, buf
+    return value, GradBuffer(dW1.astype(params.W1.dtype, copy=False),
+                             dW.astype(params.W.dtype, copy=False))
 
 
-def adam_step(params: EncoderParams, buf: GradBuffer, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected Adam update, in place."""
-    buf.step += 1
-    t = buf.step
+def adam_step(params: EncoderParams, grads: GradBuffer, state: AdamState,
+              lr: float, beta1: float = 0.9, beta2: float = 0.999,
+              eps: float = 1e-8):
+    """One bias-corrected Adam update of params and state, in place."""
+    state.step += 1
+    t = state.step
     for wname, gname, mname, vname in (("W1", "dW1", "m_W1", "v_W1"),
                                        ("W", "dW", "m_W", "v_W")):
         w = getattr(params, wname)
-        gr = getattr(buf, gname)
-        m = getattr(buf, mname)
-        v = getattr(buf, vname)
+        gr = getattr(grads, gname)
+        m = getattr(state, mname)
+        v = getattr(state, vname)
         m *= beta1
         m += (1 - beta1) * gr
         v *= beta2
@@ -311,9 +364,10 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
     """Full training run: corpus generation, epochs of Adam, final encode.
 
     The walk corpus (positives and negatives) is generated once up front.
-    With batch_size unset each epoch is a single full-corpus step; otherwise
-    positives are shuffled per epoch and sliced, each slice carrying its own
-    negatives, and the epoch's trace entry is the mean step loss.
+    With batch_size unset each epoch is a single full-corpus step over the
+    corpus's count pattern, built once; otherwise positives are shuffled per
+    epoch and sliced, each slice carrying its own negatives and counted into
+    its own pattern, and the epoch's trace entry is the mean step loss.
     """
     cfg.validate()
     walk_cfg.validate()
@@ -325,16 +379,20 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
     params = init_params(g, kind, dim_hidden, dim, seed=cfg.seed,
                          activation=activation, dtype=dtype)
     adj = normalized_adjacency(g, dtype=dtype) if kind == "gcn" else None
+    state = AdamState.zeros(params)
+
+    def step(pairs):
+        value, grads = total_loss_and_grads(params, g, pairs, cfg, adj)
+        adam_step(params, grads, state, cfg.learning_rate, cfg.beta1,
+                  cfg.beta2, cfg.adam_eps)
+        return value
 
     trace = []
-    buf = None
+    corpus = batch
     if cfg.batch_size is None:
-        agg = _as_weighted(batch)
+        corpus = _count_pattern(batch.positives, batch.negatives, g.num_nodes)
         for _ in range(cfg.epochs):
-            value, grads = total_loss_and_grads(params, g, agg, cfg, adj)
-            buf = _carry_moments(grads, buf)
-            adam_step(params, buf, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
-            trace.append(value)
+            trace.append(step(corpus))
     else:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB472]))
         k = walk_cfg.negatives_per_positive
@@ -345,24 +403,10 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
             for lo in range(0, p, cfg.batch_size):
                 idx = order[lo:lo + cfg.batch_size]
                 nidx = (idx[:, None] * k + np.arange(k)[None, :]).ravel()
-                sub = (_aggregate(batch.positives[idx]),
-                       _aggregate(batch.negatives[nidx]))
-                value, grads = total_loss_and_grads(params, g, sub, cfg, adj)
-                buf = _carry_moments(grads, buf)
-                adam_step(params, buf, cfg.learning_rate, cfg.beta1, cfg.beta2,
-                          cfg.adam_eps)
-                step_losses.append(value)
+                step_losses.append(step(_count_pattern(
+                    batch.positives[idx], batch.negatives[nidx], g.num_nodes)))
             trace.append(float(np.mean(step_losses)))
 
     _, _, h = forward(params, g, adj)
-    final = loss_breakdown(params, g, batch, cfg, adj)["total"]
+    final = loss_breakdown(params, g, corpus, cfg, adj)["total"]
     return TrainResult(params=params, embedding=h, loss_trace=trace, final_loss=final)
-
-
-def _carry_moments(grads: GradBuffer, prev: GradBuffer | None) -> GradBuffer:
-    if prev is None:
-        return grads
-    grads.m_W1, grads.v_W1 = prev.m_W1, prev.v_W1
-    grads.m_W, grads.v_W = prev.m_W, prev.v_W
-    grads.step = prev.step
-    return grads

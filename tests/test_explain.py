@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from disene.explain import (AttributionContext, affiliation_matrix,
-                            attribution, build_explanations, node_support,
+                            attribution, build_explanations,
+                            explanation_to_json, node_support,
                             reconstruction_logit, save_explanation)
 from disene.graph_core import build_graph, canonical_edge
 
@@ -146,6 +147,13 @@ class TestJsonExport:
             assert got == pytest.approx(want)
             assert list(got) == sorted(want)
             assert entry["nodes"] == np.flatnonzero(node_support(expl, g)[:, d]).tolist()
+
+    def test_load_round_trips_the_payload(self, tmp_path):
+        g, h = _random_case(11)
+        expl = build_explanations(h, g)
+        p = tmp_path / "expl.json"
+        save_explanation(p, expl, g)
+        assert json.loads(p.read_text()) == explanation_to_json(expl, g)
 
     def test_export_is_deterministic(self, tmp_path):
         g, h = _random_case(10)

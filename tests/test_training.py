@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from disene import training
 from disene.graph_core import build_graph
 from disene.model import init_params
 from disene.sampling import PairBatch, WalkConfig, build_pair_batch
-from disene.training import (COSINE_EPS, SIGMA_CLAMP, GradBuffer, LossConfig,
-                             adam_step, entropy_reg, loss_breakdown, loss_dis,
-                             loss_rw, total_loss_and_grads, train)
+from disene.training import (COSINE_EPS, SIGMA_CLAMP, AdamState, GradBuffer,
+                             LossConfig, adam_step, entropy_reg,
+                             loss_breakdown, loss_dis, loss_rw,
+                             total_loss_and_grads, train)
+from disene.training import _count_pattern, _rw_value_grad
 
 
 def _rand_h(rng, n, k, scale=1.0):
@@ -69,6 +72,68 @@ class TestLossRw:
         val = loss_rw(h, PairBatch(np.array([[0, 1]]), np.array([[1, 0]])))
         assert math.isfinite(val)
         assert val == pytest.approx(-math.log(SIGMA_CLAMP), rel=1e-6)
+
+
+def rw_grad_oracle(h, batch):
+    """dL_rw/dh, accumulated pair by pair in float64."""
+    h = h.astype(np.float64)
+    dh = np.zeros_like(h)
+    for pairs, sign in ((batch.positives, 1.0), (batch.negatives, -1.0)):
+        for u, v in pairs.tolist():
+            # d/ds of -log sigmoid(sign * s)
+            coef = expit(h[u] @ h[v]) - (1.0 if sign > 0 else 0.0)
+            dh[u] += coef * h[v]
+            dh[v] += coef * h[u]
+    return dh
+
+
+def _corpus_with_edge_cases(rng, n):
+    """Pairs over nodes 0..n-4: repeats, negatives that hit their own anchor;
+    the last three nodes are in no pair."""
+    live = n - 3
+    pos = rng.integers(0, live, size=(30, 2))
+    pos = np.concatenate([pos, pos[:7], pos[:2]])        # duplicate pairs
+    neg = np.stack([rng.integers(0, live, size=len(pos)), pos[:, 1]], axis=1)
+    neg[::4, 0] = neg[::4, 1]                            # diagonal entries
+    return PairBatch(pos, neg)
+
+
+class TestCountPattern:
+    def test_value_and_gradient_match_pair_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            n = int(rng.integers(8, 16))
+            h = _rand_h(rng, n, 4, scale=0.6)
+            batch = _corpus_with_edge_cases(rng, n)
+            value, dh = _rw_value_grad(h, _count_pattern(
+                batch.positives, batch.negatives, n))
+            assert value == pytest.approx(rw_oracle(h, batch), rel=1e-10)
+            assert _rel_err(dh, rw_grad_oracle(h, batch)) < 1e-10
+            assert not dh[n - 3:].any()
+
+    def test_empty_corpus(self):
+        h = _rand_h(np.random.default_rng(12), 5, 3)
+        empty = np.empty((0, 2), dtype=np.int64)
+        value, dh = _rw_value_grad(h, _count_pattern(empty, empty, 5))
+        assert value == 0.0
+        assert dh.shape == h.shape and not dh.any()
+        assert loss_rw(h, PairBatch(empty, empty)) == 0.0
+
+    def test_row_blocks_equal_one_block(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        n = 12
+        # BLAS may sum a block's dot products in another order; on dyadic
+        # entries every order gives the exact sum
+        h = rng.integers(0, 9, size=(n, 5)) / 8.0
+        batch = _corpus_with_edge_cases(rng, n)
+        cp = _count_pattern(batch.positives, batch.negatives, n)
+        assert training.BLOCK_ENTRIES >= n * n
+        want_value, want_dh = _rw_value_grad(h, cp)
+        # blocks of 2 rows; rows 9-11 hold no pair, so block [10, 12) is empty
+        monkeypatch.setattr(training, "BLOCK_ENTRIES", 2 * n)
+        value, dh = _rw_value_grad(h, cp)
+        assert value == want_value
+        np.testing.assert_array_equal(dh, want_dh)
 
 
 class TestLossDis:
@@ -177,7 +242,7 @@ class TestAdam:
         params = init_params(g, "fc", 2, 2, seed=5, dtype=np.float64)
         want_w1 = params.W1.copy()
         want_w = params.W.copy()
-        buf = GradBuffer.zeros(params)
+        state = AdamState.zeros(params)
         rng = np.random.default_rng(6)
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         m1, v1 = np.zeros_like(want_w1), np.zeros_like(want_w1)
@@ -185,8 +250,8 @@ class TestAdam:
         for t in range(1, 4):
             g1 = rng.normal(size=want_w1.shape)
             g2 = rng.normal(size=want_w.shape)
-            buf.dW1, buf.dW = g1.copy(), g2.copy()
-            adam_step(params, buf, lr, b1, b2, eps)
+            adam_step(params, GradBuffer(g1.copy(), g2.copy()), state,
+                      lr, b1, b2, eps)
             m1 = b1 * m1 + (1 - b1) * g1
             v1 = b2 * v1 + (1 - b2) * g1 * g1
             m2 = b1 * m2 + (1 - b1) * g2
@@ -243,6 +308,15 @@ class TestTrain:
                     dim_hidden=8, dim=3)
         assert len(res.loss_trace) == 3
         assert math.isfinite(res.final_loss)
+
+    def test_one_slice_minibatch_equals_full_batch(self, two_cliques):
+        g, _ = two_cliques
+        full = train(g, LossConfig(epochs=4), self.WALKS, dim_hidden=8, dim=3)
+        size = len(build_pair_batch(g, self.WALKS).positives)
+        one = train(g, LossConfig(epochs=4, batch_size=size), self.WALKS,
+                    dim_hidden=8, dim=3)
+        assert one.embedding.tobytes() == full.embedding.tobytes()
+        assert one.loss_trace == full.loss_trace
 
     def test_final_loss_matches_breakdown(self, two_cliques):
         g, _ = two_cliques
