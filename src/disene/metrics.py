@@ -182,12 +182,15 @@ def auc_pr(scores, labels) -> float:
     """Average precision: step-wise integral of the precision-recall curve.
 
     Scores are ranked descending with a stable sort; tied scores share one
-    threshold. Both classes must be present.
+    threshold. Scores must be finite (a NaN never ties, so the input order
+    would rank it). Both classes must be present.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     npos = int(np.sum(labels == 1))
     nneg = int(np.sum(labels == 0))
     if npos + nneg != len(labels):

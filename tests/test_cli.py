@@ -310,6 +310,16 @@ class TestDownstream:
                     "--ground-truth", str(ring_data / "ground_truth.json"),
                     "--task", "link", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("l2", ["nan", "inf", "-1", "0"])
+    def test_l2_must_be_finite_and_positive(self, ring_split_ckpt, ring_data,
+                                            tmp_path, capsys, l2):
+        assert _run("downstream", "--checkpoint", str(ring_split_ckpt),
+                    "--data", str(ring_data / "edges.txt"),
+                    "--ground-truth", str(ring_data / "ground_truth.json"),
+                    "--task", "link", "--l2", l2, "--out", str(tmp_path)) == 2
+        assert "l2 must be a finite number > 0" in capsys.readouterr().err
+        assert not (tmp_path / "link_task.json").exists()
+
     def test_node_task_outputs(self, ba_setup, tmp_path):
         data, ckpt = ba_setup
         assert _run("downstream", "--checkpoint", str(ckpt),

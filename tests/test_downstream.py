@@ -6,9 +6,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from disene import downstream
 from disene.downstream import (LogRegModel, build_task_masks, edge_features,
                                fit_logreg, linear_shap, plausibility,
                                run_link_task, run_node_task, run_task)
@@ -27,6 +31,45 @@ def _toy_dataset(seed=0, n=60, k=3):
     return x, y
 
 
+def _hadamard_dataset(seed=0, n=5000, k=64, v=400):
+    """Non-negative Hadamard edge features h(u) * h(v), labels from a
+    logistic model on them, like the link task's design."""
+    rng = np.random.default_rng(seed)
+    h = rng.random((v, k)) ** 2
+    x = edge_features(h, rng.integers(0, v, size=(n, 2)))
+    beta = rng.normal(scale=3.0, size=k)
+    y = (rng.random(n) < expit(x @ beta - beta.sum() / 9)).astype(float)
+    return x, y
+
+
+def _objective_and_grad(x, y, l2):
+    """The fit's objective over w = (beta, intercept) and its gradient."""
+    n = len(y)
+
+    def fun(w):
+        z = x @ w[:-1] + w[-1]
+        r = expit(z) - y
+        value = np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * w[:-1] @ w[:-1]
+        return value, np.append(x.T @ r / n + l2 * w[:-1], r.mean())
+    return fun
+
+
+def _max_grad(model, x, y, l2):
+    w = np.append(model.beta, model.intercept)
+    return np.abs(_objective_and_grad(x, y, l2)(w)[1]).max()
+
+
+def _oracle(x, y, l2):
+    return minimize(_objective_and_grad(x, y, l2), np.zeros(x.shape[1] + 1),
+                    jac=True, method="BFGS", options={"gtol": 1e-11}).x
+
+
+# separable up to the penalty: undamped Newton raises the objective on its
+# ninth step, so the fit must backtrack
+OVERSHOOT_X = np.array([[-2.0, 1.0], [-1.0, -15.0], [0.0, -2.0], [3.0, 1.0]])
+OVERSHOOT_Y = np.array([0.0, 1.0, 1.0, 1.0])
+
+
 class TestFitLogreg:
     def test_matches_convex_oracle(self):
         x, y = _toy_dataset()
@@ -43,12 +86,40 @@ class TestFitLogreg:
         np.testing.assert_allclose(model.beta, ref[:-1], atol=1e-3)
         assert model.intercept == pytest.approx(ref[-1], abs=1e-3)
 
+    @pytest.mark.parametrize("data, l2", [(_toy_dataset(), 0.1),
+                                          (_toy_dataset(3), 1e-4),
+                                          (_hadamard_dataset(), 1e-4)])
+    def test_stationary_and_at_the_oracle_optimum(self, data, l2):
+        x, y = data
+        model = fit_logreg(x, y, l2=l2)
+        assert _max_grad(model, x, y, l2) <= 1e-8
+        ref = _oracle(x, y, l2)
+        np.testing.assert_allclose(model.beta, ref[:-1], atol=1e-6)
+        assert model.intercept == pytest.approx(ref[-1], abs=1e-6)
+
+    def test_backtracks_where_the_newton_step_overshoots(self, monkeypatch):
+        l2 = 1e-4
+        model = fit_logreg(OVERSHOOT_X, OVERSHOOT_Y, l2=l2)
+        assert _max_grad(model, OVERSHOOT_X, OVERSHOOT_Y, l2) <= 1e-8
+        ref = _oracle(OVERSHOOT_X, OVERSHOOT_Y, l2)
+        np.testing.assert_allclose(model.beta, ref[:-1], rtol=1e-6)
+        # with only the full step allowed the line search gives up
+        monkeypatch.setattr(downstream, "LINE_SEARCH_STEPS", 1)
+        with pytest.raises(RuntimeError, match="line search"):
+            fit_logreg(OVERSHOOT_X, OVERSHOOT_Y, l2=l2)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(downstream, "MAX_NEWTON_STEPS", 2)
+        x, y = _toy_dataset()
+        with pytest.raises(RuntimeError, match="did not converge"):
+            fit_logreg(x, y)
+
     def test_all_zero_features_learn_the_prior(self):
         x = np.zeros((8, 2))
         y = np.array([1.0] * 6 + [0.0] * 2)
         model = fit_logreg(x, y)
-        np.testing.assert_allclose(model.beta, 0.0, atol=1e-6)
-        assert model.predict_proba(np.zeros(2)) == pytest.approx(0.75, abs=1e-3)
+        np.testing.assert_array_equal(model.beta, 0.0)
+        assert model.predict_proba(np.zeros(2)) == pytest.approx(0.75, abs=1e-12)
 
     def test_stores_training_means(self):
         x, y = _toy_dataset(1)
@@ -61,6 +132,25 @@ class TestFitLogreg:
         a, b = fit_logreg(x, y), fit_logreg(x, y)
         np.testing.assert_array_equal(a.beta, b.beta)
         assert a.intercept == b.intercept
+
+    def test_byte_identical_refit(self):
+        x, y = _hadamard_dataset(1)
+        a, b = fit_logreg(x, y), fit_logreg(x, y)
+        assert a.beta.tobytes() == b.beta.tobytes()
+        assert a.intercept == b.intercept
+
+    @pytest.mark.parametrize("l2", [np.nan, np.inf, -1.0, 0.0])
+    def test_rejects_l2_that_is_not_finite_and_positive(self, l2):
+        x, y = _toy_dataset()
+        with pytest.raises(ValueError, match="l2"):
+            fit_logreg(x, y, l2=l2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        x, y = _toy_dataset()
+        x[5, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_logreg(x, y)
 
     def test_rejects_bad_labels(self):
         x = np.ones((4, 2))
@@ -131,6 +221,24 @@ class TestLinearShap:
         psi = linear_shap(model, x, bg)
         assert psi.sum() == pytest.approx(
             float(model.logits(x)) - float(model.logits(mu)), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 30), k=st.integers(1, 6),
+           l2=st.sampled_from([1e-4, 1e-2, 1.0]))
+    def test_efficiency_identity_on_fitted_models(self, data, n, k, l2):
+        feature = st.floats(-10.0, 10.0, allow_subnormal=False)
+        x = data.draw(arrays(np.float64, (n, k), elements=feature))
+        y = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+        assume(0.0 < y.mean() < 1.0)
+        model = fit_logreg(x, y, l2=l2)
+        query = data.draw(arrays(np.float64, (3, k), elements=feature))
+        for bg in (None, np.zeros(k)):
+            mu = model.background_mean if bg is None else bg
+            psi = linear_shap(model, query, bg)
+            want = model.logits(query) - model.logits(mu)
+            scale = 1.0 + np.abs(model.beta * query).sum(axis=1)
+            np.testing.assert_array_less(np.abs(psi.sum(axis=1) - want),
+                                         1e-12 * scale)
 
     def test_matches_exact_shapley_enumeration(self):
         rng = np.random.default_rng(5)

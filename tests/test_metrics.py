@@ -296,6 +296,14 @@ class TestAucPr:
         got = auc_pr([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
         assert got == pytest.approx(0.5 + (0.5 * 2.0 / 3.0), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        # a NaN never ties, so positives listed first would rank perfectly
+        with pytest.raises(ValueError, match="finite"):
+            auc_pr([bad] * 4, [1, 1, 0, 0])
+        with pytest.raises(ValueError, match="finite"):
+            auc_pr([0.9, bad, 0.2, 0.1], [1, 1, 0, 0])
+
     def test_ties_share_a_threshold(self):
         assert auc_pr([1.0, 1.0], [1, 0]) == pytest.approx(0.5)
         assert auc_pr([1.0, 1.0, 0.0], [1, 1, 0]) == pytest.approx(1.0)
