@@ -27,7 +27,6 @@ from .metrics import (MetricsReport, auc_pr, comprehensibility, compute_report,
                       fpc_matrix, jaccard, overlap_consistency, pearson,
                       positional_coherence, sparsity)
 from .downstream import (LogRegModel, TaskResult, build_task_masks,
-                         edge_features, fit_logreg, linear_shap, plausibility,
-                         run_task)
+                         edge_features, fit_logreg, linear_shap, plausibility)
 
 __version__ = "0.1.0"

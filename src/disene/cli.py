@@ -8,9 +8,13 @@ link or node task with per-instance plausibility, and `bench` drives the
 whole synthetic grid into CSV tables.
 
 Every subcommand accepts --seed, --out, --config, --threads and
---deterministic. A config file is a flat JSON object using the same keys as
-the long flags (dashes become underscores); explicit flags win over config
-values, config values win over defaults. Unknown config keys are rejected.
+--deterministic; the generator flags (--num-cliques, ...) go with --kind.
+A config file is a flat JSON object whose keys are the long flags of the
+subcommand being run (dashes become underscores), typed like the flag; any
+other key exits 2. Flags win over config values, config values over
+defaults. One resolver makes each decision: `_resolve_graph` the graph,
+`_load_checkpoint` the checkpoint, and `_resolve_run` the training run,
+which `bench` shares with `train`, so equal runs get equal config hashes.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, replace
 from multiprocessing import get_context
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,29 +47,11 @@ from .training import LossConfig, train
 METHODS = ("disene-fc", "disene-gcn", "baseline-sgns")
 BENCH_DIMS = (2, 4, 8, 16, 32, 64, 128)
 BENCH_SEEDS = (0, 1, 2, 3, 4)
+BENCH_SPLIT = 0.1
 
 # short aliases accepted anywhere a dataset kind is expected
 _KIND_ALIASES = {"ring": "ring_cliques", "sbm": "sbm_cliques",
                  "ba": "ba_cliques", "er": "er_cliques"}
-
-# config-file schema: key -> expected python type(s)
-_SCHEMA = {
-    "seed": int, "out": str, "threads": int, "deterministic": bool,
-    "kind": str, "data": str, "ground_truth": str,
-    "num_cliques": int, "clique_size": int, "base_nodes": int,
-    "attach_edges_per_clique": int, "noise_edges": int,
-    "er_p": float, "sbm_p_out": float, "ba_m": int,
-    "method": str, "activation": str, "dim": int, "dim_hidden": int,
-    "lambda_dis": float, "lambda_ent": float,
-    "epochs": int, "learning_rate": float, "batch_size": int,
-    "walk_length": int, "num_walks": int, "window": int,
-    "negatives_per_positive": int,
-    "split": float, "split_seed": int,
-    "background": str, "permutations": int, "l2": float,
-    "task": str, "checkpoint": str,
-    "datasets": list, "methods": list, "dims": list, "seeds": list,
-    "tasks": list, "workers": int,
-}
 
 
 def _fail(msg: str) -> "SystemExit":
@@ -72,19 +59,49 @@ def _fail(msg: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _load_config(path) -> dict:
+def _int_list(text):
+    return [int(x) for x in text.split(",") if x]
+
+
+def _str_list(text):
+    return [x for x in text.split(",") if x]
+
+
+# the JSON type a config value must have, by the argparse type of its flag,
+# and the type of each item of a list
+_JSON_TYPES = {None: str, int: int, float: float,
+               _int_list: list, _str_list: list}
+_LIST_ITEMS = {_int_list: int, _str_list: str}
+
+
+def _config_keys(parser) -> dict:
+    """Config key -> flag action: every option of the parser but --config."""
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _load_config(path, keys: dict) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise _fail("config file must hold a JSON object")
     for key, val in cfg.items():
-        if key not in _SCHEMA:
-            raise _fail(f"unknown config key {key!r}")
-        want = _SCHEMA[key]
+        action = keys.get(key)
+        if action is None:
+            raise _fail(f"unknown config key {key!r} (this subcommand has "
+                        f"no --{key.replace('_', '-')} flag)")
+        want = bool if action.nargs == 0 else _JSON_TYPES[action.type]
         if want is float and isinstance(val, int) and not isinstance(val, bool):
             continue
         if not isinstance(val, want) or isinstance(val, bool) != (want is bool):
             raise _fail(f"config key {key!r} expects {want.__name__}")
+        item = _LIST_ITEMS.get(action.type)
+        if item is not None and any(type(x) is not item for x in val):
+            raise _fail(f"config key {key!r} expects a list of "
+                        f"{item.__name__}")
+        if action.choices is not None and val not in action.choices:
+            raise _fail(f"config key {key!r} must be one of "
+                        f"{', '.join(action.choices)}")
     return cfg
 
 
@@ -120,7 +137,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-# ---------------------------------------------------------------- gen
+# ---------------------------------------------------------------- graphs
 
 def _synth_spec(args, kind: str, seed: int):
     spec = default_spec(kind, seed=seed)
@@ -134,11 +151,87 @@ def _synth_spec(args, kind: str, seed: int):
     return spec
 
 
+def _fingerprint(g: Graph) -> dict:
+    edges = np.ascontiguousarray(g.edges, dtype="<i8")
+    return {"num_nodes": g.num_nodes, "num_edges": g.num_edges,
+            "edges_sha256": hashlib.sha256(edges.tobytes()).hexdigest()}
+
+
+def _resolve_graph(args, sidecar=None):
+    """The graph a command works on: (g, gts, data_ref).
+
+    --data or --kind (flag or config) name it, never both; without either,
+    a checkpoint command uses the source its run.json records. data_ref
+    says where the graph came from: the edge list's path and sha256, or
+    the resolved generator spec. --ground-truth goes only with an edge
+    list, whose gts is None without it. Given a checkpoint's sidecar, the
+    graph must be the one that checkpoint was trained on.
+    """
+    data, kind = _get(args, "data"), _get(args, "kind")
+    if data and kind:
+        raise ValueError("give either --data or --kind, not both")
+    ref = sidecar.get("data", {}) if sidecar is not None else {}
+    if data or (not kind and "path" in ref):
+        data = data or ref["path"]
+        with open(data, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        g = load_edge_list(data)
+        gt_path = _get(args, "ground_truth")
+        gts = load_ground_truth(gt_path, g) if gt_path else None
+        data_ref = {"path": data, "sha256": digest}
+    else:
+        if _get(args, "ground_truth"):
+            raise ValueError("--ground-truth goes with an edge list; a "
+                             "synthetic graph brings its own")
+        if kind:
+            spec = _synth_spec(args, _kind_of(kind), _get(args, "seed", 0))
+        elif "spec" in ref:
+            spec = SynthSpec(**ref["spec"])
+        else:
+            raise ValueError("need --data or --kind")
+        g, gts = generate_synthetic(spec)
+        data_ref = {"spec": asdict(spec)}
+    if sidecar is not None:
+        want = sidecar.get("graph")
+        if want is None:
+            raise ValueError("run.json records no graph fingerprint; retrain "
+                             "the checkpoint")
+        got = _fingerprint(g)
+        if got != want:
+            raise ValueError(
+                f"the graph ({got['num_nodes']} nodes, {got['num_edges']} "
+                f"edges) is not the one the checkpoint was trained on "
+                f"({want['num_nodes']} nodes, {want['num_edges']} edges)")
+    return g, gts, data_ref
+
+
+def _load_checkpoint(path):
+    """A checkpoint directory's run.json and embedding: (sidecar, h)."""
+    if not path:
+        raise ValueError("need --checkpoint")
+    with open(os.path.join(path, "run.json")) as fh:
+        sidecar = json.load(fh)
+    h = load_embedding_binary(os.path.join(path, "embedding.bin"))
+    if h.shape[0] != sidecar.get("num_nodes"):
+        raise ValueError(f"checkpoint {path}: the embedding has {h.shape[0]} "
+                         f"rows, run.json records {sidecar.get('num_nodes')} "
+                         f"nodes")
+    return sidecar, h
+
+
+def _recorded_split(g: Graph, sidecar, use: str):
+    """The train/test split the checkpoint was trained with."""
+    conf = sidecar["config"]
+    if not conf.get("split"):
+        raise ValueError(f"checkpoint was trained without a split; {use} "
+                         f"needs one")
+    return split_edges(g, conf["split"], conf["split_seed"])
+
+
+# ---------------------------------------------------------------- gen
+
 def cmd_gen(args) -> int:
-    kind = _kind_of(_get(args, "kind") or "")
-    seed = _get(args, "seed", 0)
-    spec = _synth_spec(args, kind, seed)
-    g, gts = generate_synthetic(spec)
+    g, gts, data_ref = _resolve_graph(args)
     out = _outdir(args)
 
     with open(os.path.join(out, "edges.txt"), "w") as fh:
@@ -153,83 +246,26 @@ def cmd_gen(args) -> int:
             fh.write(f"{v} {labels[v]}\n")
 
     payload = ground_truth_to_json(g, gts)
-    payload["generator"] = asdict(spec)
+    payload["generator"] = data_ref["spec"]
     _write_json(os.path.join(out, "ground_truth.json"), payload)
-    print(f"gen {kind}: {g.num_nodes} nodes, {g.num_edges} edges, "
-          f"{len(gts.communities)} communities -> {out}")
+    print(f"gen {data_ref['spec']['kind']}: {g.num_nodes} nodes, "
+          f"{g.num_edges} edges, {len(gts.communities)} communities -> {out}")
     return 0
 
 
 # ---------------------------------------------------------------- train
 
-def _load_graph(args):
-    """Graph from --data, or generated from --kind. Returns (g, data_ref).
-
-    data_ref records where the graph came from: the edge list's path and
-    sha256, or the resolved generator spec.
-    """
-    data = _get(args, "data")
-    kind = _get(args, "kind")
-    if data and kind:
-        raise ValueError("give either --data or --kind, not both")
-    if data:
-        with open(data, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        return load_edge_list(data), {"path": data, "sha256": digest}
-    if kind:
-        spec = _synth_spec(args, _kind_of(kind), _get(args, "seed", 0))
-        g, _ = generate_synthetic(spec)
-        return g, {"spec": asdict(spec)}
-    raise ValueError("need --data or --kind")
+class Run(NamedTuple):
+    label: str
+    config: dict    # every setting of the run, as run.json records and hashes it
+    loss: LossConfig
+    walk: WalkConfig
 
 
-def _fingerprint(g: Graph) -> dict:
-    edges = np.ascontiguousarray(g.edges, dtype="<i8")
-    return {"num_nodes": g.num_nodes, "num_edges": g.num_edges,
-            "edges_sha256": hashlib.sha256(edges.tobytes()).hexdigest()}
-
-
-def _graph_and_truth(args, sidecar):
-    """Resolve graph + optional ground truth for a checkpoint command.
-
-    --data or --kind (flag or config) name the graph; without either, the
-    source recorded in run.json is used. The graph must be the one the
-    checkpoint was trained on.
-    """
-    data = _get(args, "data")
-    kind = _get(args, "kind")
-    ref = sidecar.get("data", {})
-    if data or (not kind and "path" in ref):
-        g = load_edge_list(data or ref["path"])
-        gt_path = _get(args, "ground_truth")
-        gts = load_ground_truth(gt_path, g) if gt_path else None
-    elif kind:
-        spec = _synth_spec(args, _kind_of(kind), _get(args, "seed", 0))
-        g, gts = generate_synthetic(spec)
-    elif "spec" in ref:
-        g, gts = generate_synthetic(SynthSpec(**ref["spec"]))
-    else:
-        raise ValueError("need --data, --kind, or a checkpoint sidecar with one")
-    want = sidecar.get("graph")
-    if want is None:
-        raise ValueError("run.json records no graph fingerprint; retrain the "
-                         "checkpoint")
-    got = _fingerprint(g)
-    if got != want:
-        raise ValueError(
-            f"the graph ({got['num_nodes']} nodes, {got['num_edges']} edges) "
-            f"is not the one the checkpoint was trained on "
-            f"({want['num_nodes']} nodes, {want['num_edges']} edges)")
-    return g, gts
-
-
-def cmd_train(args) -> int:
-    g, data_ref = _load_graph(args)
+def _resolve_run(args) -> Run:
+    """The run `train` makes from its settings (flags, config, defaults)."""
     seed = _get(args, "seed", 0)
-
     method = _get(args, "method", "disene-fc")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     lam_dis = _get(args, "lambda_dis")
     lam_ent = _get(args, "lambda_ent")
     if method == "baseline-sgns":
@@ -242,94 +278,84 @@ def cmd_train(args) -> int:
     # a run with both regularizers off is plain skip-gram whatever it was
     # called on the command line, so the label says so
     label = "baseline-sgns" if lam_dis == 0.0 and lam_ent == 0.0 else method
+    activation = _get(args, "activation",
+                      "identity" if label == "baseline-sgns" else "relu")
 
-    activation = _get(args, "activation")
-    if activation is None:
-        activation = "identity" if label == "baseline-sgns" else "relu"
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    kind = "gcn" if method == "disene-gcn" else "fc"
-
-    split_f = _get(args, "split", 0.0)
-    split_seed = _get(args, "split_seed", seed)
-    if split_f > 0.0:
-        split = split_edges(g, split_f, split_seed)
-        g_train = train_subgraph(g, split)
-    else:
-        g_train = g
-
-    dim = _get(args, "dim", 32)
-    dim_hidden = _get(args, "dim_hidden", 128)
-    walk_cfg = WalkConfig(
+    walk = WalkConfig(
         walk_length=_get(args, "walk_length", 20),
         num_walks=_get(args, "num_walks", 10),
         window=_get(args, "window", 5),
         negatives_per_positive=_get(args, "negatives_per_positive", 1),
         seed=seed)
-    loss_cfg = LossConfig(
+    loss = LossConfig(
         lambda_dis=lam_dis, lambda_ent=lam_ent,
         epochs=_get(args, "epochs", 50),
         learning_rate=_get(args, "learning_rate", 0.01),
         batch_size=_get(args, "batch_size"),
         seed=seed)
+    config = {"method": method,
+              "encoder": "gcn" if method == "disene-gcn" else "fc",
+              "activation": activation,
+              "dim": _get(args, "dim", 32),
+              "dim_hidden": _get(args, "dim_hidden", 128),
+              "lambda_dis": lam_dis, "lambda_ent": lam_ent,
+              "epochs": loss.epochs, "learning_rate": loss.learning_rate,
+              "batch_size": loss.batch_size,
+              "walk_length": walk.walk_length, "num_walks": walk.num_walks,
+              "window": walk.window,
+              "negatives_per_positive": walk.negatives_per_positive,
+              "split": _get(args, "split", 0.0),
+              "split_seed": _get(args, "split_seed", seed), "seed": seed}
+    return Run(label, config, loss, walk)
 
-    res = train(g_train, loss_cfg, walk_cfg, kind=kind,
-                dim_hidden=dim_hidden, dim=dim, activation=activation)
+
+def _fit(g: Graph, run: Run):
+    """Hold out the run's test edges, if any, and train on the rest.
+
+    Returns (split or None, TrainResult).
+    """
+    conf = run.config
+    split = None
+    if conf["split"] > 0.0:
+        split = split_edges(g, conf["split"], conf["split_seed"])
+        g = train_subgraph(g, split)
+    res = train(g, run.loss, run.walk, kind=conf["encoder"],
+                dim_hidden=conf["dim_hidden"], dim=conf["dim"],
+                activation=conf["activation"])
+    return split, res
+
+
+def cmd_train(args) -> int:
+    run = _resolve_run(args)
+    g, _, data_ref = _resolve_graph(args)
+    _, res = _fit(g, run)
 
     out = _outdir(args)
     save_embedding_text(os.path.join(out, "embedding.txt"), res.embedding)
     save_embedding_binary(os.path.join(out, "embedding.bin"), res.embedding)
-    resolved = {"method": method, "encoder": kind, "activation": activation,
-                "dim": dim, "dim_hidden": dim_hidden,
-                "lambda_dis": lam_dis, "lambda_ent": lam_ent,
-                "epochs": loss_cfg.epochs,
-                "learning_rate": loss_cfg.learning_rate,
-                "batch_size": loss_cfg.batch_size,
-                "walk_length": walk_cfg.walk_length,
-                "num_walks": walk_cfg.num_walks,
-                "window": walk_cfg.window,
-                "negatives_per_positive": walk_cfg.negatives_per_positive,
-                "split": split_f, "split_seed": split_seed, "seed": seed}
-    sidecar = {"label": label, "seed": seed, "data": data_ref,
+    conf = run.config
+    sidecar = {"label": run.label, "seed": conf["seed"], "data": data_ref,
                "graph": _fingerprint(g),
-               "config": resolved, "config_hash": config_hash(resolved),
-               "num_nodes": g.num_nodes, "dim": dim,
+               "config": conf, "config_hash": config_hash(conf),
+               "num_nodes": g.num_nodes, "dim": conf["dim"],
                "final_loss": res.final_loss, "loss_trace": res.loss_trace}
     _write_json(os.path.join(out, "run.json"), sidecar)
-    print(f"train {label}: K={dim}, final loss {res.final_loss:.6f} -> {out}")
+    print(f"train {run.label}: K={conf['dim']}, final loss "
+          f"{res.final_loss:.6f} -> {out}")
     return 0
-
-
-def _load_checkpoint(args):
-    ckpt = _get(args, "checkpoint")
-    if not ckpt:
-        raise ValueError("need --checkpoint")
-    with open(os.path.join(ckpt, "run.json")) as fh:
-        sidecar = json.load(fh)
-    h = load_embedding_binary(os.path.join(ckpt, "embedding.bin"))
-    return ckpt, sidecar, h
 
 
 # ---------------------------------------------------------------- explain
 
 def cmd_explain(args) -> int:
-    ckpt, sidecar, h = _load_checkpoint(args)
-    g, _ = _graph_and_truth(args, sidecar)
-    if g.num_nodes != h.shape[0]:
-        raise ValueError("checkpoint embedding does not match the graph")
-
-    background = _get(args, "background", "all")
-    if background == "train":
-        conf = sidecar["config"]
-        if not conf.get("split"):
-            raise ValueError("checkpoint was trained without a split; "
-                             "no train-edge background available")
-        split = split_edges(g, conf["split"], conf["split_seed"])
-        expl = build_explanations(h, g, background=split.train_edges)
-    elif background == "all":
-        expl = build_explanations(h, g)
-    else:
-        raise ValueError("background must be 'all' or 'train'")
+    ckpt = _get(args, "checkpoint")
+    sidecar, h = _load_checkpoint(ckpt)
+    g, _, _ = _resolve_graph(args, sidecar)
+    background = None
+    if _get(args, "background", "all") == "train":
+        split = _recorded_split(g, sidecar, "--background train")
+        background = split.train_edges
+    expl = build_explanations(h, g, background=background)
 
     out = _outdir(args, default=ckpt)
     save_explanation(os.path.join(out, "explanations.json"), expl, g)
@@ -341,33 +367,29 @@ def cmd_explain(args) -> int:
 # ---------------------------------------------------------------- evaluate
 
 def cmd_evaluate(args) -> int:
-    ckpts = args.checkpoints or ([] if _get(args, "checkpoint") is None
-                                 else [_get(args, "checkpoint")])
-    if not ckpts:
-        raise ValueError("need at least one checkpoint directory")
-    toggles = {"comprehensibility": not args.no_comprehensibility,
-               "sparsity": not args.no_sparsity,
-               "ovc": not args.no_ovc,
-               "poc": not args.no_poc}
+    if args.checkpoints and _get(args, "checkpoint"):
+        raise ValueError("give checkpoint directories as arguments or as "
+                         "--checkpoint, not both")
+    ckpts = args.checkpoints or [_get(args, "checkpoint")]
     want_dim = _get(args, "dim")
+    toggles = {name: not _get(args, f"no_{name}", False)
+               for name in ("comprehensibility", "sparsity", "ovc", "poc")}
 
-    out = _outdir(args, default=ckpts[0])
-    reports = []
+    loaded = []
     for path in ckpts:
-        with open(os.path.join(path, "run.json")) as fh:
-            sidecar = json.load(fh)
-        h = load_embedding_binary(os.path.join(path, "embedding.bin"))
+        sidecar, h = _load_checkpoint(path)
         if want_dim is not None and h.shape[1] != want_dim:
             raise ValueError(f"checkpoint {path} has K={h.shape[1]}, "
                              f"config expects K={want_dim}")
-        if reports and h.shape[1] != reports[0][1].shape[1]:
+        if loaded and h.shape[1] != loaded[0][1].shape[1]:
             raise ValueError("checkpoints disagree on K; aggregate runs "
                              "must share a dimensionality")
-        reports.append((path, h, sidecar))
+        loaded.append((sidecar, h))
 
+    out = _outdir(args, default=ckpts[0])
     rows = []
-    for i, (path, h, sidecar) in enumerate(reports):
-        g, gts = _graph_and_truth(args, sidecar)
+    for i, (sidecar, h) in enumerate(loaded):
+        g, gts, _ = _resolve_graph(args, sidecar)
         expl = build_explanations(h, g)
         rep = compute_report(
             g, h, expl, gts,
@@ -378,7 +400,7 @@ def cmd_evaluate(args) -> int:
                       "config_hash": sidecar.get("config_hash"),
                       "dim": h.shape[1]},
             toggles=toggles)
-        name = "report.json" if len(reports) == 1 else f"report_{i}.json"
+        name = "report.json" if len(loaded) == 1 else f"report_{i}.json"
         rep.save(os.path.join(out, name))
         rows.append(rep.metrics)
 
@@ -390,37 +412,29 @@ def cmd_evaluate(args) -> int:
             vals = [r[key] for r in rows if isinstance(r.get(key), (int, float))]
             w.writerow([key, f"{np.mean(vals):.6f}", f"{np.std(vals):.6f}",
                         len(vals)])
-    print(f"evaluate: {len(reports)} checkpoint(s) -> {out}/summary.csv")
+    print(f"evaluate: {len(loaded)} checkpoint(s) -> {out}/summary.csv")
     return 0
 
 
 # ---------------------------------------------------------------- downstream
 
 def cmd_downstream(args) -> int:
-    ckpt, sidecar, h = _load_checkpoint(args)
-    g, gts = _graph_and_truth(args, sidecar)
+    ckpt = _get(args, "checkpoint")
+    sidecar, h = _load_checkpoint(ckpt)
+    g, gts, _ = _resolve_graph(args, sidecar)
     if gts is None:
         raise ValueError("downstream tasks need ground truth "
                          "(--ground-truth, or a synthetic --kind)")
-    if g.num_nodes != h.shape[0]:
-        raise ValueError("checkpoint embedding does not match the graph")
     seed = _get(args, "seed", sidecar.get("seed", 0))
     task = _get(args, "task", "link")
     l2 = _get(args, "l2", 1e-4)
 
     if task == "link":
-        conf = sidecar["config"]
-        split_f = _get(args, "split", conf.get("split") or 0.0)
-        split_seed = _get(args, "split_seed", conf.get("split_seed", seed))
-        if split_f <= 0.0:
-            raise ValueError("link task needs the train/test split the "
-                             "embedding was trained with (--split)")
-        split = split_edges(g, split_f, split_seed)
+        # the held-out edges are the ones the embedding never saw
+        split = _recorded_split(g, sidecar, "the link task")
         result = run_link_task(h, g, split, gts, seed=seed, l2=l2)
-    elif task == "node":
-        result = run_node_task(h, g, gts, seed=seed, l2=l2)
     else:
-        raise ValueError("task must be 'link' or 'node'")
+        result = run_node_task(h, g, gts, seed=seed, l2=l2)
 
     out = _outdir(args, default=ckpt)
     _write_json(os.path.join(out, f"{task}_task.json"), {
@@ -448,31 +462,15 @@ _BENCH_FIELDS = ("dataset", "method", "dim", "seed", "metric", "value",
                  "config_hash")
 
 
-def _bench_config(dataset, method, dim, seed) -> dict:
-    return {"dataset": dataset, "method": method, "dim": dim,
-            "dim_hidden": 128, "seed": seed, "split": 0.1,
-            "epochs": 50, "learning_rate": 0.01,
-            "lambda_dis": 0.0 if method == "baseline-sgns" else 1.0,
-            "lambda_ent": 0.0 if method == "baseline-sgns" else 1.0,
-            "activation": "identity" if method == "baseline-sgns" else "relu",
-            "walk_length": 20, "num_walks": 10, "window": 5,
-            "negatives_per_positive": 1}
-
-
 def _bench_one(job) -> list[dict]:
     dataset, method, dim, seed, tasks, permutations = job
-    conf = _bench_config(dataset, method, dim, seed)
-    chash = config_hash(conf)
-    g, gts = generate_synthetic(default_spec(dataset, seed=seed))
-    split = split_edges(g, conf["split"], seed)
-    g_train = train_subgraph(g, split)
-    loss_cfg = LossConfig(lambda_dis=conf["lambda_dis"],
-                          lambda_ent=conf["lambda_ent"], seed=seed)
-    walk_cfg = WalkConfig(seed=seed)
-    res = train(g_train, loss_cfg, walk_cfg,
-                kind="gcn" if method == "disene-gcn" else "fc",
-                dim_hidden=conf["dim_hidden"], dim=dim,
-                activation=conf["activation"])
+    # the cell is the run `train --kind <dataset> --method <method>
+    # --dim <dim> --seed <seed> --split 0.1` makes, resolved the same way
+    args = argparse.Namespace(kind=dataset, method=method, dim=dim,
+                              seed=seed, split=BENCH_SPLIT, run_config={})
+    run = _resolve_run(args)
+    g, gts, _ = _resolve_graph(args)
+    split, res = _fit(g, run)
     h = res.embedding
 
     values = {}
@@ -493,6 +491,7 @@ def _bench_one(job) -> list[dict]:
         if key in rep.metrics:
             values[key] = rep.metrics[key]
 
+    chash = config_hash(run.config)
     return [{"dataset": dataset, "method": method, "dim": dim, "seed": seed,
              "metric": k, "value": "" if v is None else f"{v:.9f}",
              "config_hash": chash} for k, v in sorted(values.items())]
@@ -549,13 +548,15 @@ def _summaries(out, rows):
 
 def cmd_bench(args) -> int:
     datasets = [_kind_of(d) for d in _get(args, "datasets", list(KINDS))]
-    methods = list(_get(args, "methods", list(METHODS)))
+    methods = _get(args, "methods", METHODS)
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
-    dims = [int(d) for d in _get(args, "dims", list(BENCH_DIMS))]
-    seeds = [int(s) for s in _get(args, "seeds", list(BENCH_SEEDS))]
-    tasks = list(_get(args, "tasks", ["link", "node"]))
+    dims = _get(args, "dims", BENCH_DIMS)
+    seeds = _get(args, "seeds", BENCH_SEEDS)
+    tasks = _get(args, "tasks", ("link", "node"))
+    if not set(tasks) <= {"link", "node"}:
+        raise ValueError("tasks must be link and/or node")
     workers = _get(args, "workers", 1)
     permutations = _get(args, "permutations", 100)
 
@@ -615,14 +616,6 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x]
-
-
-def _str_list(text):
-    return [x for x in text.split(",") if x]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int)
@@ -634,6 +627,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="single-threaded numerics for bit-stable output")
 
     gen_params = argparse.ArgumentParser(add_help=False)
+    gen_params.add_argument("--kind", help="synthetic dataset: ring|sbm|ba|er "
+                                           "(or full names)")
     gen_params.add_argument("--num-cliques", dest="num_cliques", type=int)
     gen_params.add_argument("--clique-size", dest="clique_size", type=int)
     gen_params.add_argument("--base-nodes", dest="base_nodes", type=int)
@@ -644,6 +639,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_params.add_argument("--sbm-p-out", dest="sbm_p_out", type=float)
     gen_params.add_argument("--ba-m", dest="ba_m", type=int)
 
+    # the graph of train and of the checkpoint commands; the latter default
+    # to the source their checkpoint's run.json records
+    graph = argparse.ArgumentParser(add_help=False, parents=[gen_params])
+    graph.add_argument("--data", help="edge list file instead of --kind")
+
     p = argparse.ArgumentParser(
         prog="disene",
         description="disentangled interpretable node embeddings")
@@ -651,13 +651,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", parents=[shared, gen_params],
                         help="write a synthetic benchmark graph")
-    sp.add_argument("--kind", help="ring|sbm|ba|er (or full names)")
     sp.set_defaults(func=cmd_gen)
 
-    sp = sub.add_parser("train", parents=[shared, gen_params],
+    sp = sub.add_parser("train", parents=[shared, graph],
                         help="train an embedding, write a checkpoint")
-    sp.add_argument("--data", help="edge list file")
-    sp.add_argument("--kind", help="synthetic dataset instead of --data")
     sp.add_argument("--method", choices=METHODS)
     sp.add_argument("--activation", choices=ACTIVATIONS)
     sp.add_argument("--dim", type=int, help="embedding dimensions K")
@@ -677,39 +674,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--split-seed", dest="split_seed", type=int)
     sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("explain", parents=[shared],
+    sp = sub.add_parser("explain", parents=[shared, graph],
                         help="per-dimension explanation subgraphs")
     sp.add_argument("--checkpoint", help="checkpoint directory")
-    sp.add_argument("--data")
-    sp.add_argument("--kind")
     sp.add_argument("--background", choices=("all", "train"))
     sp.set_defaults(func=cmd_explain)
 
-    sp = sub.add_parser("evaluate", parents=[shared],
+    sp = sub.add_parser("evaluate", parents=[shared, graph],
                         help="interpretability metrics report")
     sp.add_argument("checkpoints", nargs="*",
                     help="checkpoint directories (aggregated mean/std)")
     sp.add_argument("--checkpoint", help="single checkpoint directory")
-    sp.add_argument("--data")
-    sp.add_argument("--kind")
     sp.add_argument("--ground-truth", dest="ground_truth")
     sp.add_argument("--dim", type=int, help="expected K; mismatch errors")
     sp.add_argument("--permutations", type=int)
-    sp.add_argument("--no-comprehensibility", action="store_true")
-    sp.add_argument("--no-sparsity", action="store_true")
-    sp.add_argument("--no-ovc", action="store_true")
-    sp.add_argument("--no-poc", action="store_true")
+    for metric in ("comprehensibility", "sparsity", "ovc", "poc"):
+        sp.add_argument(f"--no-{metric}", action="store_const", const=True)
     sp.set_defaults(func=cmd_evaluate)
 
-    sp = sub.add_parser("downstream", parents=[shared],
-                        help="link prediction / node classification")
+    sp = sub.add_parser("downstream", parents=[shared, graph],
+                        help="link prediction / node classification; the "
+                             "link task uses the checkpoint's recorded split")
     sp.add_argument("--checkpoint")
     sp.add_argument("--task", choices=("link", "node"))
-    sp.add_argument("--data")
-    sp.add_argument("--kind")
     sp.add_argument("--ground-truth", dest="ground_truth")
-    sp.add_argument("--split", type=float)
-    sp.add_argument("--split-seed", dest="split_seed", type=int)
     sp.add_argument("--l2", type=float)
     sp.set_defaults(func=cmd_downstream)
 
@@ -725,6 +713,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--permutations", type=int)
     sp.set_defaults(func=cmd_bench)
 
+    # a config file may set exactly the options of the subcommand it is for
+    for sp in sub.choices.values():
+        sp.set_defaults(config_keys=_config_keys(sp))
     return p
 
 
@@ -749,14 +740,12 @@ def _maybe_reexec(args, argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args.run_config = _load_config(args.config) if args.config else {}
-    _maybe_reexec(args, argv)
+    args = _build_parser().parse_args(argv)
     try:
+        args.run_config = (_load_config(args.config, args.config_keys)
+                           if args.config else {})
+        _maybe_reexec(args, argv)
         return args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,8 @@ ARMIJO = 1e-4
 LINE_SEARCH_STEPS = 60
 # predicted decreases below this share of |objective| are rounding noise
 F_RESOLUTION = 1e-13
+# share of the nodes the node task holds out for scoring
+NODE_TEST_FRACTION = 0.2
 
 
 @dataclass
@@ -222,7 +224,7 @@ def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
 
 
 def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
-                  test_fraction: float = 0.2, l2: float = 1e-4) -> TaskResult:
+                  l2: float = 1e-4) -> TaskResult:
     """Community membership classification plus per-node plausibility.
 
     Nodes inside any planted community are the positive class, background
@@ -237,7 +239,7 @@ def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD1]))
     order = rng.permutation(g.num_nodes)
-    n_test = int(math.floor(test_fraction * g.num_nodes + 0.5))
+    n_test = int(math.floor(NODE_TEST_FRACTION * g.num_nodes + 0.5))
     if n_test < 1 or n_test >= g.num_nodes:
         raise ValueError("degenerate node split")
     test_idx = np.sort(order[:n_test])
@@ -270,14 +272,3 @@ def _task_result(task, auc, model, keys, g_index, psi, f1) -> TaskResult:
                       per_instance=per_instance,
                       skipped=len(keys) - len(per_instance), model=model)
 
-
-def run_task(task: str, h: np.ndarray, g: Graph, gts: GroundTruth,
-             split: EdgeSplit | None = None, seed: int = 0,
-             l2: float = 1e-4) -> TaskResult:
-    if task == "link":
-        if split is None:
-            raise ValueError("link task needs an edge split")
-        return run_link_task(h, g, split, gts, seed=seed, l2=l2)
-    if task == "node":
-        return run_node_task(h, g, gts, seed=seed, l2=l2)
-    raise ValueError(f"unknown task {task!r}")

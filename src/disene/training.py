@@ -48,6 +48,9 @@ from .sampling import PairBatch, WalkConfig, build_pair_batch
 SIGMA_CLAMP = 1e-7   # sigmoid outputs clipped to [c, 1-c] before the log
 COSINE_EPS = 1e-12   # cosine denominator guard
 MASS_EPS = 1e-12     # entropy: total-mass and probability floor
+ADAM_BETA1 = 0.9     # Adam's moment decay rates and denominator guard
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -57,9 +60,6 @@ class LossConfig:
     epochs: int = 50
     learning_rate: float = 0.01
     batch_size: int | None = None  # positive pairs per step; None = full corpus
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     dtype: str = "float32"         # "float64" for gradient checking
 
@@ -246,13 +246,13 @@ def _dis_value_grad(h):
     return value, dh.astype(h.dtype, copy=False)
 
 
-def entropy_reg(h: np.ndarray, num_dims: int | None = None) -> float:
+def entropy_reg(h: np.ndarray) -> float:
     """1 - H(p)/ln K for the column-mass distribution p; in [0, 1].
 
     All-zero H carries no mass to distribute, which counts as maximally
     concentrated: penalty 1.
     """
-    k = num_dims if num_dims is not None else h.shape[1]
+    k = h.shape[1]
     if k < 2:
         return 0.0
     s = h.sum(axis=0, dtype=np.float64)
@@ -329,9 +329,9 @@ def total_loss_and_grads(params: EncoderParams, g: Graph, batch, cfg: LossConfig
 
 
 def adam_step(params: EncoderParams, grads: GradBuffer, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
+              lr: float):
     """One bias-corrected Adam update of params and state, in place."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.step += 1
     t = state.step
     for wname, gname, mname, vname in (("W1", "dW1", "m_W1", "v_W1"),
@@ -340,13 +340,13 @@ def adam_step(params: EncoderParams, grads: GradBuffer, state: AdamState,
         gr = getattr(grads, gname)
         m = getattr(state, mname)
         v = getattr(state, vname)
-        m *= beta1
-        m += (1 - beta1) * gr
-        v *= beta2
-        v += (1 - beta2) * gr * gr
-        mhat = m / (1 - beta1 ** t)
-        vhat = v / (1 - beta2 ** t)
-        w -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(w.dtype, copy=False)
+        m *= b1
+        m += (1 - b1) * gr
+        v *= b2
+        v += (1 - b2) * gr * gr
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        w -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(w.dtype, copy=False)
     return params
 
 
@@ -383,8 +383,7 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
 
     def step(pairs):
         value, grads = total_loss_and_grads(params, g, pairs, cfg, adj)
-        adam_step(params, grads, state, cfg.learning_rate, cfg.beta1,
-                  cfg.beta2, cfg.adam_eps)
+        adam_step(params, grads, state, cfg.learning_rate)
         return value
 
     trace = []

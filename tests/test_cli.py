@@ -20,6 +20,20 @@ def _run(*argv) -> int:
     return main(list(argv))
 
 
+def _status(*argv) -> int:
+    """Exit status of main(argv), returned or raised as SystemExit."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _config(tmp_path, **values) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def ring_data(tmp_path_factory):
     out = tmp_path_factory.mktemp("ring_data")
@@ -154,11 +168,35 @@ class TestConfigFile:
 
     def test_wrong_type_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dim": "four"}))
+        cfg.write_text(json.dumps({"num_cliques": "four"}))
         with pytest.raises(SystemExit) as ei:
             _run("gen", "--kind", "ring", "--config", str(cfg),
                  "--out", str(tmp_path))
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN],
+         "l2", 0.5),                          # a downstream key
+        (["train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN],
+         "permutations", 3),                  # an evaluate key
+        (["train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN],
+         "workers", 9),                       # a bench key
+        (["bench", "--datasets", "ring", "--methods", "disene-fc",
+          "--dims", "2", "--seeds", "0", "--tasks", "link",
+          "--permutations", "5"],
+         "epochs", 1),                        # bench trains with train's defaults
+    ])
+    def test_key_of_another_subcommand_rejected(self, tmp_path, capsys,
+                                                argv, key, value):
+        cfg = _config(tmp_path, **{key: value})
+        assert _status(*argv, "--config", cfg, "--out", str(tmp_path)) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_value_outside_the_flag_choices_rejected(self, tmp_path):
+        cfg = _config(tmp_path, method="deepwalk")
+        assert _status("train", "--kind", "ring", "--config", cfg,
+                       "--out", str(tmp_path)) == 2
 
     def test_config_deterministic_reexecs_single_threaded(self, tmp_path,
                                                          monkeypatch):
@@ -211,6 +249,57 @@ class TestProvenance:
                     "--kind", "ring", "--out", str(tmp_path)) == 2
         assert "not the one the checkpoint was trained on" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["explain", "evaluate", "downstream"])
+    def test_data_and_kind_conflict(self, ring_split_ckpt, ring_data,
+                                    tmp_path, command, capsys):
+        assert _run(command, "--checkpoint", str(ring_split_ckpt),
+                    "--data", str(ring_data / "edges.txt"), "--kind", "ring",
+                    "--out", str(tmp_path)) == 2
+        assert "give either --data or --kind, not both" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("graph", [[], ["--kind", "ring",
+                                            "--noise-edges", "0"]])
+    def test_ground_truth_needs_an_edge_list(self, ring_noiseless_ckpt,
+                                             ring_data, tmp_path, graph,
+                                             capsys):
+        # a synthetic graph brings its own ground truth
+        assert _run("evaluate", "--checkpoint", str(ring_noiseless_ckpt),
+                    *graph, "--ground-truth",
+                    str(ring_data / "ground_truth.json"),
+                    "--out", str(tmp_path)) == 2
+        assert "--ground-truth" in capsys.readouterr().err
+
+    def test_generator_flags_match_config(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        assert _run("train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN,
+                    "--out", str(ckpt)) == 0
+        assert _run("explain", "--checkpoint", str(ckpt), "--kind", "ring",
+                    *MICRO_GEN, "--out", str(tmp_path / "flags")) == 0
+        cfg = _config(tmp_path, kind="ring", num_cliques=4, clique_size=4,
+                      noise_edges=0)
+        assert _run("explain", "--checkpoint", str(ckpt), "--config", cfg,
+                    "--out", str(tmp_path / "config")) == 0
+        assert ((tmp_path / "flags" / "explanations.json").read_bytes()
+                == (tmp_path / "config" / "explanations.json").read_bytes())
+        # the flags name the graph: a different one is refused
+        assert _run("explain", "--checkpoint", str(ckpt), "--kind", "ring",
+                    *MICRO_GEN, "--num-cliques", "5",
+                    "--out", str(tmp_path / "other")) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["explain"], ["evaluate"], ["downstream", "--task", "node"]])
+    def test_embedding_of_another_graph_is_refused(self, ring_ckpt, ba_setup,
+                                                   tmp_path, command, capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "run.json").write_bytes((ring_ckpt / "run.json").read_bytes())
+        (ckpt / "embedding.bin").write_bytes(
+            (ba_setup[1] / "embedding.bin").read_bytes())
+        assert _run(*command, "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path)) == 2
+        assert "run.json records" in capsys.readouterr().err
 
     def test_data_checkpoint_records_the_file(self, ring_ckpt, ring_data):
         sidecar = json.loads((ring_ckpt / "run.json").read_text())
@@ -279,6 +368,20 @@ class TestEvaluate:
                     "--data", str(ring_data / "edges.txt"), "--dim", "8",
                     "--out", str(tmp_path)) == 2
 
+    def test_positional_and_flag_checkpoint_conflict(self, ring_ckpt,
+                                                     tmp_path):
+        assert _run("evaluate", str(ring_ckpt), "--checkpoint",
+                    str(ring_ckpt), "--out", str(tmp_path)) == 2
+
+    def test_toggles_in_config(self, ring_ckpt, tmp_path):
+        cfg = _config(tmp_path, no_ovc=True, no_poc=True)
+        assert _run("evaluate", "--checkpoint", str(ring_ckpt),
+                    "--config", cfg, "--out", str(tmp_path)) == 0
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert "ovc" not in rep["metrics"]
+        assert "poc" not in rep["metrics"]
+        assert "sparsity_score" in rep["metrics"]
+
     def test_toggles_drop_metrics(self, ring_ckpt, ring_data, tmp_path):
         assert _run("evaluate", "--checkpoint", str(ring_ckpt),
                     "--data", str(ring_data / "edges.txt"),
@@ -303,6 +406,20 @@ class TestDownstream:
         for r in rows:
             assert "-" in r["instance"]
             assert 0.0 <= float(r["plausibility"]) <= 1.0
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_split_comes_only_from_the_checkpoint(self, ring_ckpt, ring_data,
+                                                  tmp_path, how):
+        # ring_ckpt trained on every edge: no split can hold out edges the
+        # embedding has not seen, so naming one is refused
+        given = (["--split", "0.2"] if how == "flag"
+                 else ["--config", _config(tmp_path, split=0.2)])
+        assert _status("downstream", "--checkpoint", str(ring_ckpt),
+                       "--data", str(ring_data / "edges.txt"),
+                       "--ground-truth", str(ring_data / "ground_truth.json"),
+                       "--task", "link", *given,
+                       "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "link_task.json").exists()
 
     def test_link_task_needs_a_split(self, ring_ckpt, ring_data, tmp_path):
         assert _run("downstream", "--checkpoint", str(ring_ckpt),
@@ -368,6 +485,16 @@ class TestBench:
         assert any(r["task"] == "link" for r in rows)
         assert (bench_dir / "summary_interpretability.csv").exists()
 
+    def test_config_hash_matches_the_equivalent_train_run(self, bench_dir,
+                                                           tmp_path):
+        assert _run("train", "--kind", "ring", "--method", "disene-fc",
+                    "--dim", "2", "--seed", "0", "--split", "0.1",
+                    "--out", str(tmp_path)) == 0
+        sidecar = json.loads((tmp_path / "run.json").read_text())
+        with open(bench_dir / "results.csv", newline="") as fh:
+            hashes = {r["config_hash"] for r in csv.DictReader(fh)}
+        assert hashes == {sidecar["config_hash"]}
+
     def test_resume_skips_finished_runs(self, bench_dir, capsys):
         before = (bench_dir / "results.csv").read_bytes()
         rc = main(["bench", "--datasets", "ring", "--methods", "disene-fc",
@@ -376,6 +503,15 @@ class TestBench:
         assert rc == 0
         assert "1 already done, 0 to go" in capsys.readouterr().out
         assert (bench_dir / "results.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("key, value", [
+        ("tasks", ["lnk"]), ("dims", [2.5]), ("seeds", ["0"])])
+    def test_bad_grid_values_fail(self, tmp_path, key, value):
+        grid = {"datasets": ["ring"], "methods": ["disene-fc"], "dims": [2],
+                "seeds": [0], "tasks": ["link"], "permutations": 5}
+        cfg = _config(tmp_path, **{**grid, key: value})
+        assert _status("bench", "--config", cfg,
+                       "--out", str(tmp_path / "out")) == 2
 
     def test_unknown_method_fails(self, tmp_path):
         assert main(["bench", "--methods", "deepwalk",

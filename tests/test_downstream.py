@@ -15,7 +15,7 @@ from scipy.special import expit
 from disene import downstream
 from disene.downstream import (LogRegModel, build_task_masks, edge_features,
                                fit_logreg, linear_shap, plausibility,
-                               run_link_task, run_node_task, run_task)
+                               run_link_task, run_node_task)
 from disene.graph_core import (build_graph, canonical_edge,
                                communities_from_labels, community_indicators,
                                sample_non_edges, split_edges)
@@ -374,13 +374,6 @@ class TestLinkTask:
         res = run_link_task(_indicator_embedding(), g, split, gts, seed=0)
         keys = {k for k, _, _ in res.per_instance}
         assert canonical_edge(4, 5) not in keys
-
-    def test_dispatcher(self, two_cliques):
-        g, gts = two_cliques
-        with pytest.raises(ValueError, match="split"):
-            run_task("link", _indicator_embedding(), g, gts)
-        with pytest.raises(ValueError, match="unknown task"):
-            run_task("flink", _indicator_embedding(), g, gts)
 
 
 @pytest.fixture

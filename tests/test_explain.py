@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from disene.explain import (AttributionContext, affiliation_matrix,
                             attribution, build_explanations,
@@ -104,6 +107,26 @@ class TestReconstruction:
                 want = float(h[u].astype(np.float64) @ h[v].astype(np.float64))
                 got = reconstruction_logit(h, ctx, u, v)
                 assert got == pytest.approx(want, abs=1e-9)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 10), k=st.integers(1, 8))
+    def test_decomposition_on_arbitrary_pairs(self, data, n, k):
+        # sum_d phi_d(u, v) + sum_d mu_d = h(u) . h(v) for any pair, edge
+        # or not, any background and any embedding sign
+        h = data.draw(arrays(np.float64, (n, k),
+                             elements=st.floats(-1e3, 1e3)))
+        node = st.integers(0, n - 1)
+        background = np.array(data.draw(st.lists(st.tuples(node, node),
+                                                 min_size=1, max_size=20)))
+        ctx = AttributionContext.build(h, background)
+        u, v = data.draw(node), data.draw(node)
+        phi = np.array([attribution(h, ctx, d, u, v) for d in range(k)])
+        want = float(h[u] @ h[v])
+        scale = np.abs(h[u] * h[v]).sum() + np.abs(ctx.mu).sum()
+        assert abs(phi.sum() + ctx.mu.sum() - want) <= 1e-12 * (1.0 + scale)
+        assert reconstruction_logit(h, ctx, u, v) == pytest.approx(
+            want, rel=1e-12, abs=1e-12 * (1.0 + scale))
 
 
 class TestAffiliation:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from disene.graph_core import (build_graph, canonical_edge,
@@ -13,6 +15,16 @@ from disene.graph_core import (build_graph, canonical_edge,
                                ground_truth_from_json, ground_truth_to_json,
                                largest_component_subgraph, load_edge_list,
                                load_labels, split_edges, train_subgraph)
+
+
+@st.composite
+def graphs(draw, max_nodes=12):
+    """An arbitrary graph with at least one edge; isolated nodes allowed."""
+    n = draw(st.integers(2, max_nodes))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=n * (n - 1)))
+    return build_graph(n, pairs)
 
 
 def random_graph(rng, n, p):
@@ -100,6 +112,24 @@ class TestLoaders:
             assert a.nodes == b.nodes and a.edges == b.edges
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs(), data=st.data())
+    def test_edge_list_round_trip(self, tmp_path_factory, g, data):
+        # string ids, any line order and orientation, comments and blanks
+        name = [f"n{v}" for v in range(g.num_nodes)]
+        lines = [data.draw(st.sampled_from([f"{name[u]} {name[v]}",
+                                            f"{name[v]}\t{name[u]}"]))
+                 for u, v in g.edges.tolist()]
+        lines = data.draw(st.permutations(lines)) + ["# comment", ""]
+        path = tmp_path_factory.mktemp("edges") / "edges.txt"
+        path.write_text("\n".join(lines) + "\n")
+        got = load_edge_list(path, largest_component=False)
+        assert got.num_nodes == len(np.unique(g.edges))
+        ids = np.array([int(t[1:]) for t in got.node_ids])
+        back = sorted(canonical_edge(u, v) for u, v in ids[got.edges].tolist())
+        assert back == [tuple(e) for e in g.edges.tolist()]
+
+
 class TestCommunities:
     def test_from_labels_excludes(self):
         g = build_graph(4, [(0, 1), (2, 3)])
@@ -145,6 +175,26 @@ class TestSplits:
             assert not (test & train)
             for u, v in s.test_negatives.tolist():
                 assert not g.has_edge(u, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=graphs(), fraction=st.floats(0.01, 0.99),
+           seed=st.integers(0, 2**32 - 1))
+    def test_split_partitions_the_edges(self, g, fraction, seed):
+        n_test = int(math.floor(fraction * g.num_edges + 0.5))
+        non_edges = g.num_nodes * (g.num_nodes - 1) // 2 - g.num_edges
+        assume(1 <= n_test <= non_edges)
+        s = split_edges(g, fraction, seed)
+        train = {tuple(e) for e in s.train_edges.tolist()}
+        test = {tuple(e) for e in s.test_edges.tolist()}
+        assert len(train) == len(s.train_edges)
+        assert len(test) == len(s.test_edges) == n_test
+        assert not (train & test)
+        assert train | test == {tuple(e) for e in g.edges.tolist()}
+        neg = s.test_negatives
+        assert neg.shape == (n_test, 2)
+        assert (neg[:, 0] < neg[:, 1]).all()
+        assert len({tuple(e) for e in neg.tolist()}) == n_test
+        assert not any(g.has_edge(u, v) for u, v in neg.tolist())
 
     def test_deterministic(self, two_cliques):
         g, _ = two_cliques

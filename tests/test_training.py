@@ -250,8 +250,7 @@ class TestAdam:
         for t in range(1, 4):
             g1 = rng.normal(size=want_w1.shape)
             g2 = rng.normal(size=want_w.shape)
-            adam_step(params, GradBuffer(g1.copy(), g2.copy()), state,
-                      lr, b1, b2, eps)
+            adam_step(params, GradBuffer(g1.copy(), g2.copy()), state, lr)
             m1 = b1 * m1 + (1 - b1) * g1
             v1 = b2 * v1 + (1 - b2) * g1 * g1
             m2 = b1 * m2 + (1 - b1) * g2
