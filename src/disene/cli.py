@@ -398,7 +398,7 @@ def cmd_evaluate(args) -> int:
             metadata={"label": sidecar.get("label"),
                       "seed": sidecar.get("seed"),
                       "config_hash": sidecar.get("config_hash"),
-                      "dim": h.shape[1]},
+                      "graph": sidecar["graph"], "dim": h.shape[1]},
             toggles=toggles)
         name = "report.json" if len(loaded) == 1 else f"report_{i}.json"
         rep.save(os.path.join(out, name))
@@ -439,8 +439,9 @@ def cmd_downstream(args) -> int:
     out = _outdir(args, default=ckpt)
     _write_json(os.path.join(out, f"{task}_task.json"), {
         "task": task, "label": sidecar.get("label"),
-        "config_hash": sidecar.get("config_hash"), "seed": seed,
-        "auc_pr": result.auc_pr, "plausibility": result.plausibility_mean,
+        "config_hash": sidecar.get("config_hash"), "graph": sidecar["graph"],
+        "seed": seed, "auc_pr": result.auc_pr,
+        "plausibility": result.plausibility_mean,
         "instances": len(result.per_instance), "skipped": result.skipped})
     with open(os.path.join(out, f"{task}_instances.csv"), "w", newline="") as fh:
         w = csv.writer(fh)

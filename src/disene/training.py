@@ -20,11 +20,20 @@ Goldberg, NeurIPS 2014). With P(u, v) and N(u, v) the number of times the
 corpus holds (u, v) as a positive and as a negative pair, and S = H H^T,
 
     L_rw = -sum P * log sigmoid(S) - sum N * log sigmoid(-S)
-    dL_rw/dH = (C + C^T) H,   C = P * (sigmoid(S) - 1) + N * sigmoid(S)
 
-summed over the entries where P or N is non-zero. The counts live on one
-symmetric CSR pattern built once per corpus; each step evaluates S on the
-pattern from row blocks of H H^T and takes one sparse product.
+summed over the entries where P or N is non-zero. S is symmetric, so the
+counts live on one upper-triangular CSR pattern M, built once per corpus:
+it holds each unordered pair {u, v} once, as (min, max), with P and N summed
+over both orders. Each step evaluates S on M's entries from row blocks of
+the upper half of H H^T, writes C = P * (sigmoid(S) - 1) + N * sigmoid(S)
+into M and takes
+
+    dL_rw/dH = (M + M^T) H
+
+(a diagonal entry, a negative that hit its own anchor, counts 2C as it
+should). Both log-sigmoids come from one exp: with e = exp(-|s|),
+log sigmoid(+-s) = -(max(-+s, 0) + log1p(e)), clipped to the logs of the
+sigmoid clamp, and sigmoid(s) = 1/(1 + e) for s >= 0, e/(1 + e) below.
 
 Gradients are computed analytically (no autodiff) and pass a central
 finite-difference check in 64-bit mode; see the test suite. Optimization is
@@ -38,7 +47,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .graph_core import Graph
 from .model import (EncoderParams, activation_grad, forward, init_params,
@@ -126,38 +134,33 @@ def _aggregate(pairs: np.ndarray, num_nodes: int) -> _Weighted:
 
 @dataclass
 class _CountPattern:
-    """Positive and negative pair counts on one symmetric CSR pattern.
+    """Positive and negative pair counts on one upper-triangular CSR pattern.
 
-    The pattern holds every positive and negative pair and its mirror. Entry
-    i is the pair (code // V, code % V); `pos` and `neg` count how often the
-    corpus holds that ordered pair, and `mirror[i]` is the entry of the
-    reversed pair. `matrix.data` is scratch that each gradient overwrites.
+    S = H H^T is symmetric, so the pattern holds each unordered pair once, as
+    the entry (min, max). `pos` and `neg` count how often the corpus holds
+    the pair in either order, and `rows` is each entry's row, all aligned
+    with the CSR entries. `matrix.data` is scratch that each gradient
+    overwrites.
     """
     matrix: sp.csr_matrix
-    codes: np.ndarray
+    rows: np.ndarray
     pos: np.ndarray
     neg: np.ndarray
-    mirror: np.ndarray
 
 
 def _count_pattern(positives: np.ndarray, negatives: np.ndarray,
                    num_nodes: int) -> _CountPattern:
     n = num_nodes
-    pos = _aggregate(positives, n)
-    neg = _aggregate(negatives, n)
-    u = np.concatenate([pos.u, neg.u])
-    v = np.concatenate([pos.v, neg.v])
-    codes, _ = _distinct(np.concatenate([u * n + v, v * n + u]))
-    counts = []
-    for side in (pos, neg):
-        c = np.zeros(len(codes))
-        c[np.searchsorted(codes, side.u * n + side.v)] = side.w
-        counts.append(c)
+    sides = (_aggregate(positives, n), _aggregate(negatives, n))
+    folded = [np.minimum(w.u, w.v) * n + np.maximum(w.u, w.v) for w in sides]
+    codes, _ = _distinct(np.concatenate(folded))
+    pos, neg = (np.bincount(np.searchsorted(codes, f), weights=w.w,
+                            minlength=len(codes))
+                for f, w in zip(folded, sides))
     rows, cols = codes // n, codes % n
     indptr = np.searchsorted(rows, np.arange(n + 1))
     matrix = sp.csr_matrix((np.zeros(len(codes)), cols, indptr), shape=(n, n))
-    return _CountPattern(matrix, codes, counts[0], counts[1],
-                         np.searchsorted(codes, cols * n + rows))
+    return _CountPattern(matrix, rows, pos, neg)
 
 
 def _as_pattern(batch, num_nodes: int) -> _CountPattern:
@@ -166,33 +169,39 @@ def _as_pattern(batch, num_nodes: int) -> _CountPattern:
     return batch  # already built
 
 
-# entries of the dense product h[r0:r1] @ h.T held at once
+# entries of the dense product h[r0:r1] @ h[r0:].T held at once, at most
 BLOCK_ENTRIES = 1 << 20
 
 
 def _pattern_dots(h, cp: _CountPattern) -> np.ndarray:
-    """S = h h^T at the pattern's entries, from row blocks of the product."""
+    """S = h h^T at the pattern's entries, from row blocks of h h^T's upper
+    half, h[r0:r1] @ h[r0:].T."""
     n = h.shape[0]
-    indptr = cp.matrix.indptr
-    s = np.empty(len(cp.codes))
+    indptr, cols = cp.matrix.indptr, cp.matrix.indices
+    s = np.empty(len(cols))
     height = max(1, BLOCK_ENTRIES // n)
     for r0 in range(0, n, height):
         r1 = min(r0 + height, n)
         lo, hi = indptr[r0], indptr[r1]
         if lo < hi:
-            block = h[r0:r1] @ h.T
-            s[lo:hi] = block.ravel()[cp.codes[lo:hi] - r0 * n]
+            block = h[r0:r1] @ h[r0:].T
+            offsets = (cp.rows[lo:hi] - r0) * (n - r0) + cols[lo:hi] - r0
+            s[lo:hi] = block.ravel()[offsets]
     return s
 
 
 def _rw_value_sigma(h, cp: _CountPattern):
     """L_rw and sigma(S) on the pattern."""
-    lo, hi = SIGMA_CLAMP, 1.0 - SIGMA_CLAMP
     s = _pattern_dots(h, cp)
-    sig = expit(s)
-    value = -(float(np.sum(cp.pos * np.log(np.clip(sig, lo, hi))))
-              + float(np.sum(cp.neg * np.log(np.clip(expit(-s), lo, hi)))))
-    return value, sig
+    # with e = exp(-|s|): log sigmoid(+-s) = -(max(-+s, 0) + log1p(e)); the
+    # clip is the sigmoid clamp [c, 1-c] taken through the log
+    e = np.exp(-np.abs(s))
+    log1p_e = np.log1p(e)
+    lo, hi = math.log(SIGMA_CLAMP), math.log(1.0 - SIGMA_CLAMP)
+    log_sig = np.clip(-(np.maximum(-s, 0.0) + log1p_e), lo, hi)
+    log_sig_neg = np.clip(-(np.maximum(s, 0.0) + log1p_e), lo, hi)
+    value = -(float(cp.pos @ log_sig) + float(cp.neg @ log_sig_neg))
+    return value, np.where(s >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def loss_rw(h: np.ndarray, batch: PairBatch) -> float:
@@ -202,10 +211,12 @@ def loss_rw(h: np.ndarray, batch: PairBatch) -> float:
 
 def _rw_value_grad(h, cp: _CountPattern):
     value, sig = _rw_value_sigma(h, cp)
-    # d/dh(u) of a pair term is C(u, v) h(v), and C(u, v) h(u) for h(v)
-    c = cp.pos * (sig - 1.0) + cp.neg * sig
-    cp.matrix.data = (c + c[cp.mirror]).astype(h.dtype)
-    return value, cp.matrix @ h
+    # d/dh(u) of a pair term is C(u, v) h(v), and C(u, v) h(u) for h(v);
+    # with C stored once, in M's upper triangle, M h and M^T h give the two
+    cp.matrix.data = (cp.pos * (sig - 1.0) + cp.neg * sig).astype(h.dtype)
+    grad = cp.matrix @ h
+    grad += cp.matrix.T @ h
+    return value, grad
 
 
 def _cosine_parts(h):

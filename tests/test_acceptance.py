@@ -2,9 +2,9 @@
 
 Each test appends a PASS/FAIL line (with the measured numbers) to the
 terminal summary via conftest.ACCEPTANCE_LOG, then asserts. The heavy
-criteria share trained embeddings through the session-wide run cache, so
-the whole gate stays in the minutes range; expect roughly 10-15 minutes
-end to end on a laptop-class machine.
+criteria share trained embeddings through the session-wide run cache: on a
+2-core host the gate takes about a minute, and the whole tier-1 suite,
+this gate included, about 70 s.
 """
 
 import json

@@ -301,6 +301,32 @@ class TestProvenance:
                     "--out", str(tmp_path)) == 2
         assert "run.json records" in capsys.readouterr().err
 
+    def test_outputs_name_their_graph(self, tmp_path):
+        # the same settings on two graphs give one config hash; the graph
+        # fingerprint in every output tells them apart
+        fingerprints = []
+        for base in ("20", "24"):
+            ckpt, out = tmp_path / f"ckpt{base}", tmp_path / f"out{base}"
+            assert _run("train", "--kind", "ba", "--num-cliques", "3",
+                        "--clique-size", "4", "--base-nodes", base,
+                        "--ba-m", "2", *MICRO_TRAIN, "--split", "0.2",
+                        "--out", str(ckpt)) == 0
+            for command in (["evaluate", "--permutations", "5"],
+                            ["downstream", "--task", "link"],
+                            ["downstream", "--task", "node"]):
+                assert _run(*command, "--checkpoint", str(ckpt),
+                            "--out", str(out)) == 0
+            sidecar = json.loads((ckpt / "run.json").read_text())
+            report = json.loads((out / "report.json").read_text())
+            assert report["metadata"]["graph"] == sidecar["graph"]
+            for task in ("link", "node"):
+                payload = json.loads((out / f"{task}_task.json").read_text())
+                assert payload["graph"] == sidecar["graph"]
+                assert payload["config_hash"] == sidecar["config_hash"]
+            fingerprints.append((sidecar["config_hash"], sidecar["graph"]))
+        (hash_a, graph_a), (hash_b, graph_b) = fingerprints
+        assert hash_a == hash_b and graph_a != graph_b
+
     def test_data_checkpoint_records_the_file(self, ring_ckpt, ring_data):
         sidecar = json.loads((ring_ckpt / "run.json").read_text())
         assert sidecar["data"]["path"] == str(ring_data / "edges.txt")

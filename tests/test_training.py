@@ -2,6 +2,7 @@
 differences, and end-to-end trainer behavior."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ class TestLossRw:
         assert math.isfinite(val)
         assert val == pytest.approx(-math.log(SIGMA_CLAMP), rel=1e-6)
 
+    def test_clamp_keeps_saturated_negative_scores_finite(self):
+        # s = -3e4: the positive pair's log sigmoid(s) hits the lower clamp,
+        # the negative pair's log sigmoid(-s) the upper one
+        h = np.array([[100.0] * 3, [-100.0] * 3])
+        batch = PairBatch(np.array([[0, 1]]), np.array([[1, 0]]))
+        val = loss_rw(h, batch)
+        assert math.isfinite(val)
+        assert val == pytest.approx(-math.log(SIGMA_CLAMP), rel=1e-6)
+        _, dh = _rw_value_grad(h, _count_pattern(batch.positives,
+                                                  batch.negatives, 2))
+        np.testing.assert_array_equal(dh, rw_grad_oracle(h, batch))
+
 
 def rw_grad_oracle(h, batch):
     """dL_rw/dh, accumulated pair by pair in float64."""
@@ -110,6 +123,43 @@ class TestCountPattern:
             assert value == pytest.approx(rw_oracle(h, batch), rel=1e-10)
             assert _rel_err(dh, rw_grad_oracle(h, batch)) < 1e-10
             assert not dh[n - 3:].any()
+
+    def test_mixed_sign_embedding_matches_pair_loop(self):
+        # an identity-activation encoder (baseline-sgns) gives H of both
+        # signs, so scores fall on both sides of the log-sigmoid
+        rng = np.random.default_rng(15)
+        for _ in range(5):
+            n = int(rng.integers(8, 16))
+            h = rng.normal(size=(n, 4)) * 1.5
+            batch = _corpus_with_edge_cases(rng, n)
+            scores = np.einsum("ij,ij->i", h[batch.positives[:, 0]],
+                               h[batch.positives[:, 1]])
+            assert (scores < 0).any() and (scores > 0).any()
+            value, dh = _rw_value_grad(h, _count_pattern(
+                batch.positives, batch.negatives, n))
+            assert value == pytest.approx(rw_oracle(h, batch), rel=1e-10)
+            assert _rel_err(dh, rw_grad_oracle(h, batch)) < 1e-10
+
+    def test_one_upper_entry_per_unordered_pair(self):
+        rng = np.random.default_rng(14)
+        n = 10
+        batch = _corpus_with_edge_cases(rng, n)
+        cp = _count_pattern(batch.positives, batch.negatives, n)
+        rows, cols = cp.rows, cp.matrix.indices
+        np.testing.assert_array_equal(
+            rows, np.repeat(np.arange(n), np.diff(cp.matrix.indptr)))
+        assert (rows <= cols).all()
+        entries = list(zip(rows.tolist(), cols.tolist()))
+        assert len(set(entries)) == len(entries)
+        counts = [Counter(map(tuple, pairs.tolist()))
+                  for pairs in (batch.positives, batch.negatives)]
+        assert set(entries) == {tuple(sorted(p)) for c in counts for p in c}
+        # the corpus holds some pair in both orders
+        assert any(u != v and counts[0][(v, u)] for u, v in counts[0])
+        for got, c in zip((cp.pos, cp.neg), counts):
+            want = [c[(u, v)] + (c[(v, u)] if u != v else 0)
+                    for u, v in entries]
+            np.testing.assert_array_equal(got, want)
 
     def test_empty_corpus(self):
         h = _rand_h(np.random.default_rng(12), 5, 3)
