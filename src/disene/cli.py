@@ -131,6 +131,13 @@ def _outdir(args, default="."):
     return out
 
 
+def _permutations(args) -> int:
+    count = _get(args, "permutations", 100)
+    if count < 1:
+        raise ValueError(f"--permutations must be at least 1, got {count}")
+    return count
+
+
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -372,6 +379,7 @@ def cmd_evaluate(args) -> int:
                          "--checkpoint, not both")
     ckpts = args.checkpoints or [_get(args, "checkpoint")]
     want_dim = _get(args, "dim")
+    permutations = _permutations(args)
     toggles = {name: not _get(args, f"no_{name}", False)
                for name in ("comprehensibility", "sparsity", "ovc", "poc")}
 
@@ -393,7 +401,7 @@ def cmd_evaluate(args) -> int:
         expl = build_explanations(h, g)
         rep = compute_report(
             g, h, expl, gts,
-            num_permutations=_get(args, "permutations", 100),
+            num_permutations=permutations,
             seed=sidecar.get("seed", 0),
             metadata={"label": sidecar.get("label"),
                       "seed": sidecar.get("seed"),
@@ -459,8 +467,10 @@ def cmd_downstream(args) -> int:
 
 # ---------------------------------------------------------------- bench
 
+# `graph` is the start of the graph's edges_sha256: config_hash names the
+# training settings only, which runs on different datasets can share
 _BENCH_FIELDS = ("dataset", "method", "dim", "seed", "metric", "value",
-                 "config_hash")
+                 "config_hash", "graph")
 
 
 def _bench_one(job) -> list[dict]:
@@ -493,12 +503,15 @@ def _bench_one(job) -> list[dict]:
             values[key] = rep.metrics[key]
 
     chash = config_hash(run.config)
+    graph = _fingerprint(g)["edges_sha256"][:12]
     return [{"dataset": dataset, "method": method, "dim": dim, "seed": seed,
              "metric": k, "value": "" if v is None else f"{v:.9f}",
-             "config_hash": chash} for k, v in sorted(values.items())]
+             "config_hash": chash, "graph": graph}
+            for k, v in sorted(values.items())]
 
 
 def _read_done(path) -> set:
+    """(dataset, method, dim, seed) of every run results.csv has rows of."""
     done = set()
     if os.path.exists(path):
         with open(path, newline="") as fh:
@@ -506,6 +519,25 @@ def _read_done(path) -> set:
                 done.add((row["dataset"], row["method"], int(row["dim"]),
                           int(row["seed"])))
     return done
+
+
+def _rewrite_results(path) -> list[dict]:
+    """Sort results.csv's rows and write them under _BENCH_FIELDS.
+
+    A missing file becomes a header alone; a column the file lacks is
+    written empty. Returns the rows.
+    """
+    rows = []
+    if os.path.exists(path):
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    rows.sort(key=lambda r: (r["dataset"], r["method"], int(r["dim"]),
+                             int(r["seed"]), r["metric"]))
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS, restval="")
+        w.writeheader()
+        w.writerows(rows)
+    return rows
 
 
 def _summaries(out, rows):
@@ -559,7 +591,7 @@ def cmd_bench(args) -> int:
     if not set(tasks) <= {"link", "node"}:
         raise ValueError("tasks must be link and/or node")
     workers = _get(args, "workers", 1)
-    permutations = _get(args, "permutations", 100)
+    permutations = _permutations(args)
 
     out = _outdir(args, default="bench")
     results_path = os.path.join(out, "results.csv")
@@ -571,12 +603,12 @@ def cmd_bench(args) -> int:
     print(f"bench: {len(manifest)} runs, {len(manifest) - len(todo)} already "
           f"done, {len(todo)} to go")
 
-    new_file = not os.path.exists(results_path)
+    # the rows append under this version's header, so a file written by an
+    # older one (no graph column) is rewritten under it first
+    _rewrite_results(results_path)
     failures = 0
     with open(results_path, "a", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS)
-        if new_file:
-            w.writeheader()
 
         def emit(job, rows):
             for row in rows:
@@ -602,15 +634,7 @@ def cmd_bench(args) -> int:
                     continue
                 emit(job, rows)
 
-    with open(results_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    rows.sort(key=lambda r: (r["dataset"], r["method"], int(r["dim"]),
-                             int(r["seed"]), r["metric"]))
-    with open(results_path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS)
-        w.writeheader()
-        w.writerows(rows)
-    _summaries(out, rows)
+    _summaries(out, _rewrite_results(results_path))
     print(f"bench: results -> {results_path}")
     return 1 if failures else 0
 

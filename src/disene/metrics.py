@@ -128,7 +128,8 @@ def overlap_consistency(h: np.ndarray, expl: Explanation) -> tuple[float | None,
 def proximities(g: Graph, sources) -> np.ndarray:
     """1 / (1 + dist(s, u)) for each source s and node u: (len(sources), V).
 
-    Unreachable pairs get 0.
+    Unreachable pairs get 0. Hop counts come from `bfs_distances`, which
+    holds a few (V, len(sources)) arrays while it runs.
     """
     prox = bfs_distances(g, sources)
     # in place: for FPC this block is the largest array of the evaluation
@@ -136,18 +137,28 @@ def proximities(g: Graph, sources) -> np.ndarray:
     return np.reciprocal(prox, out=prox)
 
 
+# entries of the (sources x V) proximity block fpc_matrix holds at once, at most
+SOURCE_BLOCK_ENTRIES = 1 << 19
+
+
 def fpc_matrix(h: np.ndarray, expl: Explanation, g: Graph) -> np.ndarray:
     """All FPC(d, l) = Pearson(zeta(., V_d), H_:,l); undefined entries are nan.
 
     zeta(u, V_d) = sum_{v in V_d} 1 / (1 + dist(u, v)), the proximities
-    from the union of the V_d summed per dimension.
+    from the union of the V_d summed per dimension. The union is taken in
+    blocks of SOURCE_BLOCK_ENTRIES // V sources, so memory is O(block * V)
+    however many nodes the explanations cover.
     """
     k = h.shape[1]
     nodes = node_support(expl, g)
     used = np.flatnonzero(nodes.any(axis=1))
     if len(used) == 0:
         return np.full((k, k), np.nan)
-    zeta = nodes[used].T.astype(np.float64) @ proximities(g, used)
+    weights = nodes[used].astype(np.float64)
+    zeta = np.zeros((k, g.num_nodes))
+    height = max(1, SOURCE_BLOCK_ENTRIES // g.num_nodes)
+    for r0 in range(0, len(used), height):
+        zeta += weights[r0:r0 + height].T @ proximities(g, used[r0:r0 + height])
     return correlations(zeta, h.T)
 
 
@@ -160,6 +171,9 @@ def positional_coherence(h: np.ndarray, expl: Explanation, g: Graph,
     entries are skipped from numerator and permutation sums alike; needs at
     least 2 defined diagonal entries and a non-negligible denominator.
     """
+    if num_permutations < 1:
+        raise ValueError(f"positional coherence needs at least 1 permutation, "
+                         f"got {num_permutations}")
     mat = fpc_matrix(h, expl, g) if fpc_mat is None else fpc_mat
     k = mat.shape[0]
     diag = np.diag(mat)
@@ -223,9 +237,12 @@ class MetricsReport:
                 "per_dimension": self.per_dimension, "nulls": self.nulls}
 
     def save(self, path):
+        # a NaN would make the file invalid JSON (undefined metrics are
+        # null); encoding first leaves no half-written file when one slips in
+        text = json.dumps(self.to_json(), indent=1, sort_keys=True,
+                          allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 def compute_report(g: Graph, h: np.ndarray, expl: Explanation,

@@ -2,6 +2,7 @@
 through main(), checking artifacts, labeling rules, and error exits."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -10,6 +11,7 @@ import pytest
 
 from disene.cli import main
 from disene.model import load_embedding_binary
+from disene.synth import default_spec, generate_synthetic
 
 MICRO_GEN = ["--num-cliques", "4", "--clique-size", "4", "--noise-edges", "0"]
 MICRO_TRAIN = ["--dim", "4", "--dim-hidden", "8", "--epochs", "3",
@@ -408,6 +410,15 @@ class TestEvaluate:
         assert "poc" not in rep["metrics"]
         assert "sparsity_score" in rep["metrics"]
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_permutations_below_one_fail(self, ring_ckpt, tmp_path, count,
+                                         capsys):
+        # 0 permutations used to write "poc": NaN, which is not JSON
+        assert _run("evaluate", "--checkpoint", str(ring_ckpt),
+                    "--permutations", count, "--out", str(tmp_path)) == 2
+        assert "--permutations must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_toggles_drop_metrics(self, ring_ckpt, ring_data, tmp_path):
         assert _run("evaluate", "--checkpoint", str(ring_ckpt),
                     "--data", str(ring_data / "edges.txt"),
@@ -505,6 +516,13 @@ class TestBench:
             assert r["dim"] == "2" and r["seed"] == "0"
             assert len(r["config_hash"]) == 12
 
+    def test_rows_name_their_graph(self, bench_dir):
+        g, _ = generate_synthetic(default_spec("ring_cliques", seed=0))
+        edges = np.ascontiguousarray(g.edges, dtype="<i8")
+        want = hashlib.sha256(edges.tobytes()).hexdigest()[:12]
+        with open(bench_dir / "results.csv", newline="") as fh:
+            assert {r["graph"] for r in csv.DictReader(fh)} == {want}
+
     def test_summaries_written(self, bench_dir):
         with open(bench_dir / "summary_plausibility.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -529,6 +547,37 @@ class TestBench:
         assert rc == 0
         assert "1 already done, 0 to go" in capsys.readouterr().out
         assert (bench_dir / "results.csv").read_bytes() == before
+
+    def test_resume_from_a_file_without_the_graph_column(self, bench_dir,
+                                                         tmp_path, capsys):
+        with open(bench_dir / "results.csv", newline="") as fh:
+            old = [{k: v for k, v in r.items() if k != "graph"}
+                   for r in csv.DictReader(fh)]
+        with open(tmp_path / "results.csv", "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(old[0]))
+            w.writeheader()
+            w.writerows(old)
+        rc = main(["bench", "--datasets", "ring", "--methods", "disene-fc",
+                   "--dims", "2", "--seeds", "0,1", "--tasks", "link",
+                   "--permutations", "5", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "1 already done, 1 to go" in capsys.readouterr().out
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        graphs = {r["seed"]: set() for r in rows}
+        for r in rows:
+            graphs[r["seed"]].add(r["graph"])
+        # the old rows keep no graph; the new run names its own
+        assert graphs["0"] == {""}
+        assert len(graphs["1"]) == 1 and len(graphs["1"].pop()) == 12
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_permutations_below_one_fail(self, tmp_path, count, capsys):
+        assert _status("bench", "--datasets", "ring", "--methods",
+                       "disene-fc", "--dims", "2", "--seeds", "0",
+                       "--permutations", count, "--out", str(tmp_path)) == 2
+        assert "--permutations must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("tasks", ["lnk"]), ("dims", [2.5]), ("seeds", ["0"])])

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
+from disene import graph_core
 from disene.graph_core import (build_graph, canonical_edge,
                                communities_from_labels, community_indicators,
                                connected_components, bfs_distances,
@@ -238,6 +239,73 @@ class TestBfs:
             rhs = d[:, [k]] + d[[k], :]
             ok = ~finite | ~np.isfinite(rhs) | (lhs <= rhs + 1e-12)
             assert ok.all()
+
+    @staticmethod
+    def _oracle(g, sources):
+        """Bellman-Ford hop counts over the edge list, rows of `sources`."""
+        e = g.edges
+        adj = sp.csr_matrix((np.ones(2 * len(e)),
+                             (np.concatenate([e[:, 0], e[:, 1]]),
+                              np.concatenate([e[:, 1], e[:, 0]]))),
+                            shape=(g.num_nodes, g.num_nodes))
+        return shortest_path(adj, method="BF", unweighted=True)[sources]
+
+    @pytest.fixture
+    def levels(self, monkeypatch):
+        """Source counts of each frontier search, and of its open columns."""
+        runs = []
+        inner = graph_core._frontier_levels
+
+        def spy(adj, sources, max_levels):
+            hops, unseen, open_ = inner(adj, sources, max_levels)
+            runs.append((len(sources), int(open_.sum())))
+            return hops, unseen, open_
+        monkeypatch.setattr(graph_core, "_frontier_levels", spy)
+        return runs
+
+    def test_isolated_and_repeated_sources(self):
+        # two components and isolated nodes 3, 8 and 9
+        g = build_graph(10, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7)])
+        for sources in ([3, 3, 9, 0, 0, 4, 7, 3], [8, 9], [3]):
+            got = bfs_distances(g, sources)
+            np.testing.assert_array_equal(got, self._oracle(g, sources))
+
+    def test_empty_source_list(self, path_graph):
+        assert bfs_distances(path_graph, []).shape == (0, 6)
+
+    def test_deep_path_goes_to_csgraph(self, levels):
+        n = 2 * graph_core.MAX_LEVELS + 5
+        g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        sources = np.arange(0, n, 3)
+        np.testing.assert_array_equal(bfs_distances(g, sources),
+                                      self._oracle(g, sources))
+        assert levels == []
+
+    def test_deep_component_beside_a_shallow_one(self, levels):
+        # a path with a pendant at its middle (the probe), and a triangle
+        n = 2 * graph_core.MAX_LEVELS + 5
+        mid = n // 2
+        edges = [(i, i + 1) for i in range(n - 1)] + [(mid, n)]
+        edges += [(n + 1, n + 2), (n + 2, n + 3), (n + 3, n + 1)]
+        g = build_graph(n + 4, edges)
+        sources = np.arange(n + 4)
+        np.testing.assert_array_equal(bfs_distances(g, sources),
+                                      self._oracle(g, sources))
+        assert levels == [(3, 0)]         # the triangle alone ran levels
+
+    def test_long_path_beside_a_star_is_handed_off(self, levels):
+        # the star's centre is the probe: eccentricity 1, so the BFS stops
+        # after 2 levels and the path's sources go to csgraph
+        n = 2 * graph_core.MAX_LEVELS + 5
+        edges = [(0, i) for i in range(1, 6)]
+        edges += [(6 + i, 7 + i) for i in range(n - 1)]
+        g = build_graph(6 + n, edges)
+        sources = np.arange(6 + n)
+        np.testing.assert_array_equal(bfs_distances(g, sources),
+                                      self._oracle(g, sources))
+        # open at the bound: the path, and the leaves, whose last level
+        # found the other leaves (the probe's bound closes those)
+        assert levels == [(6 + n, n + 5)]
 
     def test_anchors(self, path_graph):
         d = bfs_distances(path_graph, [0, 5])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from disene import metrics
 from disene.explain import (AttributionContext, Explanation, build_explanations,
                             node_support)
 from disene.graph_core import build_graph, community_indicators
@@ -242,7 +243,32 @@ class TestFpc:
                     assert mat[d, l] == pytest.approx(want, abs=1e-12)
 
 
+    def test_source_blocks_equal_one_block(self, monkeypatch):
+        # two disconnected halves, one with a pendant path, so blocks mix
+        # sources of both components
+        rng = np.random.default_rng(4)
+        edges = [(i, i + 1) for i in range(9)] + [(0, 5), (2, 7)]
+        edges += [(10 + i, 11 + i) for i in range(5)] + [(10, 13)]
+        g = build_graph(17, edges)
+        h = np.abs(rng.normal(size=(17, 4)))
+        expl = build_explanations(h, g)
+        used = node_support(expl, g).any(axis=1).sum()
+        assert metrics.SOURCE_BLOCK_ENTRIES >= used * g.num_nodes
+        want = fpc_matrix(h, expl, g)
+        monkeypatch.setattr(metrics, "SOURCE_BLOCK_ENTRIES", 3 * g.num_nodes)
+        got = fpc_matrix(h, expl, g)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestPositionalCoherence:
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_needs_a_permutation(self, count):
+        mat = np.full((4, 4), 0.5)
+        with pytest.raises(ValueError, match="at least 1 permutation"):
+            positional_coherence(None, None, None, num_permutations=count,
+                                 fpc_mat=mat)
+
     def test_constant_matrix_scores_exactly_one(self):
         mat = np.full((4, 4), 0.5)
         val, reason = positional_coherence(None, None, None, fpc_mat=mat)
@@ -380,3 +406,9 @@ class TestComputeReport:
         data = json.loads(p.read_text())
         assert data["metadata"] == {"run": "x"}
         assert data["metrics"]["num_dims"] == 3
+
+    def test_save_refuses_nan(self, tmp_path):
+        p = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            MetricsReport(metrics={"poc": float("nan")}).save(p)
+        assert not p.exists()
