@@ -246,17 +246,17 @@ def cmd_gen(args) -> int:
             fh.write(f"{u} {v}\n")
 
     labels = np.full(g.num_nodes, -1, dtype=np.int64)
-    for i, c in enumerate(gts.communities):
-        labels[sorted(c.nodes)] = i
+    for i in range(gts.num_communities):
+        labels[gts.node_truth[:, i]] = i
     with open(os.path.join(out, "labels.txt"), "w") as fh:
         for v in range(g.num_nodes):
             fh.write(f"{v} {labels[v]}\n")
 
-    payload = ground_truth_to_json(g, gts)
+    payload = ground_truth_to_json(gts)
     payload["generator"] = data_ref["spec"]
     _write_json(os.path.join(out, "ground_truth.json"), payload)
     print(f"gen {data_ref['spec']['kind']}: {g.num_nodes} nodes, "
-          f"{g.num_edges} edges, {len(gts.communities)} communities -> {out}")
+          f"{g.num_edges} edges, {gts.num_communities} communities -> {out}")
     return 0
 
 

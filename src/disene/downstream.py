@@ -26,8 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
-from .graph_core import (EdgeSplit, Graph, GroundTruth, community_indicators,
-                         sample_non_edges)
+from .graph_core import EdgeSplit, Graph, GroundTruth, sample_non_edges
 from .metrics import auc_pr, weighted_f1
 
 # fit_logreg stops once every partial derivative of its objective is this
@@ -197,6 +196,7 @@ def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
     onto the complement of their region, which buries the informative
     dimensions (most visible on the node task).
     """
+    gts.check_graph(g)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
     train_neg = sample_non_edges(g, len(split.train_edges), rng)
     x_train = np.concatenate([edge_features(h, split.train_edges),
@@ -212,15 +212,16 @@ def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
     auc = auc_pr(model.predict_proba(x_test), y_test)
 
     zero_bg = np.zeros_like(model.background_mean)
-    edge_truth, _ = community_indicators(g, gts)
     masks = build_task_masks(model, edge_features(h, g.edges), zero_bg)
-    f1 = weighted_f1(masks, edge_truth)
-    comm = [gts.community_of_edge(u, v) for u, v in split.test_edges.tolist()]
-    inside = np.array([c is not None for c in comm], dtype=bool)
+    f1 = weighted_f1(masks, gts.edge_truth)
+    truth = gts.edge_truth[g.edge_rows(split.test_edges)]
+    inside = truth.any(axis=1)
     pairs = split.test_edges[inside]
     psi = linear_shap(model, edge_features(h, pairs), zero_bg)
+    # an instance's community is the first one holding it
     return _task_result("link", auc, model, list(map(tuple, pairs.tolist())),
-                        [c for c in comm if c is not None], psi, f1)
+                        [int(np.flatnonzero(t)[0]) for t in truth[inside]],
+                        psi, f1)
 
 
 def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
@@ -232,8 +233,8 @@ def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
     background nodes are rejected). Masks B^(j) span all nodes and, as in
     the link task, attributions are taken against the zero background.
     """
-    _, node_truth = community_indicators(g, gts)
-    y = node_truth.any(axis=1).astype(np.float64)
+    gts.check_graph(g)
+    y = gts.node_truth.any(axis=1).astype(np.float64)
     if y.min() == y.max():
         raise ValueError("node task needs both community and background nodes")
 
@@ -253,11 +254,11 @@ def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
 
     zero_bg = np.zeros_like(model.background_mean)
     masks = build_task_masks(model, x, zero_bg)
-    f1 = weighted_f1(masks, node_truth)
+    f1 = weighted_f1(masks, gts.node_truth)
     nodes = test_idx[y[test_idx] == 1.0]
     psi = linear_shap(model, x[nodes], zero_bg)
     return _task_result("node", auc, model, nodes.tolist(),
-                        [gts.community_of_node(v) for v in nodes.tolist()],
+                        gts.node_truth[nodes].argmax(axis=1).tolist(),
                         psi, f1)
 
 

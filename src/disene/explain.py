@@ -95,18 +95,6 @@ def node_support(expl: Explanation, g: Graph) -> np.ndarray:
     return out
 
 
-def affiliation_matrix(h: np.ndarray, expl: Explanation, g: Graph) -> np.ndarray:
-    """Node-dimension affiliations F_ud = sum_{v in V_d} phi_d(u, v).
-
-    Closed form: the sum over the explanation's node set expands to
-    H_ud * (sum_{v in V_d} H_vd) - |V_d| mu_d, which is zero for a
-    dimension with an empty node set.
-    """
-    h = h.astype(np.float64)
-    nodes = node_support(expl, g)
-    return h * (h * nodes).sum(axis=0) - nodes.sum(axis=0) * expl.context.mu
-
-
 def reconstruction_logit(h: np.ndarray, ctx: AttributionContext, u: int, v: int) -> float:
     """sum_d phi_d(u, v) + sum_d mu_d; equals the raw edge logit exactly."""
     k = h.shape[1]

@@ -1,24 +1,24 @@
-"""Undirected graph container plus file I/O, edge splits and BFS distances.
+"""Undirected graph container, ground truth, file I/O, edge splits and BFS.
 
 Everything downstream (sampling, training, explanation, metrics) works on the
 `Graph` type defined here: simple undirected graphs over a dense node index
-range 0..num_nodes-1, no self loops, no duplicate edges, no weights.
+range 0..num_nodes-1, no self loops, no duplicate edges, no weights. A node
+pair u < v is identified by the int64 code u * V + v; graph construction,
+edge lookups and non-edge sampling work on these codes. Ground truth is a
+pair of indicator arrays, one aligned with the graph's edges and one with
+its nodes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
-
-
-def canonical_edge(u: int, v: int) -> tuple[int, int]:
-    """Unordered pair identity: (u, v) with u < v."""
-    return (u, v) if u < v else (v, u)
 
 
 class Graph:
@@ -26,8 +26,10 @@ class Graph:
 
     Nodes are dense integers 0..num_nodes-1. Edges are a lexicographically
     sorted (E, 2) int array with u < v per row; arrays indexed by edge
-    (explanation masks, community indicators) follow its row order. The
-    adjacency is stored once, in CSR form: the sorted neighbors of v are
+    (explanation masks, community indicators) follow its row order. Each
+    edge also has a pair code u * V + v; `codes` holds them in row order,
+    which is ascending, so an edge is found by binary search. The adjacency
+    is stored once, in CSR form: the sorted neighbors of v are
     indices[indptr[v]:indptr[v + 1]]. `node_ids` optionally keeps the
     original string tokens of a loaded edge list (index-aligned).
 
@@ -39,6 +41,7 @@ class Graph:
         self.num_nodes = num_nodes
         self.edges = edges
         self.node_ids = node_ids
+        self.codes = _pair_codes(edges, num_nodes)
         # both directions of every edge, ordered by (row, column)
         src = np.concatenate([edges[:, 0], edges[:, 1]])
         dst = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -46,21 +49,15 @@ class Graph:
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(src, minlength=num_nodes))]).astype(np.int64)
         self.degrees = np.diff(self.indptr)
-        self._edge_set = frozenset(map(tuple, edges.tolist()))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self._edge_set
-
-    @property
+    @cached_property
     def edge_set(self) -> frozenset:
-        return self._edge_set
+        """The edges as (u, v) tuples with u < v, built on first use."""
+        return frozenset(map(tuple, self.edges.tolist()))
 
     def matrix(self, dtype=np.float64) -> sp.csr_matrix:
         """Symmetric 0/1 adjacency matrix over the CSR arrays."""
@@ -71,19 +68,22 @@ class Graph:
     def edge_rows(self, pairs) -> np.ndarray:
         """Row in self.edges of each (u, v) pair, in either orientation.
 
-        Looks the pair codes u * V + v up in the edge codes, which the
-        lexicographic edge order keeps sorted. Raises on a non-edge.
+        Raises on a non-edge.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        codes = _pair_codes(self.edges, self.num_nodes)
-        want = _pair_codes(np.sort(pairs, axis=1), self.num_nodes)
-        rows = np.searchsorted(codes, want)
-        found = rows < len(codes)
-        found[found] = codes[rows[found]] == want[found]
+        rows, found = self._find(pairs)
         if not found.all():
             u, v = pairs[np.argmin(found)]
             raise ValueError(f"({u}, {v}) is not an edge of the graph")
         return rows
+
+    def _find(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate row of each (u, v) pair and whether it holds that pair."""
+        rows, found = _find_codes(self.codes, _pair_codes(np.sort(pairs, axis=1),
+                                                          self.num_nodes))
+        # a pair with a node outside the graph can share an edge's code
+        found &= ((pairs >= 0) & (pairs < self.num_nodes)).all(axis=1)
+        return rows, found
 
     def __repr__(self):
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
@@ -94,27 +94,32 @@ def _pair_codes(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
     return pairs[:, 0] * num_nodes + pairs[:, 1]
 
 
+def _find_codes(codes: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion point of each `want` code in the sorted `codes`, and
+    whether the code is there."""
+    rows = np.searchsorted(codes, want)
+    found = rows < len(codes)
+    found[found] = codes[rows[found]] == want[found]
+    return rows, found
+
+
 def build_graph(num_nodes: int, edges, node_ids=None) -> Graph:
     """Construct a Graph from an edge iterable, cleaning as it goes.
 
-    Self loops are dropped, duplicates (in either orientation) collapse to
-    one undirected edge, and endpoints must lie in [0, num_nodes). Isolated
-    nodes are allowed: num_nodes is authoritative, not the edge list.
+    Endpoints must lie in [0, num_nodes); self loops are then dropped, and
+    duplicates (in either orientation) collapse to one undirected edge.
+    Isolated nodes are allowed: num_nodes is authoritative, not the edge list.
     """
     if num_nodes < 1:
         raise ValueError("graph needs at least one node")
-    seen = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            continue
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-        seen.add(canonical_edge(u, v))
-    if seen:
-        arr = np.array(sorted(seen), dtype=np.int64)
-    else:
-        arr = np.empty((0, 2), dtype=np.int64)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad = ((pairs < 0) | (pairs >= num_nodes)).any(axis=1)
+    if bad.any():
+        u, v = pairs[np.argmax(bad)]
+        raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
+    pairs = np.sort(pairs, axis=1)
+    codes = np.unique(_pair_codes(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes))
+    arr = np.stack([codes // num_nodes, codes % num_nodes], axis=1)
     return Graph(num_nodes, arr, list(node_ids) if node_ids else None)
 
 
@@ -132,14 +137,17 @@ def largest_component_subgraph(g: Graph) -> Graph:
     Ties go to the component containing the smallest node index. Original
     node order (and node_ids alignment) is preserved under the new indexing.
     """
-    comps = connected_components(g)
-    best = max(comps, key=len)  # max() keeps the first on ties
-    keep = np.array(best, dtype=np.int64)
-    remap = -np.ones(g.num_nodes, dtype=np.int64)
+    _, labels = csgraph.connected_components(g.matrix(), directed=False)
+    _, first = np.unique(labels, return_index=True)   # first node per label
+    by_first = np.argsort(first)
+    best = by_first[np.argmax(np.bincount(labels)[by_first])]
+    keep = np.flatnonzero(labels == best)
+    remap = np.full(g.num_nodes, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
-    edges = [(remap[u], remap[v]) for u, v in g.edges.tolist() if remap[u] >= 0 and remap[v] >= 0]
-    ids = [g.node_ids[i] for i in best] if g.node_ids else None
-    return build_graph(len(best), edges, ids)
+    # an edge lies in one component, so one endpoint decides
+    edges = remap[g.edges[remap[g.edges[:, 0]] >= 0]]
+    ids = [g.node_ids[i] for i in keep.tolist()] if g.node_ids else None
+    return build_graph(len(keep), edges, ids)
 
 
 def load_edge_list(path, largest_component: bool = True) -> Graph:
@@ -207,37 +215,46 @@ def load_labels(path, g: Graph) -> np.ndarray:
     return labels
 
 
-@dataclass(frozen=True)
-class Community:
-    """One ground-truth community: its node set and its internal edge set."""
-    nodes: frozenset
-    edges: frozenset
-
-
-@dataclass
+@dataclass(eq=False)
 class GroundTruth:
-    """Ground-truth communities, optionally with per-node labels attached."""
-    communities: list[Community]
+    """Ground-truth communities of one graph, as indicators aligned with it.
+
+    `edge_truth` is the (E, C) bool indicator over the rows of graph.edges,
+    `node_truth` the (V, C) one over the node index; column c is community
+    c. `labels` optionally holds one label per node.
+    """
+    graph: Graph
+    edge_truth: np.ndarray
+    node_truth: np.ndarray
     labels: np.ndarray | None = None
-    _edge_lookup: dict = field(default=None, repr=False, compare=False)
-    _node_lookup: dict = field(default=None, repr=False, compare=False)
+
+    @property
+    def num_communities(self) -> int:
+        return self.edge_truth.shape[1]
+
+    def check_graph(self, g: Graph):
+        """Raise unless the indicators have one row per edge and node of g."""
+        rows = (self.edge_truth.shape[0], self.node_truth.shape[0])
+        if rows != (g.num_edges, g.num_nodes):
+            raise ValueError(f"ground truth covers {rows[0]} edges and "
+                             f"{rows[1]} nodes, the graph has {g.num_edges} "
+                             f"and {g.num_nodes}")
 
     def community_of_edge(self, u, v):
-        """Index of the community whose edge set contains (u, v), else None."""
-        if self._edge_lookup is None:
-            self._edge_lookup = {}
-            for i, c in enumerate(self.communities):
-                for e in c.edges:
-                    self._edge_lookup.setdefault(e, i)
-        return self._edge_lookup.get(canonical_edge(u, v))
+        """First community holding edge (u, v), else None (also for a non-edge)."""
+        rows, found = self.graph._find(np.array([[u, v]], dtype=np.int64))
+        return _first(self.edge_truth[rows[0]]) if found[0] else None
 
     def community_of_node(self, v):
-        if self._node_lookup is None:
-            self._node_lookup = {}
-            for i, c in enumerate(self.communities):
-                for n in c.nodes:
-                    self._node_lookup.setdefault(n, i)
-        return self._node_lookup.get(int(v))
+        """First community holding node v, else None."""
+        if not 0 <= v < len(self.node_truth):
+            return None
+        return _first(self.node_truth[v])
+
+
+def _first(row: np.ndarray):
+    hits = np.flatnonzero(row)
+    return int(hits[0]) if len(hits) else None
 
 
 def communities_from_labels(g: Graph, labels: np.ndarray,
@@ -247,63 +264,62 @@ def communities_from_labels(g: Graph, labels: np.ndarray,
     For each label value, the community edge set is every edge whose two
     endpoints carry that label; node set is the endpoints of those edges.
     Labels listed in `exclude` (e.g. a -1 background marker) form no
-    community. Communities with no internal edge are dropped.
+    community. Communities with no internal edge are dropped; the rest are
+    ordered by label.
     """
     labels = np.asarray(labels)
     if len(labels) != g.num_nodes:
         raise ValueError("labels length does not match num_nodes")
-    exclude = exclude or set()
-    by_label: dict[int, list] = {}
-    for u, v in g.edges.tolist():
-        if labels[u] == labels[v] and labels[u] not in exclude:
-            by_label.setdefault(int(labels[u]), []).append((u, v))
-    comms = []
-    for lab in sorted(by_label):
-        es = by_label[lab]
-        nodes = frozenset(n for e in es for n in e)
-        comms.append(Community(nodes=nodes, edges=frozenset(es)))
-    return GroundTruth(communities=comms, labels=labels)
+    ends = labels[g.edges]
+    inside = ends[:, 0] == ends[:, 1]
+    inside &= ~np.isin(ends[:, 0], list(exclude or ()))
+    rows = np.flatnonzero(inside)
+    kinds, col = np.unique(ends[rows, 0], return_inverse=True)
+    c = len(kinds)
+    edge_truth = np.zeros((g.num_edges, c), dtype=bool)
+    edge_truth[rows, col] = True
+    node_truth = np.zeros((g.num_nodes, c), dtype=bool)
+    node_truth[g.edges[rows, 0], col] = True
+    node_truth[g.edges[rows, 1], col] = True
+    return GroundTruth(g, edge_truth, node_truth, labels)
 
 
-def community_indicators(g: Graph, gts: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
-    """Community membership as an (E, C) edge and a (V, C) node indicator.
-
-    Edge rows follow g.edges, node rows the node index; column c is
-    community c. Every community edge must be an edge of g.
-    """
-    c = len(gts.communities)
-    edges = np.zeros((g.num_edges, c), dtype=bool)
-    nodes = np.zeros((g.num_nodes, c), dtype=bool)
-    for i, comm in enumerate(gts.communities):
-        edges[g.edge_rows(list(comm.edges)), i] = True
-        nodes[list(comm.nodes), i] = True
-    return edges, nodes
-
-
-def ground_truth_to_json(g: Graph, gt: GroundTruth) -> dict:
-    """Serialize communities as edge-index lists (indices into g.edges)."""
-    payload = {"communities": []}
-    for c in gt.communities:
-        payload["communities"].append({
-            "nodes": sorted(c.nodes),
-            "edge_indices": sorted(g.edge_rows(list(c.edges)).tolist()),
-        })
+def ground_truth_to_json(gt: GroundTruth) -> dict:
+    """Serialize communities as sorted node lists and edge-index lists
+    (indices into the graph's edges)."""
+    payload = {"communities": [
+        {"nodes": np.flatnonzero(gt.node_truth[:, c]).tolist(),
+         "edge_indices": np.flatnonzero(gt.edge_truth[:, c]).tolist()}
+        for c in range(gt.num_communities)]}
     if gt.labels is not None:
         payload["labels"] = [int(x) for x in gt.labels]
     return payload
 
 
 def ground_truth_from_json(g: Graph, payload: dict) -> GroundTruth:
-    comms = []
-    for c in payload["communities"]:
-        edges = frozenset(tuple(g.edges[i].tolist()) for i in c["edge_indices"])
-        comms.append(Community(nodes=frozenset(int(n) for n in c["nodes"]), edges=edges))
+    """Inverse of ground_truth_to_json over g; raises on an edge index
+    outside [0, E) or a node outside [0, V)."""
+    comms = payload["communities"]
+    edge_truth = np.zeros((g.num_edges, len(comms)), dtype=bool)
+    node_truth = np.zeros((g.num_nodes, len(comms)), dtype=bool)
+    for c, comm in enumerate(comms):
+        edge_truth[_indices(comm["edge_indices"], g.num_edges, "edge index"), c] = True
+        node_truth[_indices(comm["nodes"], g.num_nodes, "node"), c] = True
     labels = None
     if "labels" in payload:
         labels = np.array(payload["labels"], dtype=np.int64)
         if len(labels) != g.num_nodes:
             raise ValueError("ground-truth labels length does not match graph")
-    return GroundTruth(communities=comms, labels=labels)
+    return GroundTruth(g, edge_truth, node_truth, labels)
+
+
+def _indices(values, bound: int, what: str) -> np.ndarray:
+    idx = np.asarray(values, dtype=np.int64).reshape(-1)
+    bad = (idx < 0) | (idx >= bound)
+    if bad.any():
+        raise ValueError(f"ground truth names {what} {idx[np.argmax(bad)]}, "
+                         f"outside [0, {bound})")
+    return idx
 
 
 def load_ground_truth(path, g: Graph) -> GroundTruth:
@@ -346,44 +362,46 @@ def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgeSplit:
 def sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
     """`count` distinct node pairs (u < v) that are not edges of g.
 
-    Pairs are rejection-sampled from uniform node draws. If that stalls, as
-    on a dense graph, the rest are drawn without replacement from the
-    remaining non-edges, enumerated in lexicographic order.
+    Pairs are rejection-sampled from uniform node draws u, v, in order of
+    draw. If that stalls, as on a dense graph, the rest are drawn without
+    replacement from the remaining non-edges, enumerated in lexicographic
+    order. Draws come in batches, whose values are those of one scalar draw
+    per endpoint, so the pairs are those of a draw-by-draw loop; but a batch
+    may draw past the last pair needed, which leaves `rng` in another state,
+    so callers draw nothing from it afterwards.
     """
     n = g.num_nodes
     available = n * (n - 1) // 2 - g.num_edges
     if available < count:
         raise ValueError(f"asked for {count} non-edges, the graph has only {available}")
-    chosen: list = []
-    taken = set()
+    taken = np.empty(0, dtype=np.int64)      # codes accepted, in draw order
     attempts = 0
     limit = 200 * max(count, 1) + 10000
-    while len(chosen) < count:
-        attempts += 1
-        if attempts > limit:
-            rest = _remaining_non_edges(g, np.array(list(taken), dtype=np.int64))
-            pick = rng.choice(len(rest), size=count - len(chosen), replace=False)
-            chosen.extend(map(tuple, rest[np.sort(pick)].tolist()))
-            break
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        e = canonical_edge(u, v)
-        if e in g.edge_set or e in taken:
-            continue
-        taken.add(e)
-        chosen.append(e)
-    return np.array(chosen, dtype=np.int64).reshape(-1, 2)
+    while len(taken) < count and attempts < limit:
+        size = min(limit - attempts, 2 * (count - len(taken)) + 64)
+        attempts += size
+        uv = np.sort(rng.integers(n, size=2 * size).reshape(-1, 2), axis=1)
+        codes = _pair_codes(uv[uv[:, 0] != uv[:, 1]], n)
+        fresh = ~_find_codes(g.codes, codes)[1] & ~np.isin(codes, taken)
+        # a pair drawn twice in one batch is taken at its first draw
+        _, first = np.unique(codes, return_index=True)
+        keep = np.zeros(len(codes), dtype=bool)
+        keep[first] = True
+        new = codes[keep & fresh][:count - len(taken)]
+        taken = np.concatenate([taken, new])
+    chosen = np.stack([taken // n, taken % n], axis=1)
+    if len(taken) < count:
+        rest = _remaining_non_edges(g, taken)
+        pick = rng.choice(len(rest), size=count - len(taken), replace=False)
+        chosen = np.concatenate([chosen, rest[np.sort(pick)]])
+    return chosen
 
 
 def _remaining_non_edges(g: Graph, taken: np.ndarray) -> np.ndarray:
-    """Every pair u < v that is neither an edge nor in `taken`, lexicographic."""
+    """Every pair u < v that is neither an edge nor a `taken` code, lexicographic."""
     n = g.num_nodes
     pairs = np.stack(np.triu_indices(n, k=1), axis=1)
-    blocked = np.concatenate([_pair_codes(g.edges, n),
-                              _pair_codes(taken.reshape(-1, 2), n)])
-    return pairs[~np.isin(_pair_codes(pairs, n), blocked)]
+    return pairs[~np.isin(_pair_codes(pairs, n), np.concatenate([g.codes, taken]))]
 
 
 def train_subgraph(g: Graph, split: EdgeSplit) -> Graph:

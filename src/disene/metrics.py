@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .explain import Explanation, node_support
-from .graph_core import Graph, GroundTruth, bfs_distances, community_indicators
+from .graph_core import Graph, GroundTruth, bfs_distances
 
 
 def correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -261,9 +261,9 @@ def compute_report(g: Graph, h: np.ndarray, expl: Explanation,
     rep.metrics["num_dims"] = h.shape[1]
     rep.metrics["empty_dims"] = len(expl.empty_dims)
 
-    if on("comprehensibility") and gts is not None and gts.communities:
-        edge_truth, _ = community_indicators(g, gts)
-        scores, best = comprehensibility(expl.weights, edge_truth)
+    if on("comprehensibility") and gts is not None and gts.num_communities:
+        gts.check_graph(g)
+        scores, best = comprehensibility(expl.weights, gts.edge_truth)
         rep.per_dimension["comprehensibility"] = scores.tolist()
         rep.per_dimension["best_community"] = best
         rep.metrics["comprehensibility_mean"] = float(np.mean(scores))

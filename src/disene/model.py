@@ -127,11 +127,6 @@ def encode(params: EncoderParams, g: Graph, adj: sp.csr_matrix | None = None) ->
     return forward(params, g, adj)[2]
 
 
-def edge_likelihood(h: np.ndarray, u: int, v: int) -> float:
-    """sigmoid(h(u) . h(v))"""
-    return float(expit(np.dot(h[u].astype(np.float64), h[v].astype(np.float64))))
-
-
 def save_embedding_text(path, h: np.ndarray):
     """Plain-text export: header 'V K', then one row of K values per node."""
     v, k = h.shape
@@ -139,18 +134,6 @@ def save_embedding_text(path, h: np.ndarray):
         fh.write(f"{v} {k}\n")
         for row in h:
             fh.write(" ".join(f"{x:.9g}" for x in row) + "\n")
-
-
-def load_embedding_text(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header, expected 'V K'")
-        v, k = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, dtype=np.float32, ndmin=2)
-    if data.shape != (v, k):
-        raise ValueError(f"{path}: header says {(v, k)}, data is {data.shape}")
-    return data
 
 
 def save_embedding_binary(path, h: np.ndarray):

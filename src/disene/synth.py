@@ -7,8 +7,10 @@ Four families, all built around 32 planted 10-cliques by default:
 - ba_cliques:   preferential-attachment base graph with cliques attached
 - er_cliques:   Erdos-Renyi base graph with cliques attached
 
-Ground truth is the set of intra-clique edge sets; base nodes carry label -1.
-Generation is deterministic: one seed, one byte-identical edge list.
+Every generator returns edges as one (E, 2) array and leaves cleaning to
+`build_graph`. Ground truth is the clique labels' intra-label edges, through
+`communities_from_labels`; base nodes carry label -1. Generation is
+deterministic: one seed, one byte-identical edge list.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_core import (Community, Graph, GroundTruth, build_graph, canonical_edge,
+from .graph_core import (Graph, GroundTruth, build_graph, communities_from_labels,
                          connected_components, sample_non_edges)
 
 KINDS = ("ring_cliques", "sbm_cliques", "ba_cliques", "er_cliques")
@@ -26,6 +28,8 @@ KINDS = ("ring_cliques", "sbm_cliques", "ba_cliques", "er_cliques")
 _SBM_P_OUT = 517 / 49600
 _ER_P = 2724 / 51040
 _RING_NOISE = 147
+# node pairs per uniform draw of the er base, bounding its memory
+_ER_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -85,58 +89,52 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Graph, GroundTruth]:
     return _attached_cliques(spec, base="er")
 
 
-def _clique_edges(start: int, size: int) -> list:
-    return [(start + i, start + j) for i in range(size) for j in range(i + 1, size)]
+def _planted(spec: SynthSpec, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clique edges and node labels for cliques occupying nodes
+    offset..offset + num_cliques*clique_size - 1; nodes before offset get -1."""
+    cs = spec.clique_size
+    iu, iv = np.triu_indices(cs, k=1)
+    starts = offset + cs * np.arange(spec.num_cliques)[:, None]
+    edges = np.stack([(starts + iu).ravel(), (starts + iv).ravel()], axis=1)
+    labels = np.full(offset + spec.num_cliques * cs, -1, dtype=np.int64)
+    labels[offset:] = np.repeat(np.arange(spec.num_cliques), cs)
+    return edges, labels
 
 
-def _planted(spec: SynthSpec, offset: int) -> tuple[list, list[Community], np.ndarray]:
-    """Cliques occupying nodes offset..offset + num_cliques*clique_size - 1."""
-    edges = []
-    comms = []
-    labels = np.full(offset + spec.num_cliques * spec.clique_size, -1, dtype=np.int64)
-    for i in range(spec.num_cliques):
-        start = offset + i * spec.clique_size
-        es = _clique_edges(start, spec.clique_size)
-        edges.extend(es)
-        comms.append(Community(nodes=frozenset(range(start, start + spec.clique_size)),
-                               edges=frozenset(es)))
-        labels[start:start + spec.clique_size] = i
-    return edges, comms, labels
+def _with_truth(num_nodes: int, edges: np.ndarray, labels: np.ndarray):
+    g = build_graph(num_nodes, edges)
+    return g, communities_from_labels(g, labels, exclude={-1})
 
 
 def _ring_cliques(spec: SynthSpec):
     n = spec.num_cliques * spec.clique_size
-    edges, comms, labels = _planted(spec, offset=0)
-    edge_set = set(edges)
+    edges, labels = _planted(spec, offset=0)
     # last node of clique i to first node of clique i+1 (mod)
-    for i in range(spec.num_cliques):
-        u = i * spec.clique_size + spec.clique_size - 1
-        v = ((i + 1) % spec.num_cliques) * spec.clique_size
-        e = canonical_edge(u, v)
-        if e not in edge_set and u != v:
-            edge_set.add(e)
-            edges.append(e)
-    noise = sample_non_edges(build_graph(n, edges, None), spec.noise_edges,
+    i = np.arange(spec.num_cliques)
+    ring = np.stack([i * spec.clique_size + spec.clique_size - 1,
+                     (i + 1) % spec.num_cliques * spec.clique_size], axis=1)
+    base = build_graph(n, np.concatenate([edges, ring]))
+    noise = sample_non_edges(base, spec.noise_edges,
                              np.random.default_rng(spec.seed))
-    g = build_graph(n, edges + noise.tolist(), None)
-    return g, GroundTruth(communities=comms, labels=labels)
+    return _with_truth(n, np.concatenate([base.edges, noise]), labels)
 
 
 def _sbm_cliques(spec: SynthSpec):
     n = spec.num_cliques * spec.clique_size
-    edges, comms, labels = _planted(spec, offset=0)
+    edges, labels = _planted(spec, offset=0)
     rng = np.random.default_rng(spec.seed)
     cs = spec.clique_size
-    for i in range(spec.num_cliques):
-        for j in range(i + 1, spec.num_cliques):
-            mask = rng.random((cs, cs)) < spec.sbm_p_out
-            for a, b in zip(*np.nonzero(mask)):
-                edges.append((i * cs + int(a), j * cs + int(b)))
-    g = build_graph(n, edges, None)
-    return g, GroundTruth(communities=comms, labels=labels)
+    parts = [edges]
+    for i in range(spec.num_cliques - 1):
+        # blocks (i, i+1), ..., (i, C-1) in one draw, in the order of
+        # one (cs, cs) draw per block
+        k, a, b = np.nonzero(rng.random((spec.num_cliques - 1 - i, cs, cs))
+                             < spec.sbm_p_out)
+        parts.append(np.stack([i * cs + a, (i + 1 + k) * cs + b], axis=1))
+    return _with_truth(n, np.concatenate(parts), labels)
 
 
-def _ba_base(n: int, m: int, rng) -> list:
+def _ba_base(n: int, m: int, rng) -> np.ndarray:
     """Preferential attachment: each new node links to m distinct old nodes."""
     edges = []
     repeated: list[int] = []
@@ -151,17 +149,30 @@ def _ba_base(n: int, m: int, rng) -> list:
         while len(chosen) < m:
             chosen.add(repeated[int(rng.integers(len(repeated)))])
         targets = sorted(chosen)
-    return edges
+    return np.array(edges, dtype=np.int64)
 
 
-def _er_base(n: int, p: float, rng) -> list:
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(len(iu)) < p
-    return list(zip(iu[mask].tolist(), iv[mask].tolist()))
+def _er_base(n: int, p: float, rng) -> np.ndarray:
+    """Each pair u < v is an edge with probability p.
+
+    The uniforms are drawn in the lexicographic pair order of
+    np.triu_indices(n, 1), a block of rows at a time, which gives the
+    stream of one draw over all pairs in O(n * rows) memory.
+    """
+    rows = max(1, _ER_CHUNK // n)
+    parts = []
+    for lo in range(0, n - 1, rows):
+        u = np.arange(lo, min(lo + rows, n - 1))
+        ends = np.cumsum(n - 1 - u)           # pairs up to the end of each row
+        hit = np.flatnonzero(rng.random(ends[-1]) < p)
+        r = np.searchsorted(ends, hit, side="right")
+        v = u[r] + 1 + hit - (ends[r] - (n - 1 - u[r]))
+        parts.append(np.stack([u[r], v], axis=1))
+    return np.concatenate(parts)
 
 
-def _connected(num_nodes: int, edges: list) -> bool:
-    g = build_graph(num_nodes, edges, None)
+def _connected(num_nodes: int, edges: np.ndarray) -> bool:
+    g = build_graph(num_nodes, edges)
     return len(connected_components(g)) == 1
 
 
@@ -178,23 +189,20 @@ def _attached_cliques(spec: SynthSpec, base: str):
     if base_edges is None:
         raise RuntimeError(f"{base} base graph not connected after 100 attempts")
 
-    clique_edges, comms, labels = _planted(spec, offset=spec.base_nodes)
-    edges = list(base_edges) + clique_edges
-    edge_set = set(canonical_edge(u, v) for u, v in edges)
+    clique_edges, labels = _planted(spec, offset=spec.base_nodes)
     n = spec.base_nodes + spec.num_cliques * spec.clique_size
 
+    # a clique-base pair is neither a base nor a clique edge, and pairs of
+    # different cliques differ, so a hook only repeats one of its own clique
     rng = np.random.default_rng([spec.seed, 1000])
+    hooks = []
     for i in range(spec.num_cliques):
         start = spec.base_nodes + i * spec.clique_size
-        placed = 0
-        while placed < spec.attach_edges_per_clique:
+        placed: set = set()
+        while len(placed) < spec.attach_edges_per_clique:
             u = start + int(rng.integers(spec.clique_size))
             v = int(rng.integers(spec.base_nodes))
-            e = canonical_edge(u, v)
-            if e in edge_set:
-                continue
-            edge_set.add(e)
-            edges.append(e)
-            placed += 1
-    g = build_graph(n, edges, None)
-    return g, GroundTruth(communities=comms, labels=labels)
+            placed.add((v, u))
+        hooks.extend(placed)
+    edges = np.concatenate([base_edges, clique_edges, np.array(hooks)])
+    return _with_truth(n, edges, labels)

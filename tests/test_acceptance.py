@@ -21,8 +21,7 @@ from disene.cli import main as cli_main
 from disene.downstream import (LogRegModel, linear_shap, plausibility,
                                run_link_task, run_node_task)
 from disene.explain import build_explanations
-from disene.graph_core import (build_graph, canonical_edge,
-                               communities_from_labels, community_indicators)
+from disene.graph_core import build_graph, communities_from_labels
 from disene.metrics import (auc_pr, comprehensibility, jaccard,
                             overlap_consistency, pearson, sparsity,
                             weighted_f1)
@@ -149,7 +148,7 @@ def _c2_instance(rng):
     edges += [(u, v) for u in range(s1, n) for v in range(u + 1, n)]
     edges.append((0, s1))
     for _ in range(int(rng.integers(0, 4))):
-        e = canonical_edge(int(rng.integers(0, s1)), int(rng.integers(s1, n)))
+        e = (int(rng.integers(0, s1)), int(rng.integers(s1, n)))
         if e not in edges:
             edges.append(e)
     g = build_graph(n, edges)
@@ -172,7 +171,10 @@ def test_criterion_2_metric_oracles():
         k = int(rng.integers(2, 9))
         h = np.abs(rng.normal(size=(g.num_nodes, k)))
         all_edges = [tuple(e) for e in g.edges.tolist()]
-        edge_truth, _ = community_indicators(g, gts)
+        edge_truth = gts.edge_truth
+        # each community's edge set, as the oracles take it
+        comm_edges = [frozenset(all_edges[i] for i in np.flatnonzero(col))
+                      for col in edge_truth.T]
 
         def mask_array(dicts):
             """(E, len(dicts)) weights over g.edges from {edge: weight} dicts."""
@@ -188,8 +190,8 @@ def test_criterion_2_metric_oracles():
         mask = {all_edges[i]: float(rng.uniform(0.1, 2.0)) for i in take}
         items, support = list(mask.items()), frozenset(mask)
         scores, _ = comprehensibility(mask_array([mask]), edge_truth)
-        check(scores[0], max(_f1_oracle(items, support, c.edges)
-                             for c in gts.communities))
+        check(scores[0], max(_f1_oracle(items, support, c)
+                             for c in comm_edges))
         total = sum(w for _, w in items)
         q = [w / total for _, w in items]
         check(sparsity(mask_array([mask]))[0],
@@ -231,12 +233,12 @@ def test_criterion_2_metric_oracles():
                           for i in pick})
         psi2 = rng.normal(size=k)
         psi2[0] = abs(psi2[0]) + 0.1
-        gi = int(rng.integers(0, len(gts.communities)))
+        gi = int(rng.integers(0, gts.num_communities))
         f1 = weighted_f1(mask_array(dicts), edge_truth)
         got = plausibility(psi2[None, :], f1, [gi])[0]
         f = [max(p, 0.0) for p in psi2]
         want = sum(fj * _f1_oracle(list(d.items()), frozenset(d),
-                                   gts.communities[gi].edges)
+                                   comm_edges[gi])
                    for fj, d in zip(f, dicts) if fj > 0) / sum(f)
         check(got, want)
 

@@ -371,6 +371,24 @@ class TestEvaluate:
         assert {r["metric"] for r in rows} >= {"num_dims", "sparsity_score"}
         assert all(r["n"] == "1" for r in rows)
 
+    @pytest.mark.parametrize("key,bad", [("edge_indices", [-1, -2, -3]),
+                                         ("edge_indices", [1000000]),
+                                         ("nodes", [1000000])])
+    def test_ground_truth_index_outside_the_graph_fails(self, ba_setup,
+                                                        tmp_path, key, bad,
+                                                        capsys):
+        data, ckpt = ba_setup
+        gt = json.loads((data / "ground_truth.json").read_text())
+        gt["communities"][0][key] = bad
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(gt))
+        assert _status("evaluate", "--checkpoint", str(ckpt),
+                       "--data", str(data / "edges.txt"),
+                       "--ground-truth", str(path), "--permutations", "2",
+                       "--out", str(tmp_path)) == 2
+        assert "ground truth names" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_multi_checkpoint_aggregation(self, ring_data, tmp_path):
         ckpts = []
         for seed in (0, 1):

@@ -16,8 +16,7 @@ from disene import downstream
 from disene.downstream import (LogRegModel, build_task_masks, edge_features,
                                fit_logreg, linear_shap, plausibility,
                                run_link_task, run_node_task)
-from disene.graph_core import (build_graph, canonical_edge,
-                               communities_from_labels, community_indicators,
+from disene.graph_core import (build_graph, communities_from_labels,
                                sample_non_edges, split_edges)
 from disene.metrics import weighted_f1
 
@@ -275,14 +274,19 @@ def _f1(g, gts, masks):
     for j, m in enumerate(masks):
         for e, x in m.items():
             w[g.edge_rows([e]), j] = x
-    return weighted_f1(w, community_indicators(g, gts)[0])
+    return weighted_f1(w, gts.edge_truth)
+
+
+def _unit_mask(g, gts, c):
+    """{edge: 1.0} over community c's edges."""
+    return {tuple(e): 1.0 for e in g.edges[gts.edge_truth[:, c]].tolist()}
 
 
 class TestPlausibility:
     def test_hand_weighted_combination(self, two_cliques):
         g, gts = two_cliques
-        perfect = {e: 1.0 for e in gts.communities[0].edges}
-        useless = {canonical_edge(4, 5): 1.0}  # the bridge: in no community
+        perfect = _unit_mask(g, gts, 0)
+        useless = {(4, 5): 1.0}  # the bridge: in no community
         f1 = _f1(g, gts, [perfect, useless])
         # f1 = (1.0, 0.0) weighted by psi = (3, 1) -> 0.75
         got = plausibility(np.array([[3.0, 1.0]]), f1, [0])
@@ -290,7 +294,7 @@ class TestPlausibility:
 
     def test_negative_attributions_are_ignored(self, two_cliques):
         g, gts = two_cliques
-        perfect = {e: 1.0 for e in gts.communities[0].edges}
+        perfect = _unit_mask(g, gts, 0)
         f1 = _f1(g, gts, [perfect, {(0, 1): 5.0}])
         got = plausibility(np.array([[2.0, -7.0]]), f1, [0])
         assert got[0] == pytest.approx(1.0, abs=1e-12)
@@ -302,7 +306,7 @@ class TestPlausibility:
 
     def test_batch_matches_single_instances(self, two_cliques):
         g, gts = two_cliques
-        f1 = _f1(g, gts, [{e: 1.0 for e in gts.communities[1].edges},
+        f1 = _f1(g, gts, [_unit_mask(g, gts, 1),
                           {(0, 1): 2.0, (5, 6): 1.0}])
         psi = np.array([[1.0, 0.5], [0.2, 3.0], [-1.0, -2.0]])
         comm = [1, 0, 1]
@@ -320,7 +324,7 @@ class TestTrainNegatives:
         assert len(neg) == 10
         seen = set()
         for u, v in neg.tolist():
-            e = canonical_edge(u, v)
+            e = (min(u, v), max(u, v))
             assert e not in g.edge_set
             assert e not in seen
             seen.add(e)
@@ -368,12 +372,22 @@ class TestLinkTask:
             assert gts.community_of_edge(u, v) == gi
             assert 0.0 <= val <= 1.0
 
+    def test_ground_truth_of_another_graph_rejected(self, two_cliques):
+        g, gts = two_cliques
+        bigger = build_graph(11, np.concatenate([g.edges, [[9, 10]]]))
+        split = split_edges(bigger, 0.2, seed=1)
+        h = np.vstack([_indicator_embedding(), [[0.0, 1.0]]])
+        with pytest.raises(ValueError, match="ground truth covers"):
+            run_link_task(h, bigger, split, gts, seed=0)
+        with pytest.raises(ValueError, match="ground truth covers"):
+            run_node_task(h, bigger, gts, seed=0)
+
     def test_bridge_test_edge_is_excluded_from_plausibility(self, two_cliques):
         g, gts = two_cliques
         split = split_edges(g, 0.2, seed=1)
         res = run_link_task(_indicator_embedding(), g, split, gts, seed=0)
         keys = {k for k, _, _ in res.per_instance}
-        assert canonical_edge(4, 5) not in keys
+        assert (4, 5) not in keys
 
 
 @pytest.fixture

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from disene import graph_core
-from disene.graph_core import (build_graph, canonical_edge,
-                               communities_from_labels, community_indicators,
+from disene.graph_core import (build_graph, communities_from_labels,
                                connected_components, bfs_distances,
                                ground_truth_from_json, ground_truth_to_json,
                                largest_component_subgraph, load_edge_list,
-                               load_labels, split_edges, train_subgraph)
+                               load_labels, sample_non_edges, split_edges,
+                               train_subgraph)
 
 
 @st.composite
@@ -35,10 +35,6 @@ def random_graph(rng, n, p):
 
 
 class TestGraphBasics:
-    def test_canonical_edge_orders(self):
-        assert canonical_edge(7, 3) == (3, 7)
-        assert canonical_edge(3, 7) == (3, 7)
-
     def test_build_graph_cleans_duplicates_and_orientation(self):
         g = build_graph(4, [(1, 0), (0, 1), (2, 3), (3, 2), (1, 2)])
         assert g.num_edges == 3
@@ -50,11 +46,17 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             build_graph(3, [(0, 5)])
 
+    @pytest.mark.parametrize("loop", [(5, 5), (-1, -1), (3, 3)])
+    def test_out_of_range_self_loop_rejected(self, loop):
+        # the range check comes before self loops are dropped
+        with pytest.raises(ValueError, match="out of range"):
+            build_graph(3, [(0, 1), loop])
+
     def test_adjacency_and_degrees(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         assert g.degrees.tolist() == [3, 1, 1, 1]
-        assert g.neighbors(0).tolist() == [1, 2, 3]
-        assert g.has_edge(2, 0) and not g.has_edge(2, 3)
+        assert g.codes.tolist() == [1, 2, 3]      # u * 4 + v
+        assert (0, 2) in g.edge_set and (2, 3) not in g.edge_set
         assert g.indptr.tolist() == [0, 3, 4, 5, 6]
         assert g.indices.tolist() == [1, 2, 3, 0, 0, 0]
 
@@ -63,6 +65,10 @@ class TestGraphBasics:
         assert g.edge_rows([(0, 1), (4, 3), (3, 1)]).tolist() == [0, 2, 1]
         with pytest.raises(ValueError, match="not an edge"):
             g.edge_rows([(0, 4)])
+        # 0 * 5 + 8 and -1 * 5 + 13 are the code of (1, 3)
+        for outside in [(0, 8), (13, -1)]:
+            with pytest.raises(ValueError, match="not an edge"):
+                g.edge_rows([outside])
 
     def test_components_and_largest(self):
         ids = list("abcdefg")
@@ -74,6 +80,11 @@ class TestGraphBasics:
         assert sub.edges.tolist() == [[0, 1], [1, 2]]
         # node_ids stay aligned through the reindexing
         assert sub.node_ids == ["c", "d", "e"]
+
+    def test_largest_component_tie_goes_to_the_smallest_node(self):
+        g = build_graph(6, [(4, 5), (3, 4), (1, 2), (0, 2)])
+        sub = largest_component_subgraph(g)
+        assert sub.edges.tolist() == [[0, 2], [1, 2]]
 
 
 class TestLoaders:
@@ -107,10 +118,22 @@ class TestLoaders:
 
     def test_ground_truth_json_roundtrip(self, two_cliques):
         g, gts = two_cliques
-        back = ground_truth_from_json(g, ground_truth_to_json(g, gts))
-        assert len(back.communities) == len(gts.communities)
-        for a, b in zip(back.communities, gts.communities):
-            assert a.nodes == b.nodes and a.edges == b.edges
+        back = ground_truth_from_json(g, ground_truth_to_json(gts))
+        np.testing.assert_array_equal(back.edge_truth, gts.edge_truth)
+        np.testing.assert_array_equal(back.node_truth, gts.node_truth)
+        np.testing.assert_array_equal(back.labels, gts.labels)
+
+    @pytest.mark.parametrize("key,bad", [
+        ("edge_indices", [-1, -2, -3]), ("edge_indices", [21]),
+        ("edge_indices", [1000000]), ("nodes", [-1]), ("nodes", [10]),
+        ("nodes", [1000000])])
+    def test_ground_truth_json_index_outside_the_graph(self, two_cliques,
+                                                      key, bad):
+        g, gts = two_cliques            # 10 nodes, 21 edges
+        payload = ground_truth_to_json(gts)
+        payload["communities"][0][key] = bad
+        with pytest.raises(ValueError, match="outside"):
+            ground_truth_from_json(g, payload)
 
 
     @settings(max_examples=60, deadline=None)
@@ -127,7 +150,7 @@ class TestLoaders:
         got = load_edge_list(path, largest_component=False)
         assert got.num_nodes == len(np.unique(g.edges))
         ids = np.array([int(t[1:]) for t in got.node_ids])
-        back = sorted(canonical_edge(u, v) for u, v in ids[got.edges].tolist())
+        back = sorted((min(u, v), max(u, v)) for u, v in ids[got.edges].tolist())
         assert back == [tuple(e) for e in g.edges.tolist()]
 
 
@@ -136,8 +159,9 @@ class TestCommunities:
         g = build_graph(4, [(0, 1), (2, 3)])
         gts = communities_from_labels(g, np.array([0, 0, -1, -1]),
                                       exclude={-1})
-        assert len(gts.communities) == 1
-        assert gts.communities[0].nodes == frozenset({0, 1})
+        assert gts.num_communities == 1
+        assert gts.node_truth[:, 0].tolist() == [True, True, False, False]
+        assert gts.edge_truth[:, 0].tolist() == [True, False]
 
     def test_community_lookup(self, two_cliques):
         g, gts = two_cliques
@@ -145,10 +169,24 @@ class TestCommunities:
         assert gts.community_of_node(7) == 1
         assert gts.community_of_edge(0, 1) == 0
         assert gts.community_of_edge(4, 5) is None  # bridge
+        assert gts.community_of_edge(0, 9) is None  # not an edge
+        assert gts.community_of_edge(0, 12) is None  # not a node
+        assert gts.community_of_node(10) is None
+
+    def test_overlapping_communities_report_the_first(self, two_cliques):
+        g, _ = two_cliques
+        payload = {"communities": [{"nodes": [0, 1], "edge_indices": [0]},
+                                   {"nodes": [1, 2], "edge_indices": [0, 4]}]}
+        gts = ground_truth_from_json(g, payload)
+        assert g.edges[[0, 4]].tolist() == [[0, 1], [1, 2]]
+        assert gts.community_of_edge(1, 0) == 0
+        assert gts.community_of_edge(1, 2) == 1
+        assert gts.community_of_node(1) == 0
+        assert gts.community_of_node(2) == 1
 
     def test_indicators_match_lookups(self, two_cliques):
         g, gts = two_cliques
-        edges, nodes = community_indicators(g, gts)
+        edges, nodes = gts.edge_truth, gts.node_truth
         assert edges.shape == (g.num_edges, 2) and nodes.shape == (10, 2)
         for (u, v), row in zip(g.edges.tolist(), edges):
             c = gts.community_of_edge(u, v)
@@ -156,6 +194,56 @@ class TestCommunities:
         for v, row in enumerate(nodes):
             assert row.tolist() == [gts.community_of_node(v) == 0,
                                     gts.community_of_node(v) == 1]
+
+
+def _non_edges_reference(g, count, rng):
+    """The sampler as a loop of scalar draws, u then v per attempt."""
+    n = g.num_nodes
+    chosen, taken = [], set()
+    for _ in range(200 * max(count, 1) + 10000):
+        if len(chosen) == count:
+            break
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        e = (min(u, v), max(u, v))
+        if u != v and e not in g.edge_set and e not in taken:
+            taken.add(e)
+            chosen.append(e)
+    if len(chosen) < count:
+        rest = [(u, v) for u in range(n) for v in range(u + 1, n)
+                if (u, v) not in g.edge_set and (u, v) not in taken]
+        pick = rng.choice(len(rest), size=count - len(chosen), replace=False)
+        chosen += [rest[i] for i in np.sort(pick)]
+    return np.array(chosen, dtype=np.int64).reshape(-1, 2)
+
+
+class TestNonEdges:
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs(), share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batches_replay_the_scalar_draws(self, g, share, seed):
+        available = g.num_nodes * (g.num_nodes - 1) // 2 - g.num_edges
+        count = int(share * available)
+        got = sample_non_edges(g, count, np.random.default_rng(seed))
+        want = _non_edges_reference(g, count, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+
+    def test_dense_graph_fallback_matches(self, monkeypatch):
+        # a complete graph missing 4 edges: the attempt limit runs out, and
+        # both enumerate what is left from the same generator state
+        n = 200
+        iu, iv = np.triu_indices(n, k=1)
+        drop = np.random.default_rng(31).choice(len(iu), 4, replace=False)
+        g = build_graph(n, np.delete(np.stack([iu, iv], axis=1), drop, axis=0))
+        fallbacks = []
+        inner = graph_core._remaining_non_edges
+        monkeypatch.setattr(graph_core, "_remaining_non_edges",
+                            lambda *a: fallbacks.append(1) or inner(*a))
+        for count in (1, 2, 3, 4):
+            for seed in range(3):
+                np.testing.assert_array_equal(
+                    sample_non_edges(g, count, np.random.default_rng(seed)),
+                    _non_edges_reference(g, count, np.random.default_rng(seed)))
+        assert 0 < len(fallbacks) < 12
 
 
 class TestSplits:
@@ -175,7 +263,7 @@ class TestSplits:
             train = {tuple(e) for e in s.train_edges.tolist()}
             assert not (test & train)
             for u, v in s.test_negatives.tolist():
-                assert not g.has_edge(u, v)
+                assert (u, v) not in g.edge_set
 
     @settings(max_examples=100, deadline=None)
     @given(g=graphs(), fraction=st.floats(0.01, 0.99),
@@ -195,7 +283,7 @@ class TestSplits:
         assert neg.shape == (n_test, 2)
         assert (neg[:, 0] < neg[:, 1]).all()
         assert len({tuple(e) for e in neg.tolist()}) == n_test
-        assert not any(g.has_edge(u, v) for u, v in neg.tolist())
+        assert not {tuple(e) for e in neg.tolist()} & g.edge_set
 
     def test_deterministic(self, two_cliques):
         g, _ = two_cliques
@@ -211,7 +299,7 @@ class TestSplits:
         assert sub.num_nodes == g.num_nodes
         assert sub.num_edges == len(s.train_edges)
         for u, v in s.test_edges.tolist():
-            assert not sub.has_edge(u, v)
+            assert (u, v) not in sub.edge_set
 
 
 class TestBfs:
@@ -222,7 +310,7 @@ class TestBfs:
             if g.num_edges == 0:
                 continue
             rows = np.repeat(np.arange(g.num_nodes), g.degrees)
-            cols = np.concatenate([g.neighbors(u) for u in range(g.num_nodes)])
+            cols = g.indices
             adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                                 shape=(g.num_nodes, g.num_nodes))
             want = shortest_path(adj, method="BF", unweighted=True)

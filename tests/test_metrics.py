@@ -9,7 +9,7 @@ import pytest
 from disene import metrics
 from disene.explain import (AttributionContext, Explanation, build_explanations,
                             node_support)
-from disene.graph_core import build_graph, community_indicators
+from disene.graph_core import build_graph, communities_from_labels
 from disene.metrics import (MetricsReport, auc_pr, comprehensibility,
                             compute_report, fpc_matrix, jaccard,
                             overlap_consistency, pearson,
@@ -74,28 +74,28 @@ class TestWeightedF1:
 class TestComprehensibility:
     def test_exact_community_mask_scores_one(self, two_cliques):
         g, gts = two_cliques
-        mask = _mask(g, {e: 1.0 for e in gts.communities[0].edges})
-        score, best = comprehensibility(mask, community_indicators(g, gts)[0])
+        mask = gts.edge_truth[:, [0]].astype(np.float64)
+        score, best = comprehensibility(mask, gts.edge_truth)
         assert score[0] == pytest.approx(1.0, abs=1e-12)
         assert best == [0]
 
     def test_picks_the_best_community(self, two_cliques):
         g, gts = two_cliques
-        mask = _mask(g, {e: 1.0 for e in gts.communities[1].edges})
-        _, best = comprehensibility(mask, community_indicators(g, gts)[0])
+        mask = gts.edge_truth[:, [1]].astype(np.float64)
+        _, best = comprehensibility(mask, gts.edge_truth)
         assert best == [1]
 
     def test_empty_mask(self, two_cliques):
         g, gts = two_cliques
         score, best = comprehensibility(np.zeros((g.num_edges, 1)),
-                                        community_indicators(g, gts)[0])
+                                        gts.edge_truth)
         assert score.tolist() == [0.0] and best == [None]
 
     def test_partial_mask_hand_value(self, two_cliques):
         # 3 of community 0's 10 edges, uniform: prec 1, rec 0.3 -> 6/13
         g, gts = two_cliques
         mask = _mask(g, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
-        score, best = comprehensibility(mask, community_indicators(g, gts)[0])
+        score, best = comprehensibility(mask, gts.edge_truth)
         assert score[0] == pytest.approx(6.0 / 13.0, abs=1e-12)
         assert best == [0]
 
@@ -190,13 +190,18 @@ class TestProximity:
 
 def _fpc_oracle(h, g, nodes, l):
     """Pearson(zeta(., V_d), H_:,l) from a plain BFS per node of V_d."""
+    adj = {v: [] for v in range(g.num_nodes)}
+    for a, b in g.edges.tolist():
+        adj[a].append(b)
+        adj[b].append(a)
+
     def hops(s):
         dist = {s: 0}
         frontier = [s]
         while frontier:
             nxt = []
             for u in frontier:
-                for w in g.neighbors(u).tolist():
+                for w in adj[u]:
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         nxt.append(w)
@@ -381,6 +386,13 @@ class TestComputeReport:
                              toggles={"ovc": False, "poc": False})
         assert "ovc" not in rep.metrics and "poc" not in rep.metrics
         assert "comprehensibility_mean" in rep.metrics
+
+    def test_ground_truth_of_another_graph_rejected(self, indicator_setup):
+        g, _, h, expl = indicator_setup
+        other = build_graph(10, g.edges[:-1])
+        gts = communities_from_labels(other, np.array([0] * 5 + [1] * 5))
+        with pytest.raises(ValueError, match="ground truth covers 20 edges"):
+            compute_report(g, h, expl, gts)
 
     def test_no_ground_truth_skips_comprehensibility(self, indicator_setup):
         g, _, h, expl = indicator_setup

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from disene import synth
 from disene.graph_core import connected_components
 from disene.synth import KINDS, SynthSpec, default_spec, generate_synthetic
 
@@ -11,40 +12,47 @@ def edges_set(g):
     return {tuple(e) for e in g.edges.tolist()}
 
 
+def edges_set_of(g, rows):
+    return {tuple(e) for e in g.edges[rows].tolist()}
+
+
+def clique_nodes(gts):
+    return set(np.flatnonzero(gts.node_truth.any(axis=1)).tolist())
+
+
 class TestShapes:
     def test_ring_matches_benchmark_statistics(self):
         g, gts = generate_synthetic(default_spec("ring_cliques", seed=0))
         assert g.num_nodes == 320
         assert g.num_edges == 1619  # 32 cliques + ring + 147 noise
-        assert len(gts.communities) == 32
-        assert all(len(c.nodes) == 10 for c in gts.communities)
+        assert gts.num_communities == 32
+        assert gts.node_truth.sum(axis=0).tolist() == [10] * 32
 
     @pytest.mark.parametrize("kind", ["sbm_cliques", "ba_cliques", "er_cliques"])
     def test_attached_families_have_base_plus_cliques(self, kind):
         g, gts = generate_synthetic(default_spec(kind, seed=0))
         expected = 640 if kind != "sbm_cliques" else 320
         assert g.num_nodes == expected
-        assert len(gts.communities) == 32
-        clique_nodes = set().union(*(c.nodes for c in gts.communities))
-        assert len(clique_nodes) == 320
+        assert gts.num_communities == 32
+        assert len(clique_nodes(gts)) == 320
 
     def test_every_community_is_a_clique(self):
         for kind in KINDS:
             g, gts = generate_synthetic(default_spec(kind, seed=1))
             es = edges_set(g)
-            for c in gts.communities:
-                nodes = sorted(c.nodes)
+            for c in range(gts.num_communities):
+                nodes = np.flatnonzero(gts.node_truth[:, c]).tolist()
                 want = {(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]}
                 assert want <= es
-                assert c.edges == frozenset(want)
+                assert edges_set_of(g, gts.edge_truth[:, c]) == want
 
     def test_attachment_count(self):
         # each clique hangs off the base by exactly one extra edge
         spec = default_spec("ba_cliques", seed=3)
         g, gts = generate_synthetic(spec)
-        clique_nodes = set().union(*(c.nodes for c in gts.communities))
+        inside = clique_nodes(gts)
         cross = [e for e in g.edges.tolist()
-                 if (e[0] in clique_nodes) != (e[1] in clique_nodes)]
+                 if (e[0] in inside) != (e[1] in inside)]
         assert len(cross) == spec.num_cliques * spec.attach_edges_per_clique
 
 
@@ -78,6 +86,18 @@ class TestStructure:
         _, gts = generate_synthetic(SynthSpec(kind="ring_cliques", seed=0))
         for u, v in extra:
             assert gts.community_of_edge(u, v) is None
+
+
+class TestErBase:
+    @pytest.mark.parametrize("n,chunk", [(2, 1), (9, 1), (30, 7), (30, 64),
+                                         (41, 100), (41, 10**6)])
+    def test_row_blocks_replay_one_draw(self, n, chunk, monkeypatch):
+        # blocks of whole rows, from a single row up to every pair at once
+        monkeypatch.setattr(synth, "_ER_CHUNK", chunk)
+        got = synth._er_base(n, 0.3, np.random.default_rng(17))
+        iu, iv = np.triu_indices(n, k=1)
+        keep = np.random.default_rng(17).random(len(iu)) < 0.3
+        np.testing.assert_array_equal(got, np.stack([iu[keep], iv[keep]], axis=1))
 
 
 class TestDeterminism:
