@@ -45,7 +45,7 @@ class Graph:
         # both directions of every edge, ordered by (row, column)
         src = np.concatenate([edges[:, 0], edges[:, 1]])
         dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        self.indices = dst[np.lexsort((dst, src))]
+        self.indices = dst[np.argsort(src * num_nodes + dst)]
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(src, minlength=num_nodes))]).astype(np.int64)
         self.degrees = np.diff(self.indptr)

@@ -4,6 +4,18 @@ Walks are unbiased (every neighbor equally likely), fixed length, started
 num_walks times from every node. Positive pairs come from a sliding window
 over each walk, emitted in both directions; negatives corrupt the first
 endpoint with a uniformly drawn node.
+
+The walks are defined by a step-by-step loop: start node v owns the PCG64
+stream of `SeedSequence([seed, v])`, and at each step its walks, in order,
+draw `rng.integers(0, degrees[cur])`. `generate_walks` replays that loop
+for all walks at once, and the replay is exact because it reads the stream
+the way numpy does:
+- each 64-bit output serves two 32-bit draws, its low half first;
+- a draw x maps to the slot (x * d) >> 32 of a node of degree d (Lemire's
+  bound), and numpy draws again when (x * d) mod 2**32 < (2**32 - d) mod d;
+- a node of degree 1 consumes no draw.
+A start node with a draw that would be drawn again is redone by the loop
+itself, so the walks stay those of the loop.
 """
 
 from __future__ import annotations
@@ -48,60 +60,105 @@ def _node_rng(seed: int, node: int):
     return np.random.default_rng(np.random.SeedSequence([seed, node]))
 
 
-def generate_walks(g: Graph, cfg: WalkConfig) -> list[np.ndarray]:
-    """All walks, grouped by start node in index order.
+_LOW32 = np.uint64(0xFFFFFFFF)
 
-    Every node starts cfg.num_walks walks of cfg.walk_length nodes. A walk
-    halts immediately only when its start node is isolated (possible in a
-    training subgraph after edge holdout). Each start node draws from its own
-    seeded stream, so results do not depend on iteration order.
+
+def _node_draws(seed: int, nodes: np.ndarray, count: int) -> np.ndarray:
+    """The first 2*count 32-bit draws of each node's stream, one row per node.
+
+    PCG64 serves 32-bit draws from its 64-bit outputs, low half first, and
+    keeps the high half for the next draw.
+    """
+    draws = np.empty((len(nodes), 2 * count), dtype=np.uint64)
+    for i, v in enumerate(nodes.tolist()):
+        raw = _node_rng(seed, v).bit_generator.random_raw(count)
+        draws[i, 0::2] = raw & _LOW32
+        draws[i, 1::2] = raw >> np.uint64(32)
+    return draws
+
+
+def _lemire(x: np.ndarray, d: np.ndarray):
+    """numpy's bounded draw in [0, d) from a 32-bit draw x, and whether numpy
+    would reject x and draw again. Both are uint64 arrays, 1 <= d < 2**32."""
+    m = x * d
+    threshold = (np.uint64(1 << 32) - d) % d
+    return (m >> np.uint64(32)).astype(np.int64), (m & _LOW32) < threshold
+
+
+def _scalar_walks(g: Graph, cfg: WalkConfig, v: int) -> np.ndarray:
+    """The num_walks walks from v, drawn step by step from v's stream."""
+    rng = _node_rng(cfg.seed, v)
+    cur = np.full(cfg.num_walks, v, dtype=np.int64)
+    trace = np.empty((cfg.num_walks, cfg.walk_length), dtype=np.int64)
+    trace[:, 0] = cur
+    for t in range(1, cfg.walk_length):
+        step = rng.integers(0, g.degrees[cur])
+        cur = g.indices[g.indptr[cur] + step]
+        trace[:, t] = cur
+    return trace
+
+
+def generate_walks(g: Graph, cfg: WalkConfig) -> np.ndarray:
+    """All walks, one (V * num_walks, walk_length) int64 array.
+
+    Rows are grouped by start node in index order, num_walks rows per node.
+    Every walk has walk_length nodes, except that a walk from an isolated
+    node (possible in a training subgraph after edge holdout) halts at once:
+    its row is the node followed by -1 padding.
+
+    The walks are those of `_scalar_walks` run for every start node, which
+    draws from the node's own stream, so they do not depend on iteration
+    order. They are replayed in one pass, as the module docstring describes:
+    each node's draws are taken up front (`_node_draws`) and every step
+    bounds them for all walks at once. A node with a draw numpy would
+    reject (probability below degree / 2**32 per draw) is redone by
+    `_scalar_walks`.
     """
     cfg.validate()
-    walks = []
-    for v in range(g.num_nodes):
-        if g.degrees[v] == 0:
-            walks.extend(np.array([v], dtype=np.int64) for _ in range(cfg.num_walks))
-            continue
-        rng = _node_rng(cfg.seed, v)
-        cur = np.full(cfg.num_walks, v, dtype=np.int64)
-        trace = np.empty((cfg.num_walks, cfg.walk_length), dtype=np.int64)
-        trace[:, 0] = cur
-        for t in range(1, cfg.walk_length):
-            step = rng.integers(0, g.degrees[cur])
-            cur = g.indices[g.indptr[cur] + step]
-            trace[:, t] = cur
-        walks.extend(trace)
-    return walks
+    n, w, length = g.num_nodes, cfg.num_walks, cfg.walk_length
+    walks = np.full((n, w, length), -1, dtype=np.int64)
+    walks[:, :, 0] = np.arange(n)[:, None]
+    live = np.flatnonzero(g.degrees > 0)
+    # at most one draw per walk and step
+    draws = _node_draws(cfg.seed, live, -(-w * (length - 1) // 2))
+    used = np.zeros(len(live), dtype=np.int64)
+    redo = np.zeros(len(live), dtype=bool)
+    cur = np.repeat(live[:, None], w, axis=1)
+    for t in range(1, length):
+        d = g.degrees[cur]
+        drawing = d > 1
+        at = used[:, None] + np.cumsum(drawing, axis=1) - drawing
+        used += drawing.sum(axis=1)
+        step, rejected = _lemire(np.take_along_axis(draws, at, axis=1),
+                                 d.astype(np.uint64))
+        redo |= (rejected & drawing).any(axis=1)
+        cur = g.indices[g.indptr[cur] + np.where(drawing, step, 0)]
+        walks[live, :, t] = cur
+    for v in live[redo].tolist():
+        walks[v] = _scalar_walks(g, cfg, v)
+    return walks.reshape(n * w, length)
 
 
 def pairs_from_walks(walks, window: int) -> np.ndarray:
     """Sliding-window positive pairs over every walk, both directions.
 
-    For each position i and offset 1 <= delta <= window with i + delta inside
-    the walk, both (w_i, w_{i+delta}) and (w_{i+delta}, w_i) are emitted.
-    Pairs with identical endpoints are dropped. Output order is fixed
-    (offset-major) and deterministic.
+    `walks` is a 2-D array, one walk per row, padded with -1 after a walk's
+    end. For each position i and offset 1 <= delta <= window with i + delta
+    inside the walk, both (w_i, w_{i+delta}) and (w_{i+delta}, w_i) are
+    emitted. Pairs with identical endpoints are dropped. Output order is
+    fixed (offset-major) and deterministic.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if not len(walks):
-        return np.empty((0, 2), dtype=np.int64)
-    max_len = max(len(w) for w in walks)
-    mat = np.full((len(walks), max_len), -1, dtype=np.int64)
-    for i, w in enumerate(walks):
-        mat[i, :len(w)] = w
-    chunks = []
-    for delta in range(1, window + 1):
-        if delta >= max_len:
-            break
+    mat = np.asarray(walks, dtype=np.int64)
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    for delta in range(1, min(window + 1, mat.shape[-1])):
         a = mat[:, :-delta].ravel()
         b = mat[:, delta:].ravel()
         ok = (a >= 0) & (b >= 0) & (a != b)
         a, b = a[ok], b[ok]
         chunks.append(np.stack([a, b], axis=1))
         chunks.append(np.stack([b, a], axis=1))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
     return np.concatenate(chunks, axis=0)
 
 

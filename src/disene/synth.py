@@ -18,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .graph_core import (Graph, GroundTruth, build_graph, communities_from_labels,
-                         connected_components, sample_non_edges)
+                         sample_non_edges)
 
 KINDS = ("ring_cliques", "sbm_cliques", "ba_cliques", "er_cliques")
 
@@ -172,8 +174,10 @@ def _er_base(n: int, p: float, rng) -> np.ndarray:
 
 
 def _connected(num_nodes: int, edges: np.ndarray) -> bool:
-    g = build_graph(num_nodes, edges)
-    return len(connected_components(g)) == 1
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    adj = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                        shape=(num_nodes, num_nodes))
+    return csgraph.connected_components(adj, directed=False)[0] == 1
 
 
 def _attached_cliques(spec: SynthSpec, base: str):

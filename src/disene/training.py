@@ -35,6 +35,20 @@ should). Both log-sigmoids come from one exp: with e = exp(-|s|),
 log sigmoid(+-s) = -(max(-+s, 0) + log1p(e)), clipped to the logs of the
 sigmoid clamp, and sigmoid(s) = 1/(1 + e) for s >= 0, e/(1 + e) below.
 
+The kernels follow M's density, in three regimes:
+- sparse (a mini-batch slice): a row block holding fewer than GATHER_SHARE
+  of its entries in M gathers its dots, one h(u).h(v) per entry, instead
+  of computing the block;
+- mid-density (a full corpus on a large graph, such as 2560 nodes with one
+  walk per node, 13% of the upper triangle): dense row blocks for S, and
+  the gradient from the two sparse products M H and M^T H;
+- near-dense (a full corpus on a small graph, such as er64, 99%): M holds
+  at least DENSE_SHARE of the V(V+1)/2 upper-triangle entries, C is
+  written into a dense V x V array D, zero elsewhere, and the gradient is
+  the two GEMMs D H + D^T H.
+All three compute the same sums; only their order, and so the last bits of
+a float32 result, differ.
+
 Gradients are computed analytically (no autodiff) and pass a central
 finite-difference check in 64-bit mode; see the test suite. Optimization is
 bias-corrected Adam, full batch by default.
@@ -140,12 +154,17 @@ class _CountPattern:
     the entry (min, max). `pos` and `neg` count how often the corpus holds
     the pair in either order, and `rows` is each entry's row, all aligned
     with the CSR entries. `matrix.data` is scratch that each gradient
-    overwrites.
+    overwrites. When the pattern holds at least DENSE_SHARE of the upper
+    triangle, `flat` is each entry's offset rows * V + cols in a flattened
+    (V, V) array, and the gradient writes C into `dense`, that array, zero
+    off the pattern and allocated on first use, instead of `matrix.data`.
     """
     matrix: sp.csr_matrix
     rows: np.ndarray
     pos: np.ndarray
     neg: np.ndarray
+    flat: np.ndarray | None = None
+    dense: np.ndarray | None = None
 
 
 def _count_pattern(positives: np.ndarray, negatives: np.ndarray,
@@ -160,7 +179,9 @@ def _count_pattern(positives: np.ndarray, negatives: np.ndarray,
     rows, cols = codes // n, codes % n
     indptr = np.searchsorted(rows, np.arange(n + 1))
     matrix = sp.csr_matrix((np.zeros(len(codes)), cols, indptr), shape=(n, n))
-    return _CountPattern(matrix, rows, pos, neg)
+    # a pair's code min * V + max is its offset in a flattened (V, V) array
+    flat = codes if len(codes) >= DENSE_SHARE * n * (n + 1) / 2 else None
+    return _CountPattern(matrix, rows, pos, neg, flat)
 
 
 def _as_pattern(batch, num_nodes: int) -> _CountPattern:
@@ -171,11 +192,19 @@ def _as_pattern(batch, num_nodes: int) -> _CountPattern:
 
 # entries of the dense product h[r0:r1] @ h[r0:].T held at once, at most
 BLOCK_ENTRIES = 1 << 20
+# a row block holding fewer pattern entries than this share of its product's
+# entries gathers their dots instead: at K = 64 one gathered dot cost 60-70
+# ns and one entry of a block product 1.2-2.1 ns (2-core Xeon, 1 BLAS thread)
+GATHER_SHARE = 1 / 64
+# share of the V(V+1)/2 upper-triangle entries from which a pattern's
+# gradient is two dense GEMMs rather than two CSR products; the two broke
+# even at 22-25% at V = 640-2560 (2-core Xeon, 1 BLAS thread, K = 64)
+DENSE_SHARE = 0.25
 
 
 def _pattern_dots(h, cp: _CountPattern) -> np.ndarray:
     """S = h h^T at the pattern's entries, from row blocks of h h^T's upper
-    half, h[r0:r1] @ h[r0:].T."""
+    half, h[r0:r1] @ h[r0:].T, or gathered where a block holds few."""
     n = h.shape[0]
     indptr, cols = cp.matrix.indptr, cp.matrix.indices
     s = np.empty(len(cols))
@@ -183,7 +212,9 @@ def _pattern_dots(h, cp: _CountPattern) -> np.ndarray:
     for r0 in range(0, n, height):
         r1 = min(r0 + height, n)
         lo, hi = indptr[r0], indptr[r1]
-        if lo < hi:
+        if hi - lo < GATHER_SHARE * (r1 - r0) * (n - r0):
+            s[lo:hi] = np.einsum("ij,ij->i", h[cp.rows[lo:hi]], h[cols[lo:hi]])
+        else:
             block = h[r0:r1] @ h[r0:].T
             offsets = (cp.rows[lo:hi] - r0) * (n - r0) + cols[lo:hi] - r0
             s[lo:hi] = block.ravel()[offsets]
@@ -213,10 +244,16 @@ def _rw_value_grad(h, cp: _CountPattern):
     value, sig = _rw_value_sigma(h, cp)
     # d/dh(u) of a pair term is C(u, v) h(v), and C(u, v) h(u) for h(v);
     # with C stored once, in M's upper triangle, M h and M^T h give the two
-    cp.matrix.data = (cp.pos * (sig - 1.0) + cp.neg * sig).astype(h.dtype)
-    grad = cp.matrix @ h
-    grad += cp.matrix.T @ h
-    return value, grad
+    c = cp.pos * (sig - 1.0) + cp.neg * sig
+    if cp.flat is None:
+        cp.matrix.data = c.astype(h.dtype)
+        grad = cp.matrix @ h
+        grad += cp.matrix.T @ h
+        return value, grad
+    if cp.dense is None or cp.dense.dtype != h.dtype:
+        cp.dense = np.zeros((h.shape[0],) * 2, dtype=h.dtype)
+    cp.dense.ravel()[cp.flat] = c
+    return value, cp.dense @ h + cp.dense.T @ h
 
 
 def _cosine_parts(h):

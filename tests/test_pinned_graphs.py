@@ -1,9 +1,11 @@
-"""Pinned digests of generated graphs, edge splits and `gen` output.
+"""Pinned digests of generated graphs, edge splits, walk corpora and `gen`
+output.
 
-The digests were recorded from the tuple-set implementation of the graph
-layer and the generators. A change to a generator or to the non-edge
-sampler that alters any graph, split or ground truth fails here, so it has
-to say so and record new digests.
+The graph, split and ground-truth digests were recorded from the tuple-set
+implementation of the graph layer and the generators, the corpus digests
+from the step-by-step walk loop. A change to a generator, to the non-edge
+sampler or to the walks that alters any graph, split, ground truth or corpus
+fails here, so it has to say so and record new digests.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import pytest
 
 from disene.cli import main
 from disene.graph_core import split_edges
+from disene.sampling import WalkConfig, build_pair_batch
 from disene.synth import default_spec, generate_synthetic
 
 # (kind, seed) -> (sha256 of g.edges, sha256 of the train edges, test edges
@@ -36,6 +39,27 @@ GRAPHS = {
                         "a0ec328ab4d31f6f3a5daa2eeecef67f438cb80502f99e96800b0e9b53d38adc"),
     ("er_cliques", 1): ("5a2666b45d08ac9e4ca8de84980cb9de36884d278ebbb31fb974b28516ce0add",
                         "ebe9c16f65b66e2d3763b0f75cf1362178e0d74cd0dd4aa7fa1d949fc33370cd"),
+}
+
+# (kind, seed) -> (sha256 of the positives, of the negatives) of
+# build_pair_batch(g, WalkConfig(seed=seed)) on the generated graph
+CORPORA = {
+    ("ring_cliques", 0): ("123a11828a348565c494be09505cc2635832aa2acb540d752505d3be37fb1442",
+                          "4e5959f1243967b1138cd22f2171f78ed3748af9a46ae962773e616668bcc434"),
+    ("ring_cliques", 1): ("f1aee9ea148608d7ebeb29988be08848e98a8bb2c7e95aacdfc0bc2840979651",
+                          "8f4ee28e06654028806a494acf8d5332a489eee1230e4853681954cab49beeb7"),
+    ("sbm_cliques", 0): ("48e9b9d2e2642d50aa91c08108a47622bafff7564b0ebc36d952db011b5c123b",
+                         "53837cd7b737b5b010e3ac381ebac86a91b88921691c1a4f4a3485ae019d8592"),
+    ("sbm_cliques", 1): ("2a6ced7e38119a93440149bc4e4e20fe2d36b59faceb91635d596e6260127b28",
+                         "99574e7786141a19504590412ed45468b0cfffa14fb8c4e18b8c58838e43221f"),
+    ("ba_cliques", 0): ("e4b7c3f277849ad82ebf207fca1bccac6483ba35efde61ccf0c41b90f6829d59",
+                        "146544dd5dd40f02e5322ec0699a191a4a3083474529ff422e2469bf85e0d6fc"),
+    ("ba_cliques", 1): ("569d23fcc5acca558cd807c9712cea800fdf2b2fa70d8f7a4a0d7d381302cbed",
+                        "128ab7ece0307bf54b76995d2b13ddb2cec18171ea361afe4f2269c048207b97"),
+    ("er_cliques", 0): ("64c637453603cab7312feb7c41f9cd8725951425290d86f6a7ff3667695177bc",
+                        "aacb935edd3ffee841ceed1be82d01ff6aab0ec33af465cde65828163a39f8e9"),
+    ("er_cliques", 1): ("5f77f55e00b20451333be48ef65e1983b57fd5b3b94e3e4e18058f4e7577e50e",
+                        "46aba036041fb60f424a26e9eb5ec2143c7de1975833a2435341384b52f44996"),
 }
 
 # kind -> sha256 of ground_truth.json from `disene gen --kind KIND --seed 1`
@@ -61,6 +85,14 @@ def test_graph_and_split(kind, seed):
     got = (_digest(g.edges),
            _digest(s.train_edges, s.test_edges, s.test_negatives))
     assert got == GRAPHS[kind, seed]
+
+
+@pytest.mark.parametrize("kind,seed", sorted(CORPORA))
+def test_walk_corpus(kind, seed):
+    g, _ = generate_synthetic(default_spec(kind, seed=seed))
+    batch = build_pair_batch(g, WalkConfig(seed=seed))
+    got = (_digest(batch.positives), _digest(batch.negatives))
+    assert got == CORPORA[kind, seed]
 
 
 @pytest.mark.parametrize("kind", sorted(GEN_GROUND_TRUTH))

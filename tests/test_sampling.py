@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from disene import sampling
 from disene.graph_core import build_graph
 from disene.sampling import (PairBatch, WalkConfig, build_pair_batch,
                              generate_walks, pairs_from_walks,
@@ -17,6 +20,39 @@ def window_pairs_oracle(walk, window):
             if i != j and u != walk[j]:
                 out.append((u, walk[j]))
     return out
+
+
+def walks_reference(g, cfg):
+    """The loop that defines the walks: each start node draws from its own
+    stream, one rng.integers call per step over all its walks."""
+    rows = []
+    for v in range(g.num_nodes):
+        if g.degrees[v] == 0:
+            rows += [[v] + [-1] * (cfg.walk_length - 1)] * cfg.num_walks
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, v]))
+        cur = np.full(cfg.num_walks, v)
+        trace = [cur]
+        for _ in range(1, cfg.walk_length):
+            cur = g.indices[g.indptr[cur] + rng.integers(0, g.degrees[cur])]
+            trace.append(cur)
+        rows += np.stack(trace, axis=1).tolist()
+    return np.array(rows, dtype=np.int64).reshape(-1, cfg.walk_length)
+
+
+@st.composite
+def walk_graphs(draw):
+    """Paths, stars and arbitrary graphs, plus isolated nodes."""
+    shape = draw(st.sampled_from(["path", "star", "any"]))
+    n = draw(st.integers(2, 12))
+    if shape == "path":
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "star":
+        pairs = [(0, i) for i in range(1, n)]
+    else:
+        node = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    return build_graph(n + draw(st.integers(0, 3)), pairs)
 
 
 class TestWalks:
@@ -41,9 +77,47 @@ class TestWalks:
     def test_isolated_node_gets_singleton_walks(self):
         g = build_graph(3, [(0, 1)])
         walks = generate_walks(g, WalkConfig(walk_length=6, num_walks=2, seed=0))
-        lonely = [w for w in walks if w[0] == 2]
-        assert len(lonely) == 2
-        assert all(len(w) == 1 for w in lonely)
+        assert walks.shape == (6, 6)
+        np.testing.assert_array_equal(walks[4:], [[2, -1, -1, -1, -1, -1]] * 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=walk_graphs(), walk_length=st.integers(1, 8),
+           num_walks=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_replay_matches_the_step_loop(self, g, walk_length, num_walks,
+                                          seed):
+        cfg = WalkConfig(walk_length=walk_length, num_walks=num_walks,
+                         window=1, seed=seed)
+        got = generate_walks(g, cfg)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, walks_reference(g, cfg))
+
+    def test_rejected_draw_redoes_the_node(self, monkeypatch):
+        # zero draws at a node of degree 3 fall under numpy's rejection
+        # threshold (2**32 - 3) % 3 = 1; the star's centre is redone from
+        # its real stream, the leaves keep the one-pass walks
+        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        cfg = WalkConfig(walk_length=6, num_walks=3, window=2, seed=5)
+        inner, scalar = sampling._node_draws, sampling._scalar_walks
+
+        def zero_centre(seed, nodes, count):
+            draws = inner(seed, nodes, count)
+            draws[nodes == 0] = 0
+            return draws
+
+        redone = []
+        monkeypatch.setattr(sampling, "_node_draws", zero_centre)
+        monkeypatch.setattr(sampling, "_scalar_walks",
+                            lambda g, cfg, v: redone.append(v) or scalar(g, cfg, v))
+        np.testing.assert_array_equal(generate_walks(g, cfg),
+                                      walks_reference(g, cfg))
+        assert redone == [0]
+
+    def test_lemire_bound(self):
+        x = np.array([0, 0, 2**32 - 1, 1 << 31], dtype=np.uint64)
+        d = np.array([3, 4, 3, 2], dtype=np.uint64)
+        step, rejected = sampling._lemire(x, d)
+        np.testing.assert_array_equal(step, [0, 0, 2, 1])
+        np.testing.assert_array_equal(rejected, [True, False, False, False])
 
     def test_deterministic(self, two_cliques):
         g, _ = two_cliques
@@ -70,6 +144,7 @@ class TestPairs:
 
     def test_singleton_walk_no_pairs(self):
         assert len(pairs_from_walks([np.array([4])], window=3)) == 0
+        assert len(pairs_from_walks(np.array([[4, -1, -1]]), window=3)) == 0
 
 
 class TestNegatives:

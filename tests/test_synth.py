@@ -63,6 +63,13 @@ class TestStructure:
             g, _ = generate_synthetic(default_spec(kind, seed=seed))
             assert len(connected_components(g)) == 1
 
+    def test_base_connectivity_check(self):
+        # the retry loop regenerates a base graph until this holds
+        assert synth._connected(3, np.array([[0, 1], [1, 2]]))
+        assert synth._connected(1, np.empty((0, 2), dtype=np.int64))
+        assert not synth._connected(4, np.array([[0, 1], [2, 3]]))
+        assert not synth._connected(3, np.array([[0, 1], [0, 1]]))
+
     def test_er_edge_count_near_expectation(self):
         spec = default_spec("er_cliques", seed=0)
         g, gts = generate_synthetic(spec)

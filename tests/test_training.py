@@ -3,6 +3,7 @@ differences, and end-to-end trainer behavior."""
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from disene import training
 from disene.graph_core import build_graph
 from disene.model import init_params
 from disene.sampling import PairBatch, WalkConfig, build_pair_batch
+from disene.synth import default_spec, generate_synthetic
 from disene.training import (COSINE_EPS, SIGMA_CLAMP, AdamState, GradBuffer,
                              LossConfig, adam_step, entropy_reg,
                              loss_breakdown, loss_dis, loss_rw,
@@ -184,6 +186,70 @@ class TestCountPattern:
         value, dh = _rw_value_grad(h, cp)
         assert value == want_value
         np.testing.assert_array_equal(dh, want_dh)
+
+
+# the L_rw kernels: (gradient, dots) forced through share constants
+RW_PATHS = {
+    "dense": {"DENSE_SHARE": 0.0, "GATHER_SHARE": 0.0},
+    "csr": {"DENSE_SHARE": math.inf, "GATHER_SHARE": 0.0},
+    "gather": {"DENSE_SHARE": math.inf, "GATHER_SHARE": math.inf},
+}
+
+
+class TestCountPatternPaths(TestCountPattern):
+    """TestCountPattern's oracles through each L_rw kernel in turn."""
+
+    @pytest.fixture(autouse=True, params=sorted(RW_PATHS))
+    def rw_path(self, request, monkeypatch):
+        for name, value in RW_PATHS[request.param].items():
+            monkeypatch.setattr(training, name, value)
+
+    def test_dense_scratch_follows_the_dtype(self):
+        rng = np.random.default_rng(16)
+        batch = _corpus_with_edge_cases(rng, 10)
+        cp = _count_pattern(batch.positives, batch.negatives, 10)
+        h = _rand_h(rng, 10, 3)
+        for dtype in (np.float32, np.float64, np.float32):
+            _, dh = _rw_value_grad(h.astype(dtype), cp)
+            assert dh.dtype == dtype
+            np.testing.assert_allclose(dh, rw_grad_oracle(h, batch),
+                                       rtol=1e-5, atol=1e-5)
+
+
+class TestDensityRegimes:
+    """Which L_rw kernel the benchmark's graphs take by default."""
+
+    @staticmethod
+    def _pattern(kind, num_walks, **spec):
+        g, _ = generate_synthetic(replace(default_spec(kind, seed=401), **spec))
+        batch = build_pair_batch(g, WalkConfig(num_walks=num_walks, seed=401))
+        return g, batch
+
+    @staticmethod
+    def _gathered_blocks(cp, n):
+        height = max(1, training.BLOCK_ENTRIES // n)
+        starts = np.arange(0, n, height)
+        ends = np.minimum(starts + height, n)
+        entries = np.diff(cp.matrix.indptr[np.append(starts, n)])
+        return entries < training.GATHER_SHARE * (ends - starts) * (n - starts)
+
+    def test_er64_full_batch_is_dense(self):
+        g, batch = self._pattern("er_cliques", 10)
+        cp = _count_pattern(batch.positives, batch.negatives, g.num_nodes)
+        assert cp.flat is not None
+        assert not self._gathered_blocks(cp, g.num_nodes).any()
+
+    def test_ba2560_full_batch_is_csr_blocks_and_slices_gather(self):
+        g, batch = self._pattern("ba_cliques", 1, num_cliques=128,
+                                 base_nodes=1280)
+        n = g.num_nodes
+        cp = _count_pattern(batch.positives, batch.negatives, n)
+        assert cp.flat is None
+        assert not self._gathered_blocks(cp, n).any()
+        idx = np.random.default_rng(0).permutation(len(batch.positives))[:4096]
+        sl = _count_pattern(batch.positives[idx], batch.negatives[idx], n)
+        assert sl.flat is None
+        assert self._gathered_blocks(sl, n).all()
 
 
 class TestLossDis:
