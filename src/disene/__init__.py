@@ -13,14 +13,14 @@ from .graph_core import (EdgeSplit, Graph, GroundTruth, build_graph,
                          train_subgraph)
 from .synth import KINDS, SynthSpec, default_spec, generate_synthetic
 from .sampling import PairBatch, WalkConfig, build_pair_batch, generate_walks, pairs_from_walks, sample_negatives
-from .model import (EncoderParams, encode, init_params,
+from .model import (EncoderParams, init_params,
                     load_embedding_binary, normalized_adjacency,
                     save_embedding_binary, save_embedding_text)
 from .training import (AdamState, GradBuffer, LossConfig, TrainResult,
                        adam_step, entropy_reg, loss_dis, loss_rw,
                        total_loss_and_grads, train)
-from .explain import (AttributionContext, Explanation, attribution,
-                      build_explanations, node_support)
+from .explain import (AttributionContext, Explanation, build_explanations,
+                      node_support)
 from .metrics import (MetricsReport, auc_pr, comprehensibility, compute_report,
                       fpc_matrix, jaccard, overlap_consistency, pearson,
                       positional_coherence, sparsity)

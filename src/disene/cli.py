@@ -287,6 +287,9 @@ def _resolve_run(args) -> Run:
     label = "baseline-sgns" if lam_dis == 0.0 and lam_ent == 0.0 else method
     activation = _get(args, "activation",
                       "identity" if label == "baseline-sgns" else "relu")
+    split = _get(args, "split", 0.0)
+    if not 0.0 <= split < 1.0:
+        raise ValueError(f"--split must lie in [0, 1), got {split}")
 
     walk = WalkConfig(
         walk_length=_get(args, "walk_length", 20),
@@ -298,7 +301,6 @@ def _resolve_run(args) -> Run:
         lambda_dis=lam_dis, lambda_ent=lam_ent,
         epochs=_get(args, "epochs", 50),
         learning_rate=_get(args, "learning_rate", 0.01),
-        batch_size=_get(args, "batch_size"),
         seed=seed)
     config = {"method": method,
               "encoder": "gcn" if method == "disene-gcn" else "fc",
@@ -307,11 +309,10 @@ def _resolve_run(args) -> Run:
               "dim_hidden": _get(args, "dim_hidden", 128),
               "lambda_dis": lam_dis, "lambda_ent": lam_ent,
               "epochs": loss.epochs, "learning_rate": loss.learning_rate,
-              "batch_size": loss.batch_size,
               "walk_length": walk.walk_length, "num_walks": walk.num_walks,
               "window": walk.window,
               "negatives_per_positive": walk.negatives_per_positive,
-              "split": _get(args, "split", 0.0),
+              "split": split,
               "split_seed": _get(args, "split_seed", seed), "seed": seed}
     return Run(label, config, loss, walk)
 
@@ -688,7 +689,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda-ent", dest="lambda_ent", type=float)
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sp.add_argument("--batch-size", dest="batch_size", type=int)
     sp.add_argument("--walk-length", dest="walk_length", type=int)
     sp.add_argument("--num-walks", dest="num_walks", type=int)
     sp.add_argument("--window", type=int)

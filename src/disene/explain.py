@@ -37,11 +37,6 @@ class AttributionContext:
         return cls(mu=prods.mean(axis=0), background=background)
 
 
-def attribution(h: np.ndarray, ctx: AttributionContext, d: int, u: int, v: int) -> float:
-    """phi_d(u, v), defined for any node pair, edge or not."""
-    return float(h[u, d]) * float(h[v, d]) - float(ctx.mu[d])
-
-
 @dataclass
 class Explanation:
     """Phi+ = max(0, phi) over the graph's edges, every dimension.
@@ -93,12 +88,6 @@ def node_support(expl: Explanation, g: Graph) -> np.ndarray:
     np.logical_or.at(out, g.edges[:, 0], support)
     np.logical_or.at(out, g.edges[:, 1], support)
     return out
-
-
-def reconstruction_logit(h: np.ndarray, ctx: AttributionContext, u: int, v: int) -> float:
-    """sum_d phi_d(u, v) + sum_d mu_d; equals the raw edge logit exactly."""
-    k = h.shape[1]
-    return float(sum(attribution(h, ctx, d, u, v) for d in range(k)) + ctx.mu.sum())
 
 
 def explanation_to_json(expl: Explanation, g: Graph) -> dict:

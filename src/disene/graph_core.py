@@ -123,14 +123,6 @@ def build_graph(num_nodes: int, edges, node_ids=None) -> Graph:
     return Graph(num_nodes, arr, list(node_ids) if node_ids else None)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as node lists, each sorted, ordered by first node."""
-    count, labels = csgraph.connected_components(g.matrix(), directed=False)
-    order = np.argsort(labels, kind="stable")
-    comps = np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
-    return sorted((c.tolist() for c in comps), key=lambda c: c[0])
-
-
 def largest_component_subgraph(g: Graph) -> Graph:
     """Restrict to the largest connected component, reindexing densely.
 

@@ -122,11 +122,6 @@ def forward(params: EncoderParams, g: Graph, adj: sp.csr_matrix | None = None):
     return z, pre, h
 
 
-def encode(params: EncoderParams, g: Graph, adj: sp.csr_matrix | None = None) -> np.ndarray:
-    """Embedding matrix H, shape (num_nodes, dim), entrywise >= 0."""
-    return forward(params, g, adj)[2]
-
-
 def save_embedding_text(path, h: np.ndarray):
     """Plain-text export: header 'V K', then one row of K values per node."""
     v, k = h.shape

@@ -36,9 +36,11 @@ log sigmoid(+-s) = -(max(-+s, 0) + log1p(e)), clipped to the logs of the
 sigmoid clamp, and sigmoid(s) = 1/(1 + e) for s >= 0, e/(1 + e) below.
 
 The kernels follow M's density, in three regimes:
-- sparse (a mini-batch slice): a row block holding fewer than GATHER_SHARE
-  of its entries in M gathers its dots, one h(u).h(v) per entry, instead
-  of computing the block;
+- sparse (a full corpus on a very large graph: 25,600 ba nodes with one
+  walk per node fill 1.5% of the upper triangle, and 547 of the 640 row
+  blocks gather): a row block holding fewer than GATHER_SHARE of its
+  entries in M gathers its dots, one h(u).h(v) per entry, instead of
+  computing the block;
 - mid-density (a full corpus on a large graph, such as 2560 nodes with one
   walk per node, 13% of the upper triangle): dense row blocks for S, and
   the gradient from the two sparse products M H and M^T H;
@@ -51,13 +53,13 @@ a float32 result, differ.
 
 Gradients are computed analytically (no autodiff) and pass a central
 finite-difference check in 64-bit mode; see the test suite. Optimization is
-bias-corrected Adam, full batch by default.
+bias-corrected Adam, one full-corpus step per epoch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,19 +83,19 @@ class LossConfig:
     lambda_ent: float = 1.0
     epochs: int = 50
     learning_rate: float = 0.01
-    batch_size: int | None = None  # positive pairs per step; None = full corpus
     seed: int = 0
     dtype: str = "float32"         # "float64" for gradient checking
 
     def validate(self):
+        if not all(map(math.isfinite, (self.lambda_dis, self.lambda_ent,
+                                       self.learning_rate))):
+            raise ValueError("loss weights and learning_rate must be finite")
         if self.lambda_dis < 0 or self.lambda_ent < 0:
             raise ValueError("loss weights must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 when given")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
 
@@ -411,11 +413,9 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
           activation: str = "relu") -> TrainResult:
     """Full training run: corpus generation, epochs of Adam, final encode.
 
-    The walk corpus (positives and negatives) is generated once up front.
-    With batch_size unset each epoch is a single full-corpus step over the
-    corpus's count pattern, built once; otherwise positives are shuffled per
-    epoch and sliced, each slice carrying its own negatives and counted into
-    its own pattern, and the epoch's trace entry is the mean step loss.
+    The walk corpus (positives and negatives) is generated once up front and
+    counted into one pattern; each epoch is one Adam step on the whole
+    pattern, and its trace entry is that step's loss.
     """
     cfg.validate()
     walk_cfg.validate()
@@ -428,31 +428,14 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
                          activation=activation, dtype=dtype)
     adj = normalized_adjacency(g, dtype=dtype) if kind == "gcn" else None
     state = AdamState.zeros(params)
-
-    def step(pairs):
-        value, grads = total_loss_and_grads(params, g, pairs, cfg, adj)
-        adam_step(params, grads, state, cfg.learning_rate)
-        return value
+    corpus = _count_pattern(batch.positives, batch.negatives, g.num_nodes)
 
     trace = []
-    corpus = batch
-    if cfg.batch_size is None:
-        corpus = _count_pattern(batch.positives, batch.negatives, g.num_nodes)
-        for _ in range(cfg.epochs):
-            trace.append(step(corpus))
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB472]))
-        k = walk_cfg.negatives_per_positive
-        p = len(batch.positives)
-        for _ in range(cfg.epochs):
-            order = rng.permutation(p)
-            step_losses = []
-            for lo in range(0, p, cfg.batch_size):
-                idx = order[lo:lo + cfg.batch_size]
-                nidx = (idx[:, None] * k + np.arange(k)[None, :]).ravel()
-                step_losses.append(step(_count_pattern(
-                    batch.positives[idx], batch.negatives[nidx], g.num_nodes)))
-            trace.append(float(np.mean(step_losses)))
+    for _ in range(cfg.epochs):
+        value, grads = total_loss_and_grads(params, g, corpus, cfg, adj)
+        adam_step(params, grads, state, cfg.learning_rate)
+        del grads  # freed before the next step allocates its own
+        trace.append(value)
 
     _, _, h = forward(params, g, adj)
     final = loss_breakdown(params, g, corpus, cfg, adj)["total"]

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from disene.cli import main
+from disene.cli import _build_parser, _resolve_run, main
 from disene.model import load_embedding_binary
 from disene.synth import default_spec, generate_synthetic
 
@@ -144,6 +144,44 @@ class TestTrain:
         assert _run("train", "--data", str(ring_data / "edges.txt"),
                     "--kind", "ring", *MICRO_TRAIN,
                     "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda-dis", "nan"), ("--lambda-ent", "inf"),
+        ("--learning-rate", "nan")])
+    def test_non_finite_loss_settings_fail(self, tmp_path, capsys, flag,
+                                           value):
+        assert _status("train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN,
+                       flag, value, "--out", str(tmp_path)) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("split", ["-0.5", "nan", "1.0"])
+    def test_split_outside_the_unit_interval_fails(self, tmp_path, capsys,
+                                                   split):
+        assert _status("train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN,
+                       "--split", split, "--out", str(tmp_path)) == 2
+        assert "--split must lie in [0, 1)" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_batch_size_is_not_a_setting(self, tmp_path):
+        # training is full batch only, so no batch size can be set
+        assert _status("train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN,
+                       "--batch-size", "8", "--out", str(tmp_path)) == 2
+        cfg = _config(tmp_path, batch_size=8)
+        assert _status("train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN,
+                       "--config", cfg, "--out", str(tmp_path)) == 2
+
+    def test_every_own_flag_is_recorded(self):
+        # train's own flags are its options beyond gen's (the shared and
+        # generator flags) and --data; run.json's config records each of
+        # them, the seed, and the encoder, which --method decides
+        parser = _build_parser()
+        train = parser.parse_args(["train"])
+        gen = parser.parse_args(["gen"])
+        own = set(train.config_keys) - set(gen.config_keys) - {"data"}
+        train.run_config = {}
+        recorded = set(_resolve_run(train).config)
+        assert own | {"seed"} == recorded - {"encoder"}
 
 
 class TestConfigFile:

@@ -9,11 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from disene.explain import (AttributionContext, attribution,
-                            build_explanations,
+from disene.explain import (AttributionContext, build_explanations,
                             explanation_to_json, node_support,
-                            reconstruction_logit, save_explanation)
+                            save_explanation)
 from disene.graph_core import build_graph
+
+
+# scalar oracles of Phi's exactness, one pair and one dimension at a time
+
+def attribution(h, ctx, d, u, v) -> float:
+    """phi_d(u, v), defined for any node pair, edge or not."""
+    return float(h[u, d]) * float(h[v, d]) - float(ctx.mu[d])
+
+
+def reconstruction_logit(h, ctx, u, v) -> float:
+    """sum_d phi_d(u, v) + sum_d mu_d; equals the raw edge logit exactly."""
+    k = h.shape[1]
+    return float(sum(attribution(h, ctx, d, u, v) for d in range(k))
+                 + ctx.mu.sum())
 
 
 def _random_case(seed, n=9, k=3):
