@@ -9,8 +9,7 @@ classification with attribution-based plausibility.
 
 from .graph_core import (EdgeSplit, Graph, GroundTruth, build_graph,
                          communities_from_labels, load_edge_list,
-                         load_ground_truth, load_labels, split_edges,
-                         train_subgraph)
+                         load_ground_truth, split_edges, train_subgraph)
 from .synth import KINDS, SynthSpec, default_spec, generate_synthetic
 from .sampling import PairBatch, WalkConfig, build_pair_batch, generate_walks, pairs_from_walks, sample_negatives
 from .model import (EncoderParams, init_params,

@@ -131,11 +131,12 @@ def _outdir(args, default="."):
     return out
 
 
-def _permutations(args) -> int:
-    count = _get(args, "permutations", 100)
-    if count < 1:
-        raise ValueError(f"--permutations must be at least 1, got {count}")
-    return count
+def _check_counts(args):
+    """Raise unless every count setting given (flag or config) is >= 1."""
+    for key in ("threads", "workers", "permutations"):
+        count = _get(args, key)
+        if count is not None and count < 1:
+            raise ValueError(f"--{key} must be at least 1, got {count}")
 
 
 def _write_json(path, payload):
@@ -380,7 +381,7 @@ def cmd_evaluate(args) -> int:
                          "--checkpoint, not both")
     ckpts = args.checkpoints or [_get(args, "checkpoint")]
     want_dim = _get(args, "dim")
-    permutations = _permutations(args)
+    permutations = _get(args, "permutations", 100)
     toggles = {name: not _get(args, f"no_{name}", False)
                for name in ("comprehensibility", "sparsity", "ovc", "poc")}
 
@@ -592,7 +593,7 @@ def cmd_bench(args) -> int:
     if not set(tasks) <= {"link", "node"}:
         raise ValueError("tasks must be link and/or node")
     workers = _get(args, "workers", 1)
-    permutations = _permutations(args)
+    permutations = _get(args, "permutations", 100)
 
     out = _outdir(args, default="bench")
     results_path = os.path.join(out, "results.csv")
@@ -769,9 +770,10 @@ def main(argv=None) -> int:
     try:
         args.run_config = (_load_config(args.config, args.config_keys)
                            if args.config else {})
+        _check_counts(args)
         _maybe_reexec(args, argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,9 @@ range 0..num_nodes-1, no self loops, no duplicate edges, no weights. A node
 pair u < v is identified by the int64 code u * V + v; graph construction,
 edge lookups and non-edge sampling work on these codes. Ground truth is a
 pair of indicator arrays, one aligned with the graph's edges and one with
-its nodes.
+its nodes. A ground-truth file stores only each community's node names, as
+the edge list names them; a community's edges are derived on loading as the
+graph's edges with both endpoints in it.
 """
 
 from __future__ import annotations
@@ -180,45 +182,17 @@ def load_edge_list(path, largest_component: bool = True) -> Graph:
     return g
 
 
-def load_labels(path, g: Graph) -> np.ndarray:
-    """Read 'node_token label_int' lines into an array aligned with g.
-
-    Tokens that did not survive graph loading (e.g. dropped with a smaller
-    component) are ignored. Every node of g must receive a label.
-    """
-    if g.node_ids is None:
-        lookup = {str(i): i for i in range(g.num_nodes)}
-    else:
-        lookup = {tok: i for i, tok in enumerate(g.node_ids)}
-    labels = np.full(g.num_nodes, np.iinfo(np.int64).min, dtype=np.int64)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if len(toks) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'node label', got {len(toks)} tokens")
-            if toks[0] in lookup:
-                labels[lookup[toks[0]]] = int(toks[1])
-    missing = int((labels == np.iinfo(np.int64).min).sum())
-    if missing:
-        raise ValueError(f"{path}: {missing} graph nodes have no label")
-    return labels
-
-
 @dataclass(eq=False)
 class GroundTruth:
     """Ground-truth communities of one graph, as indicators aligned with it.
 
     `edge_truth` is the (E, C) bool indicator over the rows of graph.edges,
     `node_truth` the (V, C) one over the node index; column c is community
-    c. `labels` optionally holds one label per node.
+    c.
     """
     graph: Graph
     edge_truth: np.ndarray
     node_truth: np.ndarray
-    labels: np.ndarray | None = None
 
     @property
     def num_communities(self) -> int:
@@ -273,45 +247,57 @@ def communities_from_labels(g: Graph, labels: np.ndarray,
     node_truth = np.zeros((g.num_nodes, c), dtype=bool)
     node_truth[g.edges[rows, 0], col] = True
     node_truth[g.edges[rows, 1], col] = True
-    return GroundTruth(g, edge_truth, node_truth, labels)
+    return GroundTruth(g, edge_truth, node_truth)
 
 
 def ground_truth_to_json(gt: GroundTruth) -> dict:
-    """Serialize communities as sorted node lists and edge-index lists
-    (indices into the graph's edges)."""
-    payload = {"communities": [
-        {"nodes": np.flatnonzero(gt.node_truth[:, c]).tolist(),
-         "edge_indices": np.flatnonzero(gt.edge_truth[:, c]).tolist()}
-        for c in range(gt.num_communities)]}
-    if gt.labels is not None:
-        payload["labels"] = [int(x) for x in gt.labels]
-    return payload
+    """Serialize each community as the names of its nodes, in index order.
+
+    A node is named as the graph's edge list names it: by its `node_ids`
+    token, or by its integer index when the graph has none.
+    """
+    ids = gt.graph.node_ids
+    members = (np.flatnonzero(gt.node_truth[:, c]).tolist()
+               for c in range(gt.num_communities))
+    return {"communities": [{"nodes": [ids[v] for v in m] if ids else m}
+                            for m in members]}
 
 
 def ground_truth_from_json(g: Graph, payload: dict) -> GroundTruth:
-    """Inverse of ground_truth_to_json over g; raises on an edge index
-    outside [0, E) or a node outside [0, V)."""
+    """Communities of g from their node names; inverse of ground_truth_to_json.
+
+    Each name is looked up, as a string, among g's `node_ids` (or the node
+    indices when g has none), so the file does not depend on how a loader
+    numbers the nodes. A community's edges are the edges of g with both
+    endpoints in it. Raises on a name g lacks, such as a node cut with a
+    smaller component, and on any key but "communities" and "generator" at
+    the top or "nodes" in a community, which also refuses files of the
+    older format that carried edge indices and labels.
+    """
+    if not isinstance(payload, dict) or not isinstance(
+            payload.get("communities"), list):
+        raise ValueError("ground truth must be a JSON object holding a "
+                         "'communities' list")
+    extra = sorted(set(payload) - {"communities", "generator"})
+    if extra:
+        raise ValueError(f"ground truth has unknown keys {extra}; it holds "
+                         f"only 'communities' (node lists) and 'generator'")
+    names = g.node_ids or [str(v) for v in range(g.num_nodes)]
+    index = {name: v for v, name in enumerate(names)}
     comms = payload["communities"]
-    edge_truth = np.zeros((g.num_edges, len(comms)), dtype=bool)
     node_truth = np.zeros((g.num_nodes, len(comms)), dtype=bool)
     for c, comm in enumerate(comms):
-        edge_truth[_indices(comm["edge_indices"], g.num_edges, "edge index"), c] = True
-        node_truth[_indices(comm["nodes"], g.num_nodes, "node"), c] = True
-    labels = None
-    if "labels" in payload:
-        labels = np.array(payload["labels"], dtype=np.int64)
-        if len(labels) != g.num_nodes:
-            raise ValueError("ground-truth labels length does not match graph")
-    return GroundTruth(g, edge_truth, node_truth, labels)
-
-
-def _indices(values, bound: int, what: str) -> np.ndarray:
-    idx = np.asarray(values, dtype=np.int64).reshape(-1)
-    bad = (idx < 0) | (idx >= bound)
-    if bad.any():
-        raise ValueError(f"ground truth names {what} {idx[np.argmax(bad)]}, "
-                         f"outside [0, {bound})")
-    return idx
+        if not (isinstance(comm, dict) and set(comm) == {"nodes"}
+                and isinstance(comm["nodes"], list)):
+            raise ValueError(f"ground-truth community {c} must be an object "
+                             f"with one key, 'nodes', holding a list")
+        for name in comm["nodes"]:
+            if str(name) not in index:
+                raise ValueError(f"ground truth names node {name!r}, "
+                                 f"outside the graph")
+            node_truth[index[str(name)], c] = True
+    edge_truth = node_truth[g.edges[:, 0]] & node_truth[g.edges[:, 1]]
+    return GroundTruth(g, edge_truth, node_truth)
 
 
 def load_ground_truth(path, g: Graph) -> GroundTruth:

@@ -84,7 +84,6 @@ class LossConfig:
     epochs: int = 50
     learning_rate: float = 0.01
     seed: int = 0
-    dtype: str = "float32"         # "float64" for gradient checking
 
     def validate(self):
         if not all(map(math.isfinite, (self.lambda_dis, self.lambda_ent,
@@ -96,11 +95,6 @@ class LossConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be float32 or float64")
-
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
 
 
 @dataclass
@@ -368,7 +362,7 @@ def total_loss_and_grads(params: EncoderParams, g: Graph, batch, cfg: LossConfig
         dh = dh + cfg.lambda_ent * dh_ent
 
     if not math.isfinite(value):
-        raise RuntimeError(f"loss diverged (value={value})")
+        raise FloatingPointError(f"loss diverged (value={value})")
 
     dpre = dh * activation_grad(params.activation, pre)
     dW = z.T @ dpre
@@ -415,18 +409,18 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
 
     The walk corpus (positives and negatives) is generated once up front and
     counted into one pattern; each epoch is one Adam step on the whole
-    pattern, and its trace entry is that step's loss.
+    pattern, and its trace entry is that step's loss. Parameters are
+    float32.
     """
     cfg.validate()
     walk_cfg.validate()
     if activation == "identity" and (cfg.lambda_dis > 0 or cfg.lambda_ent > 0):
         raise ValueError("regularizers assume non-negative H; "
                          "identity activation requires lambda_dis = lambda_ent = 0")
-    dtype = cfg.np_dtype()
     batch = build_pair_batch(g, walk_cfg)
     params = init_params(g, kind, dim_hidden, dim, seed=cfg.seed,
-                         activation=activation, dtype=dtype)
-    adj = normalized_adjacency(g, dtype=dtype) if kind == "gcn" else None
+                         activation=activation)
+    adj = normalized_adjacency(g) if kind == "gcn" else None
     state = AdamState.zeros(params)
     corpus = _count_pattern(batch.positives, batch.negatives, g.num_nodes)
 

@@ -61,7 +61,7 @@ def test_criterion_1_gradient_fidelity():
     """Analytic gradients vs central differences, 5 instances, both encoders."""
     t0 = perf_counter()
     rng = np.random.default_rng(101)
-    cfg = LossConfig(lambda_dis=1.0, lambda_ent=1.0, dtype="float64")
+    cfg = LossConfig(lambda_dis=1.0, lambda_ent=1.0)
     worst = 0.0
     for inst in range(5):
         n = 20

@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 
 from disene.cli import _build_parser, _resolve_run, main
+from disene.graph_core import load_edge_list, load_ground_truth
 from disene.model import load_embedding_binary
 from disene.synth import default_spec, generate_synthetic
 
 MICRO_GEN = ["--num-cliques", "4", "--clique-size", "4", "--noise-edges", "0"]
 MICRO_TRAIN = ["--dim", "4", "--dim-hidden", "8", "--epochs", "3",
                "--walk-length", "6", "--num-walks", "2", "--window", "2"]
+MICRO_BENCH = ["bench", "--datasets", "ring", "--methods", "disene-fc",
+               "--dims", "2", "--seeds", "0", "--tasks", "link",
+               "--permutations", "5"]
 
 
 def _run(*argv) -> int:
@@ -98,6 +102,25 @@ class TestGen:
     def test_unknown_kind_fails(self, tmp_path):
         assert _run("gen", "--kind", "smallworld", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("kind", ["ring", "sbm", "ba", "er"])
+    def test_ground_truth_reads_back_over_the_edge_list(self, kind, tmp_path):
+        # the edge list loader numbers nodes by first appearance, so the
+        # communities must come back through the tokens, not the indices
+        assert _run("gen", "--kind", kind, "--seed", "1",
+                    "--out", str(tmp_path)) == 0
+        g = load_edge_list(tmp_path / "edges.txt")
+        gts = load_ground_truth(tmp_path / "ground_truth.json", g)
+        want_g, want = generate_synthetic(default_spec(kind + "_cliques",
+                                                       seed=1))
+        assert gts.num_communities == want.num_communities
+        ids = np.array([int(t) for t in g.node_ids])
+        for c in range(want.num_communities):
+            nodes = np.sort(ids[gts.node_truth[:, c]])
+            np.testing.assert_array_equal(
+                nodes, np.flatnonzero(want.node_truth[:, c]))
+            edges = sorted(map(sorted, ids[g.edges[gts.edge_truth[:, c]]].tolist()))
+            assert edges == want_g.edges[want.edge_truth[:, c]].tolist()
+
 
 class TestTrain:
     def test_checkpoint_artifacts(self, ring_ckpt):
@@ -161,6 +184,14 @@ class TestTrain:
         assert _status("train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN,
                        "--split", split, "--out", str(tmp_path)) == 2
         assert "--split must lie in [0, 1)" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag, value", [("--learning-rate", "1e6"),
+                                             ("--lambda-dis", "1e300")])
+    def test_diverging_run_fails(self, tmp_path, capsys, flag, value):
+        assert _status("train", "--kind", "ring", "--epochs", "5", flag,
+                       value, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error:")
         assert os.listdir(tmp_path) == []
 
     def test_batch_size_is_not_a_setting(self, tmp_path):
@@ -256,6 +287,28 @@ class TestConfigFile:
         env = ei.value.args[0]
         assert env["OPENBLAS_NUM_THREADS"] == "1"
         assert env["DISENE_THREADS"] == "1"
+
+    @pytest.mark.parametrize("argv, cfg, key", [
+        (["gen", "--kind", "ring", *MICRO_GEN, "--threads", "0"], {},
+         "threads"),
+        (["gen", "--kind", "ring", *MICRO_GEN, "--threads", "-2"], {},
+         "threads"),
+        (["gen", "--kind", "ring", *MICRO_GEN], {"threads": 0}, "threads"),
+        ([*MICRO_BENCH, "--workers", "0", "--threads", "1"], {}, "workers"),
+        ([*MICRO_BENCH, "--threads", "1"], {"workers": -1}, "workers"),
+    ])
+    def test_counts_below_one_fail_before_any_reexec(self, tmp_path, capsys,
+                                                     monkeypatch, argv, cfg,
+                                                     key):
+        calls = []
+        monkeypatch.delenv("DISENE_THREADS", raising=False)
+        monkeypatch.setattr(os, "execvpe", lambda *a: calls.append(a))
+        if cfg:
+            argv = [*argv, "--config", _config(tmp_path, **cfg)]
+        assert _status(*argv, "--out", str(tmp_path / "out")) == 2
+        assert f"--{key} must be at least 1" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -409,23 +462,32 @@ class TestEvaluate:
         assert {r["metric"] for r in rows} >= {"num_dims", "sparsity_score"}
         assert all(r["n"] == "1" for r in rows)
 
+    # edge indices and labels belong to the older format, which is refused
+    # whatever they hold; a node name must be one of the edge list's tokens
     @pytest.mark.parametrize("key,bad", [("edge_indices", [-1, -2, -3]),
                                          ("edge_indices", [1000000]),
-                                         ("nodes", [1000000])])
+                                         ("nodes", [1000000]),
+                                         ("labels", [0]),
+                                         ("nodes", ["n0"])])
     def test_ground_truth_index_outside_the_graph_fails(self, ba_setup,
                                                         tmp_path, key, bad,
                                                         capsys):
         data, ckpt = ba_setup
         gt = json.loads((data / "ground_truth.json").read_text())
-        gt["communities"][0][key] = bad
+        (gt if key == "labels" else gt["communities"][0])[key] = bad
         path = tmp_path / "gt.json"
         path.write_text(json.dumps(gt))
-        assert _status("evaluate", "--checkpoint", str(ckpt),
-                       "--data", str(data / "edges.txt"),
-                       "--ground-truth", str(path), "--permutations", "2",
-                       "--out", str(tmp_path)) == 2
-        assert "ground truth names" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+        graph = ["--data", str(data / "edges.txt"), "--ground-truth",
+                 str(path), "--out", str(tmp_path)]
+        assert _status("evaluate", "--checkpoint", str(ckpt), *graph,
+                       "--permutations", "2") == 2
+        assert _status("downstream", "--checkpoint", str(ckpt), *graph,
+                       "--task", "node") == 2
+        err = capsys.readouterr().err
+        assert err.count("error: ground") == 2
+        assert {"nodes": "names node", "labels": "unknown keys"}.get(
+            key, "one key, 'nodes'") in err
+        assert os.listdir(tmp_path) == ["gt.json"]
 
     def test_multi_checkpoint_aggregation(self, ring_data, tmp_path):
         ckpts = []

@@ -14,8 +14,7 @@ from disene.graph_core import (build_graph, communities_from_labels,
                                bfs_distances,
                                ground_truth_from_json, ground_truth_to_json,
                                largest_component_subgraph, load_edge_list,
-                               load_labels, sample_non_edges, split_edges,
-                               train_subgraph)
+                               sample_non_edges, split_edges, train_subgraph)
 
 
 @st.composite
@@ -107,21 +106,11 @@ class TestLoaders:
         assert load_edge_list(p).num_nodes == 3
         assert load_edge_list(p, largest_component=False).num_nodes == 5
 
-    def test_labels_roundtrip(self, tmp_path):
-        e = tmp_path / "edges.txt"
-        e.write_text("0 1\n1 2\n0 2\n")
-        g = load_edge_list(e)
-        l = tmp_path / "labels.txt"
-        l.write_text("0 0\n1 0\n2 1\n")
-        labels = load_labels(l, g)
-        assert labels.tolist() == [0, 0, 1]
-
     def test_ground_truth_json_roundtrip(self, two_cliques):
         g, gts = two_cliques
         back = ground_truth_from_json(g, ground_truth_to_json(gts))
         np.testing.assert_array_equal(back.edge_truth, gts.edge_truth)
         np.testing.assert_array_equal(back.node_truth, gts.node_truth)
-        np.testing.assert_array_equal(back.labels, gts.labels)
 
     @pytest.mark.parametrize("key,bad", [
         ("edge_indices", [-1, -2, -3]), ("edge_indices", [21]),
@@ -132,7 +121,10 @@ class TestLoaders:
         g, gts = two_cliques            # 10 nodes, 21 edges
         payload = ground_truth_to_json(gts)
         payload["communities"][0][key] = bad
-        with pytest.raises(ValueError, match="outside"):
+        # edge indices belong to the older format, which is refused whatever
+        # they hold
+        match = "outside" if key == "nodes" else "one key, 'nodes'"
+        with pytest.raises(ValueError, match=match):
             ground_truth_from_json(g, payload)
 
 
@@ -152,6 +144,21 @@ class TestLoaders:
         ids = np.array([int(t[1:]) for t in got.node_ids])
         back = sorted((min(u, v), max(u, v)) for u, v in ids[got.edges].tolist())
         assert back == [tuple(e) for e in g.edges.tolist()]
+        # communities named by the file's tokens, edges induced by the nodes
+        comms = data.draw(st.lists(st.sets(st.sampled_from(got.node_ids)),
+                                   max_size=4))
+        gts = ground_truth_from_json(
+            got, {"communities": [{"nodes": sorted(c)} for c in comms]})
+        member = np.array([[t in c for c in comms] for t in got.node_ids],
+                          dtype=bool).reshape(got.num_nodes, len(comms))
+        np.testing.assert_array_equal(gts.node_truth, member)
+        np.testing.assert_array_equal(
+            gts.edge_truth, member[got.edges[:, 0]] & member[got.edges[:, 1]])
+        payload = ground_truth_to_json(gts)
+        assert [set(c["nodes"]) for c in payload["communities"]] == comms
+        again = ground_truth_from_json(got, payload)
+        np.testing.assert_array_equal(again.node_truth, gts.node_truth)
+        np.testing.assert_array_equal(again.edge_truth, gts.edge_truth)
 
 
 class TestCommunities:
@@ -175,8 +182,7 @@ class TestCommunities:
 
     def test_overlapping_communities_report_the_first(self, two_cliques):
         g, _ = two_cliques
-        payload = {"communities": [{"nodes": [0, 1], "edge_indices": [0]},
-                                   {"nodes": [1, 2], "edge_indices": [0, 4]}]}
+        payload = {"communities": [{"nodes": [0, 1]}, {"nodes": [1, 2]}]}
         gts = ground_truth_from_json(g, payload)
         assert g.edges[[0, 4]].tolist() == [[0, 1], [1, 2]]
         assert gts.community_of_edge(1, 0) == 0

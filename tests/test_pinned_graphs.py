@@ -1,11 +1,13 @@
 """Pinned digests of generated graphs, edge splits, walk corpora and `gen`
 output.
 
-The graph, split and ground-truth digests were recorded from the tuple-set
+The graph and split digests were recorded from the tuple-set
 implementation of the graph layer and the generators, the corpus digests
-from the step-by-step walk loop. A change to a generator, to the non-edge
-sampler or to the walks that alters any graph, split, ground truth or corpus
-fails here, so it has to say so and record new digests.
+from the step-by-step walk loop, and the ground-truth digests from files
+holding only node lists, which equal those of the older files that also
+held edge indices and labels. A change to a generator, to the non-edge
+sampler or to the walks that alters any graph, split, ground truth or
+corpus fails here, so it has to say so and record new digests.
 """
 
 import contextlib
@@ -64,10 +66,10 @@ CORPORA = {
 
 # kind -> sha256 of ground_truth.json from `disene gen --kind KIND --seed 1`
 GEN_GROUND_TRUTH = {
-    "ring": "3e2237874e277d4453c992b4cb9878c26bbe7c5d01f13ccf89030190235c1a90",
-    "sbm": "e9c36f05cf49b1b598def832572d96f9f19ed9c4312b3d0f0460a35726c00ea6",
-    "ba": "eeb3587f68473f622464b3ddcdc5e7725e0bbb25c88f80dc9af00cc715d0245b",
-    "er": "8df2cc29507ed6d59b5a36e1b2e79113d3b2a20f12ec594c9df545a8db786537",
+    "ring": "b1f66a2f9ac31ff51c1dfa0fa8fbcd8f91a8b46906fffefbee2aab1eed2d76c4",
+    "sbm": "30431160195d8c2b48404333c09ad4a343d1cf8bb4db0e404d3d64c8c078721e",
+    "ba": "13998dc053e7e787c7685f1427a312dabb59a98460f78c1982035699e2071309",
+    "er": "f2f8f5e078c915295c8e4e688a29db06743562e4c3cd4918cddd1c6114cd0007",
 }
 
 

@@ -332,7 +332,7 @@ class TestGradients:
     @pytest.mark.parametrize("activation", ["relu", "softplus"])
     def test_analytic_matches_finite_differences(self, kind, activation):
         g = build_graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (2, 6)])
-        cfg = LossConfig(lambda_dis=0.7, lambda_ent=0.5, dtype="float64")
+        cfg = LossConfig(lambda_dis=0.7, lambda_ent=0.5)
         batch = build_pair_batch(g, WalkConfig(walk_length=5, num_walks=2,
                                                window=2, seed=1))
         params = init_params(g, kind, dim_hidden=3, dim=3, seed=4,
@@ -344,7 +344,7 @@ class TestGradients:
 
     def test_rw_only_gradient(self):
         g = build_graph(6, [(i, i + 1) for i in range(5)])
-        cfg = LossConfig(lambda_dis=0.0, lambda_ent=0.0, dtype="float64")
+        cfg = LossConfig(lambda_dis=0.0, lambda_ent=0.0)
         batch = build_pair_batch(g, WalkConfig(walk_length=4, num_walks=2,
                                                window=2, seed=0))
         params = init_params(g, "fc", 4, 2, seed=0, dtype=np.float64)
@@ -384,7 +384,7 @@ class TestLossConfig:
         dict(lambda_dis=-0.1), dict(lambda_ent=-1.0), dict(epochs=0),
         dict(learning_rate=0.0), dict(lambda_dis=math.nan),
         dict(lambda_ent=math.inf), dict(learning_rate=math.nan),
-        dict(learning_rate=math.inf), dict(dtype="float16"),
+        dict(learning_rate=math.inf),
     ])
     def test_validate_rejects(self, bad):
         with pytest.raises(ValueError):
