@@ -16,8 +16,7 @@ from .model import (EncoderParams, init_params,
                     load_embedding_binary, normalized_adjacency,
                     save_embedding_binary, save_embedding_text)
 from .training import (AdamState, GradBuffer, LossConfig, TrainResult,
-                       adam_step, entropy_reg, loss_dis, loss_rw,
-                       total_loss_and_grads, train)
+                       adam_step, loss_breakdown, total_loss_and_grads, train)
 from .explain import (AttributionContext, Explanation, build_explanations,
                       node_support)
 from .metrics import (MetricsReport, auc_pr, comprehensibility, compute_report,

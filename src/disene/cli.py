@@ -7,8 +7,9 @@ reports (with multi-checkpoint mean/std aggregation), `downstream` runs the
 link or node task with per-instance plausibility, and `bench` drives the
 whole synthetic grid into CSV tables.
 
-Every subcommand accepts --seed, --out, --config, --threads and
---deterministic; the generator flags (--num-cliques, ...) go with --kind.
+Every subcommand accepts --out, --config, --threads and --deterministic.
+Every subcommand but `bench`, which takes --seeds, accepts --seed and the
+generator flags (--num-cliques, ...) that go with --kind.
 A config file is a flat JSON object whose keys are the long flags of the
 subcommand being run (dashes become underscores), typed like the flag; any
 other key exits 2. Flags win over config values, config values over
@@ -645,7 +646,6 @@ def cmd_bench(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int)
     shared.add_argument("--out", help="output directory")
     shared.add_argument("--config", help="JSON config file; flags win")
     shared.add_argument("--threads", type=int,
@@ -654,6 +654,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="single-threaded numerics for bit-stable output")
 
     gen_params = argparse.ArgumentParser(add_help=False)
+    gen_params.add_argument("--seed", type=int)
     gen_params.add_argument("--kind", help="synthetic dataset: ring|sbm|ba|er "
                                            "(or full names)")
     gen_params.add_argument("--num-cliques", dest="num_cliques", type=int)
@@ -739,8 +740,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--permutations", type=int)
     sp.set_defaults(func=cmd_bench)
 
-    # a config file may set exactly the options of the subcommand it is for
+    # a config file may set exactly the options of the subcommand it is for,
+    # and a flag is taken only whole: `bench --seed` is not `--seeds`
     for sp in sub.choices.values():
+        sp.allow_abbrev = False
         sp.set_defaults(config_keys=_config_keys(sp))
     return p
 

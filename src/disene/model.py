@@ -34,21 +34,6 @@ class EncoderParams:
     W: np.ndarray   # (D, K)
     activation: str = "relu"
 
-    @property
-    def num_nodes(self):
-        return self.W1.shape[0]
-
-    @property
-    def dim_hidden(self):
-        return self.W1.shape[1]
-
-    @property
-    def dim(self):
-        return self.W.shape[1]
-
-    def copy(self):
-        return EncoderParams(self.kind, self.W1.copy(), self.W.copy(), self.activation)
-
 
 def _glorot(rng, shape, dtype):
     s = np.sqrt(6.0 / (shape[0] + shape[1]))

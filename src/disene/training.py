@@ -51,7 +51,10 @@ The kernels follow M's density, in three regimes:
 All three compute the same sums; only their order, and so the last bits of
 a float32 result, differ.
 
-Gradients are computed analytically (no autodiff) and pass a central
+Each term has one function returning its value and dL/dH, and
+`_objective` adds them up for both the training step and `loss_breakdown`,
+so the loss trace and the final loss come from the same code. Gradients
+are computed analytically (no autodiff) and pass a central
 finite-difference check in 64-bit mode; see the test suite. Optimization is
 bias-corrected Adam, one full-corpus step per epoch.
 """
@@ -217,8 +220,8 @@ def _pattern_dots(h, cp: _CountPattern) -> np.ndarray:
     return s
 
 
-def _rw_value_sigma(h, cp: _CountPattern):
-    """L_rw and sigma(S) on the pattern."""
+def _rw_value_grad(h, cp: _CountPattern):
+    """L_rw and dL_rw/dH on the pattern."""
     s = _pattern_dots(h, cp)
     # with e = exp(-|s|): log sigmoid(+-s) = -(max(-+s, 0) + log1p(e)); the
     # clip is the sigmoid clamp [c, 1-c] taken through the log
@@ -228,16 +231,7 @@ def _rw_value_sigma(h, cp: _CountPattern):
     log_sig = np.clip(-(np.maximum(-s, 0.0) + log1p_e), lo, hi)
     log_sig_neg = np.clip(-(np.maximum(s, 0.0) + log1p_e), lo, hi)
     value = -(float(cp.pos @ log_sig) + float(cp.neg @ log_sig_neg))
-    return value, np.where(s >= 0.0, 1.0, e) / (1.0 + e)
-
-
-def loss_rw(h: np.ndarray, batch: PairBatch) -> float:
-    """Skip-gram negative-sampling loss, summed over the batch."""
-    return _rw_value_sigma(h, _as_pattern(batch, h.shape[0]))[0]
-
-
-def _rw_value_grad(h, cp: _CountPattern):
-    value, sig = _rw_value_sigma(h, cp)
+    sig = np.where(s >= 0.0, 1.0, e) / (1.0 + e)
     # d/dh(u) of a pair term is C(u, v) h(v), and C(u, v) h(u) for h(v);
     # with C stored once, in M's upper triangle, M h and M^T h give the two
     c = cp.pos * (sig - 1.0) + cp.neg * sig
@@ -252,28 +246,15 @@ def _rw_value_grad(h, cp: _CountPattern):
     return value, cp.dense @ h + cp.dense.T @ h
 
 
-def _cosine_parts(h):
+def _dis_value_grad(h):
+    """L_dis, the sum of cosines between scaled affiliation columns over the
+    ordered pairs d != l, and dL_dis/dH."""
     s = h.sum(axis=0)
     f = h * s[None, :]
     g = f.T @ f
-    nsq = np.maximum(np.diag(g), 0.0)
-    n = np.sqrt(nsq)
+    n = np.sqrt(np.maximum(np.diag(g), 0.0))
     d = np.outer(n, n) + COSINE_EPS
     c = g / d
-    return s, f, g, n, d, c
-
-
-def loss_dis(h: np.ndarray) -> float:
-    """Sum of off-diagonal cosines between scaled affiliation columns."""
-    if h.shape[1] < 2:
-        raise ValueError("disentanglement loss needs at least 2 dimensions")
-    _, _, _, _, _, c = _cosine_parts(h)
-    return float(c.sum() - np.trace(c))
-
-
-def _dis_value_grad(h):
-    s, f, g, n, d, c = _cosine_parts(h)
-    k = h.shape[1]
     value = float(c.sum() - np.trace(c))
     alive = n > 0.0
     n_safe = np.where(alive, n, 1.0)
@@ -290,25 +271,10 @@ def _dis_value_grad(h):
     return value, dh.astype(h.dtype, copy=False)
 
 
-def entropy_reg(h: np.ndarray) -> float:
-    """1 - H(p)/ln K for the column-mass distribution p; in [0, 1].
-
-    All-zero H carries no mass to distribute, which counts as maximally
-    concentrated: penalty 1.
-    """
-    k = h.shape[1]
-    if k < 2:
-        return 0.0
-    s = h.sum(axis=0, dtype=np.float64)
-    t = s.sum()
-    if t <= MASS_EPS:
-        return 1.0
-    p = s / t
-    ent = -float(np.sum(p * np.log(np.maximum(p, MASS_EPS))))
-    return 1.0 - ent / math.log(k)
-
-
 def _ent_value_grad(h):
+    """1 - H(p)/ln K for the column-mass distribution p, in [0, 1], and its
+    gradient. All-zero H carries no mass to distribute, which counts as
+    maximally concentrated: penalty 1. One dimension has penalty 0."""
     k = h.shape[1]
     if k < 2:
         return 0.0, np.zeros_like(h)
@@ -325,17 +291,37 @@ def _ent_value_grad(h):
     return value, dh
 
 
-def loss_breakdown(params, g, batch, cfg: LossConfig, adj=None) -> dict:
-    """Loss terms at the current parameters, for reporting and tests.
+def _objective(h, cp: _CountPattern, cfg: LossConfig):
+    """The loss terms at H, keyed rw, dis, ent and total, and dL/dH.
 
-    `batch` is a PairBatch or the count pattern `train` built from one.
+    A regularizer counts when its weight is positive; a term that does not
+    count reads 0.0. The total adds the weighted terms in the order rw, dis,
+    ent.
+    """
+    rw, dh = _rw_value_grad(h, cp)
+    terms = {"rw": rw, "dis": 0.0, "ent": 0.0}
+    total = rw
+    # L_dis compares pairs of dimensions, so one dimension leaves it out
+    regularizers = (
+        ("dis", cfg.lambda_dis if h.shape[1] >= 2 else 0.0, _dis_value_grad),
+        ("ent", cfg.lambda_ent, _ent_value_grad))
+    for name, weight, value_grad in regularizers:
+        if weight > 0:
+            terms[name], dh_term = value_grad(h)
+            total += weight * terms[name]
+            dh = dh + weight * dh_term
+    terms["total"] = total
+    return terms, dh
+
+
+def loss_breakdown(params, g, batch, cfg: LossConfig, adj=None) -> dict:
+    """Loss terms at the current parameters, keyed rw, dis, ent and total.
+
+    `batch` is a PairBatch or the count pattern `train` built from one. The
+    total is the one `total_loss_and_grads` returns at these parameters.
     """
     _, _, h = forward(params, g, adj)
-    out = {"rw": _rw_value_sigma(h, _as_pattern(batch, g.num_nodes))[0]}
-    out["dis"] = loss_dis(h) if (cfg.lambda_dis > 0 and h.shape[1] >= 2) else 0.0
-    out["ent"] = entropy_reg(h) if cfg.lambda_ent > 0 else 0.0
-    out["total"] = out["rw"] + cfg.lambda_dis * out["dis"] + cfg.lambda_ent * out["ent"]
-    return out
+    return _objective(h, _as_pattern(batch, g.num_nodes), cfg)[0]
 
 
 def total_loss_and_grads(params: EncoderParams, g: Graph, batch, cfg: LossConfig,
@@ -351,16 +337,8 @@ def total_loss_and_grads(params: EncoderParams, g: Graph, batch, cfg: LossConfig
         adj = normalized_adjacency(g, dtype=params.W1.dtype)
     z, pre, h = forward(params, g, adj)
 
-    value, dh = _rw_value_grad(h, cp)
-    if cfg.lambda_dis > 0 and h.shape[1] >= 2:
-        v_dis, dh_dis = _dis_value_grad(h)
-        value += cfg.lambda_dis * v_dis
-        dh = dh + cfg.lambda_dis * dh_dis
-    if cfg.lambda_ent > 0:
-        v_ent, dh_ent = _ent_value_grad(h)
-        value += cfg.lambda_ent * v_ent
-        dh = dh + cfg.lambda_ent * dh_ent
-
+    terms, dh = _objective(h, cp, cfg)
+    value = terms["total"]
     if not math.isfinite(value):
         raise FloatingPointError(f"loss diverged (value={value})")
 
@@ -378,12 +356,8 @@ def adam_step(params: EncoderParams, grads: GradBuffer, state: AdamState,
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.step += 1
     t = state.step
-    for wname, gname, mname, vname in (("W1", "dW1", "m_W1", "v_W1"),
-                                       ("W", "dW", "m_W", "v_W")):
-        w = getattr(params, wname)
-        gr = getattr(grads, gname)
-        m = getattr(state, mname)
-        v = getattr(state, vname)
+    for w, gr, m, v in ((params.W1, grads.dW1, state.m_W1, state.v_W1),
+                        (params.W, grads.dW, state.m_W, state.v_W)):
         m *= b1
         m += (1 - b1) * gr
         v *= b2
@@ -425,12 +399,20 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
     corpus = _count_pattern(batch.positives, batch.negatives, g.num_nodes)
 
     trace = []
-    for _ in range(cfg.epochs):
-        value, grads = total_loss_and_grads(params, g, corpus, cfg, adj)
-        adam_step(params, grads, state, cfg.learning_rate)
-        del grads  # freed before the next step allocates its own
-        trace.append(value)
-
-    _, _, h = forward(params, g, adj)
-    final = loss_breakdown(params, g, corpus, cfg, adj)["total"]
+    try:
+        # an overflow or a NaN raises where it happens, not at the next check
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(cfg.epochs):
+                value, grads = total_loss_and_grads(params, g, corpus, cfg, adj)
+                adam_step(params, grads, state, cfg.learning_rate)
+                del grads  # freed before the next step allocates its own
+                trace.append(value)
+            _, _, h = forward(params, g, adj)
+            final = loss_breakdown(params, g, corpus, cfg, adj)["total"]
+    except FloatingPointError as exc:
+        epoch = len(trace) + 1
+        where = (f"in epoch {epoch}" if epoch <= cfg.epochs
+                 else f"after epoch {cfg.epochs}")
+        raise FloatingPointError(f"training diverged {where} of {cfg.epochs}: "
+                                 f"{exc}") from exc
     return TrainResult(params=params, embedding=h, loss_trace=trace, final_loss=final)

@@ -187,11 +187,14 @@ class TestTrain:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("flag, value", [("--learning-rate", "1e6"),
-                                             ("--lambda-dis", "1e300")])
+                                             ("--lambda-dis", "1e300"),
+                                             ("--learning-rate", "1e300")])
     def test_diverging_run_fails(self, tmp_path, capsys, flag, value):
         assert _status("train", "--kind", "ring", "--epochs", "5", flag,
                        value, "--out", str(tmp_path)) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged ")
+        assert " of 5: " in err
         assert os.listdir(tmp_path) == []
 
     def test_batch_size_is_not_a_setting(self, tmp_path):
@@ -705,6 +708,15 @@ class TestBench:
         cfg = _config(tmp_path, **{**grid, key: value})
         assert _status("bench", "--config", cfg,
                        "--out", str(tmp_path / "out")) == 2
+
+    def test_seed_is_not_a_setting(self, tmp_path):
+        # bench runs the seeds of --seeds, so a lone seed would go unused
+        assert _status(*MICRO_BENCH, "--seed", "7",
+                       "--out", str(tmp_path)) == 2
+        cfg = _config(tmp_path, seed=7)
+        assert _status(*MICRO_BENCH, "--config", cfg,
+                       "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "results.csv").exists()
 
     def test_unknown_method_fails(self, tmp_path):
         assert main(["bench", "--methods", "deepwalk",

@@ -15,14 +15,28 @@ from disene.model import init_params
 from disene.sampling import PairBatch, WalkConfig, build_pair_batch
 from disene.synth import default_spec, generate_synthetic
 from disene.training import (COSINE_EPS, SIGMA_CLAMP, AdamState, GradBuffer,
-                             LossConfig, adam_step, entropy_reg,
-                             loss_breakdown, loss_dis, loss_rw,
+                             LossConfig, adam_step, loss_breakdown,
                              total_loss_and_grads, train)
-from disene.training import _count_pattern, _rw_value_grad
+from disene.training import (_count_pattern, _dis_value_grad, _ent_value_grad,
+                             _rw_value_grad)
 
 
 def _rand_h(rng, n, k, scale=1.0):
     return np.abs(rng.normal(size=(n, k))) * scale
+
+
+def loss_rw(h, batch):
+    """The trainer's L_rw value on a pair batch."""
+    return _rw_value_grad(h, _count_pattern(batch.positives, batch.negatives,
+                                            h.shape[0]))[0]
+
+
+def loss_dis(h):
+    return _dis_value_grad(h)[0]
+
+
+def entropy_reg(h):
+    return _ent_value_grad(h)[0]
 
 
 def rw_oracle(h, batch):
@@ -272,9 +286,15 @@ class TestLossDis:
         # every off-diagonal cosine is 1: K(K-1) terms
         assert loss_dis(h) == pytest.approx(6.0, rel=1e-6)
 
-    def test_single_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            loss_dis(np.ones((4, 1)))
+    def test_single_dimension_counts_no_regularizer(self):
+        g = build_graph(6, [(i, i + 1) for i in range(5)])
+        cfg = LossConfig(lambda_dis=0.7, lambda_ent=0.5)
+        batch = build_pair_batch(g, WalkConfig(walk_length=4, num_walks=2,
+                                               window=2, seed=0))
+        params = init_params(g, "fc", 4, 1, seed=0, dtype=np.float64)
+        bd = loss_breakdown(params, g, batch, cfg)
+        assert bd["dis"] == bd["ent"] == 0.0
+        assert bd["total"] == bd["rw"] > 0.0
 
 
 class TestEntropyReg:
@@ -352,6 +372,20 @@ class TestGradients:
         fd = _fd_grads(params, g, batch, cfg)
         assert _rel_err(buf.dW1, fd["W1"]) < 1e-6
         assert _rel_err(buf.dW, fd["W"]) < 1e-6
+
+
+class TestObjective:
+    @pytest.mark.parametrize("kind", ["fc", "gcn"])
+    def test_breakdown_total_is_the_step_loss(self, kind):
+        # both come from one objective, so they agree to the last bit
+        g = build_graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (2, 6)])
+        cfg = LossConfig(lambda_dis=0.7, lambda_ent=0.5)
+        batch = build_pair_batch(g, WalkConfig(walk_length=5, num_walks=2,
+                                               window=2, seed=1))
+        params = init_params(g, kind, dim_hidden=6, dim=4, seed=3)
+        bd = loss_breakdown(params, g, batch, cfg)
+        assert bd["dis"] > 0.0 and bd["ent"] > 0.0
+        assert bd["total"] == total_loss_and_grads(params, g, batch, cfg)[0]
 
 
 class TestAdam:
