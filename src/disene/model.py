@@ -110,10 +110,11 @@ def forward(params: EncoderParams, g: Graph, adj: sp.csr_matrix | None = None):
 def save_embedding_text(path, h: np.ndarray):
     """Plain-text export: header 'V K', then one row of K values per node."""
     v, k = h.shape
+    # one %-format over all values writes what f"{x:.9g}" writes per value
+    rows = (" ".join(["%.9g"] * k) + "\n") * v % tuple(h.ravel().tolist())
     with open(path, "w") as fh:
         fh.write(f"{v} {k}\n")
-        for row in h:
-            fh.write(" ".join(f"{x:.9g}" for x in row) + "\n")
+        fh.write(rows)
 
 
 def save_embedding_binary(path, h: np.ndarray):

@@ -151,15 +151,20 @@ def pairs_from_walks(walks, window: int) -> np.ndarray:
     if window < 1:
         raise ValueError("window must be >= 1")
     mat = np.asarray(walks, dtype=np.int64)
-    chunks = [np.empty((0, 2), dtype=np.int64)]
+    spans = []
     for delta in range(1, min(window + 1, mat.shape[-1])):
-        a = mat[:, :-delta].ravel()
-        b = mat[:, delta:].ravel()
+        a, b = mat[:, :-delta], mat[:, delta:]
         ok = (a >= 0) & (b >= 0) & (a != b)
-        a, b = a[ok], b[ok]
-        chunks.append(np.stack([a, b], axis=1))
-        chunks.append(np.stack([b, a], axis=1))
-    return np.concatenate(chunks, axis=0)
+        spans.append((a, b, ok, np.count_nonzero(ok)))
+    # each offset's m pairs, then the same m reversed, written into one array
+    out = np.empty((2 * sum(m for *_, m in spans), 2), dtype=np.int64)
+    at = 0
+    for a, b, ok, m in spans:
+        ahead, back = out[at:at + m], out[at + m:at + 2 * m]
+        ahead[:, 0] = back[:, 1] = a[ok]
+        ahead[:, 1] = back[:, 0] = b[ok]
+        at += 2 * m
+    return out
 
 
 def sample_negatives(g: Graph, positives: np.ndarray, k: int, seed: int) -> np.ndarray:

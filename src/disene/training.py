@@ -25,15 +25,28 @@ summed over the entries where P or N is non-zero. S is symmetric, so the
 counts live on one upper-triangular CSR pattern M, built once per corpus:
 it holds each unordered pair {u, v} once, as (min, max), with P and N summed
 over both orders. Each step evaluates S on M's entries from row blocks of
-the upper half of H H^T, writes C = P * (sigmoid(S) - 1) + N * sigmoid(S)
-into M and takes
+the upper half of H H^T, writes C = (P + N) * sigmoid(S) - P, which is
+P * (sigmoid(S) - 1) + N * sigmoid(S), into M and takes
 
     dL_rw/dH = (M + M^T) H
 
 (a diagonal entry, a negative that hit its own anchor, counts 2C as it
-should). Both log-sigmoids come from one exp: with e = exp(-|s|),
-log sigmoid(+-s) = -(max(-+s, 0) + log1p(e)), clipped to the logs of the
-sigmoid clamp, and sigmoid(s) = 1/(1 + e) for s >= 0, e/(1 + e) below.
+should). Both log-sigmoids come from one exp: with e = exp(-|s|) and
+t = max(s, 0) + log1p(e), log sigmoid(s) = s - t and log sigmoid(-s) = -t,
+each clipped to the logs of the sigmoid clamp, and sigmoid(s) = 1/(1 + e)
+for s >= 0, e/(1 + e) below.
+
+L_rw runs in H's dtype: float32 in training, float64 in the gradient
+checks. S, e, the log-sigmoids and C are arrays of that dtype; only the
+loss value is summed in float64, as the dot products of the float64 counts
+P and N with the two log-sigmoids. (The counts in H's dtype, which C uses,
+are exact in float32 up to 2**24 occurrences of one pair.) The pattern
+keeps everything a step can reuse: its row-block plan, with each block's
+offsets into the block product, is built on first use, and so are the
+per-dtype buffers for S, the elementwise pass, the block products and the
+dense C, so a step allocates little beyond its gradient. When one block is
+all of H H^T (V * V <= BLOCK_ENTRIES, such as er64), S comes from SYRK,
+which computes one triangle of it.
 
 The kernels follow M's density, in three regimes:
 - sparse (a full corpus on a very large graph: 25,600 ba nodes with one
@@ -46,8 +59,10 @@ The kernels follow M's density, in three regimes:
   the gradient from the two sparse products M H and M^T H;
 - near-dense (a full corpus on a small graph, such as er64, 99%): M holds
   at least DENSE_SHARE of the V(V+1)/2 upper-triangle entries, C is
-  written into a dense V x V array D, zero elsewhere, and the gradient is
-  the two GEMMs D H + D^T H.
+  written into a dense V x V array D, zero elsewhere, with its diagonal
+  doubled, and the gradient (D + D^T) H is one SYMM on D's upper triangle
+  (0.35 ms against 0.60 ms for the two GEMMs D H + D^T H at V = 640,
+  K = 64, float32, 2-core Xeon, 1 BLAS thread).
 All three compute the same sums; only their order, and so the last bits of
 a float32 result, differ.
 
@@ -62,10 +77,12 @@ bias-corrected Adam, one full-corpus step per epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import get_blas_funcs
 
 from .graph_core import Graph
 from .model import (EncoderParams, activation_grad, forward, init_params,
@@ -146,24 +163,71 @@ def _aggregate(pairs: np.ndarray, num_nodes: int) -> _Weighted:
 
 
 @dataclass
+class _Buffers:
+    """One count pattern's scratch for the steps in one dtype."""
+    pos: np.ndarray      # the counts P in this dtype
+    both: np.ndarray     # P + N in this dtype
+    work: np.ndarray     # (4, entries): S, exp(-|S|) and two temporaries
+    negative: np.ndarray  # per entry, whether S < 0
+    block: np.ndarray    # the largest planned block product, flattened
+    dense: np.ndarray | None  # near-dense patterns: the (V, V) array D
+
+
+@dataclass
 class _CountPattern:
     """Positive and negative pair counts on one upper-triangular CSR pattern.
 
     S = H H^T is symmetric, so the pattern holds each unordered pair once, as
     the entry (min, max). `pos` and `neg` count how often the corpus holds
     the pair in either order, and `rows` is each entry's row, all aligned
-    with the CSR entries. `matrix.data` is scratch that each gradient
-    overwrites. When the pattern holds at least DENSE_SHARE of the upper
-    triangle, `flat` is each entry's offset rows * V + cols in a flattened
-    (V, V) array, and the gradient writes C into `dense`, that array, zero
-    off the pattern and allocated on first use, instead of `matrix.data`.
+    with the CSR entries. When the pattern holds at least DENSE_SHARE of the
+    upper triangle, `flat` is each entry's offset rows * V + cols in a
+    flattened (V, V) array, and the gradient writes C into a dense array
+    instead of `matrix.data`. `plan` and the per-dtype `buffers` are built
+    on first use and reused by every step.
     """
     matrix: sp.csr_matrix
     rows: np.ndarray
     pos: np.ndarray
     neg: np.ndarray
     flat: np.ndarray | None = None
-    dense: np.ndarray | None = None
+    scratch: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def plan(self) -> list:
+        """Row blocks (r0, r1, lo, hi, offsets) of h h^T's upper half, one
+        per BLOCK_ENTRIES: pattern entries lo:hi lie in rows r0:r1, at
+        `offsets` in the flattened product h[r0:r1] @ h[r0:].T, or gathered
+        (offsets None) where the block holds few of them. Empty blocks are
+        left out."""
+        n = self.matrix.shape[0]
+        indptr, cols = self.matrix.indptr, self.matrix.indices
+        height = max(1, BLOCK_ENTRIES // n)
+        plan = []
+        for r0 in range(0, n, height):
+            r1 = min(r0 + height, n)
+            lo, hi = int(indptr[r0]), int(indptr[r1])
+            if lo == hi:
+                continue
+            offsets = None
+            if hi - lo >= GATHER_SHARE * (r1 - r0) * (n - r0):
+                offsets = (self.rows[lo:hi] - r0) * (n - r0) + cols[lo:hi] - r0
+            plan.append((r0, r1, lo, hi, offsets))
+        return plan
+
+    def buffers(self, dtype) -> _Buffers:
+        """The scratch for steps in `dtype`, allocated on first use."""
+        dtype = np.dtype(dtype)
+        if dtype not in self.scratch:
+            n, m = self.matrix.shape[0], len(self.pos)
+            block = max(((r1 - r0) * (n - r0) for r0, r1, _, _, offsets
+                         in self.plan if offsets is not None), default=0)
+            self.scratch[dtype] = _Buffers(
+                self.pos.astype(dtype), (self.pos + self.neg).astype(dtype),
+                np.empty((4, m), dtype), np.empty(m, dtype=bool),
+                np.zeros(block, dtype),
+                None if self.flat is None else np.zeros((n, n), dtype))
+        return self.scratch[dtype]
 
 
 def _count_pattern(positives: np.ndarray, negatives: np.ndarray,
@@ -196,54 +260,73 @@ BLOCK_ENTRIES = 1 << 20
 # ns and one entry of a block product 1.2-2.1 ns (2-core Xeon, 1 BLAS thread)
 GATHER_SHARE = 1 / 64
 # share of the V(V+1)/2 upper-triangle entries from which a pattern's
-# gradient is two dense GEMMs rather than two CSR products; the two broke
-# even at 22-25% at V = 640-2560 (2-core Xeon, 1 BLAS thread, K = 64)
+# gradient is a dense product rather than two CSR products; two dense GEMMs
+# broke even with them at 22-25% at V = 640-2560 (2-core Xeon, 1 BLAS
+# thread, K = 64), and the one SYMM that replaced them costs less
 DENSE_SHARE = 0.25
 
 
-def _pattern_dots(h, cp: _CountPattern) -> np.ndarray:
-    """S = h h^T at the pattern's entries, from row blocks of h h^T's upper
-    half, h[r0:r1] @ h[r0:].T, or gathered where a block holds few."""
+def _pattern_dots(h, cp: _CountPattern, out: np.ndarray) -> np.ndarray:
+    """S = h h^T at the pattern's entries, written into `out`, block by
+    block of `cp.plan`. A block that is all of h h^T comes from SYRK, which
+    fills one triangle: its lower triangle, column-major, holds S(u, v),
+    u <= v, at the offset u * V + v, the same as the row-major product."""
     n = h.shape[0]
-    indptr, cols = cp.matrix.indptr, cp.matrix.indices
-    s = np.empty(len(cols))
-    height = max(1, BLOCK_ENTRIES // n)
-    for r0 in range(0, n, height):
-        r1 = min(r0 + height, n)
-        lo, hi = indptr[r0], indptr[r1]
-        if hi - lo < GATHER_SHARE * (r1 - r0) * (n - r0):
-            s[lo:hi] = np.einsum("ij,ij->i", h[cp.rows[lo:hi]], h[cols[lo:hi]])
+    cols, block = cp.matrix.indices, cp.buffers(h.dtype).block
+    for r0, r1, lo, hi, offsets in cp.plan:
+        if offsets is None:
+            np.einsum("ij,ij->i", h[cp.rows[lo:hi]], h[cols[lo:hi]],
+                      out=out[lo:hi])
+            continue
+        if r1 - r0 == n:
+            syrk = get_blas_funcs("syrk", (h,))
+            prod = syrk(1.0, h.T, trans=1, lower=1, overwrite_c=1,
+                        c=block.reshape((n, n), order="F")).ravel(order="F")
         else:
-            block = h[r0:r1] @ h[r0:].T
-            offsets = (cp.rows[lo:hi] - r0) * (n - r0) + cols[lo:hi] - r0
-            s[lo:hi] = block.ravel()[offsets]
-    return s
+            prod = np.matmul(h[r0:r1], h[r0:].T, out=block[
+                :(r1 - r0) * (n - r0)].reshape(r1 - r0, n - r0)).ravel()
+        # the offsets are in range; mode "clip" lets take write into out
+        # without a buffered copy
+        np.take(prod, offsets, out=out[lo:hi], mode="clip")
+    return out
 
 
 def _rw_value_grad(h, cp: _CountPattern):
-    """L_rw and dL_rw/dH on the pattern."""
-    s = _pattern_dots(h, cp)
-    # with e = exp(-|s|): log sigmoid(+-s) = -(max(-+s, 0) + log1p(e)); the
-    # clip is the sigmoid clamp [c, 1-c] taken through the log
-    e = np.exp(-np.abs(s))
-    log1p_e = np.log1p(e)
+    """L_rw and dL_rw/dH on the pattern, in h's dtype; the value is summed
+    in float64."""
+    buf = cp.buffers(h.dtype)
+    s, e, t, c = buf.work
+    _pattern_dots(h, cp, s)
+    # with e = exp(-|s|) and t = max(s, 0) + log1p(e): log sigmoid(s) = s - t
+    # and log sigmoid(-s) = -t; the clip is the sigmoid clamp [c, 1-c] taken
+    # through the log
+    np.exp(np.negative(np.abs(s, out=e), out=e), out=e)
+    np.add(np.maximum(s, 0, out=t), np.log1p(e, out=c), out=t)
     lo, hi = math.log(SIGMA_CLAMP), math.log(1.0 - SIGMA_CLAMP)
-    log_sig = np.clip(-(np.maximum(-s, 0.0) + log1p_e), lo, hi)
-    log_sig_neg = np.clip(-(np.maximum(s, 0.0) + log1p_e), lo, hi)
-    value = -(float(cp.pos @ log_sig) + float(cp.neg @ log_sig_neg))
-    sig = np.where(s >= 0.0, 1.0, e) / (1.0 + e)
+    np.clip(np.subtract(s, t, out=c), lo, hi, out=c)
+    np.clip(np.negative(t, out=t), lo, hi, out=t)
+    value = -(float(cp.pos @ c) + float(cp.neg @ t))
+    # sigmoid(s) = 1/(1 + e) for s >= 0 and e/(1 + e) below, and
+    # C = P (sigmoid(s) - 1) + N sigmoid(s) = (P + N) sigmoid(s) - P
+    np.add(e, 1, out=t)
+    np.divide(1, t, out=c)
+    np.divide(e, t, out=c, where=np.less(s, 0, out=buf.negative))
+    c *= buf.both
+    c -= buf.pos
     # d/dh(u) of a pair term is C(u, v) h(v), and C(u, v) h(u) for h(v);
     # with C stored once, in M's upper triangle, M h and M^T h give the two
-    c = cp.pos * (sig - 1.0) + cp.neg * sig
     if cp.flat is None:
-        cp.matrix.data = c.astype(h.dtype)
+        cp.matrix.data = c
         grad = cp.matrix @ h
         grad += cp.matrix.T @ h
         return value, grad
-    if cp.dense is None or cp.dense.dtype != h.dtype:
-        cp.dense = np.zeros((h.shape[0],) * 2, dtype=h.dtype)
-    cp.dense.ravel()[cp.flat] = c
-    return value, cp.dense @ h + cp.dense.T @ h
+    # D + D^T is the symmetric matrix with D's upper triangle off the
+    # diagonal and 2C on it; SYMM reads it from the lower triangle of the
+    # column-major D^T, which is D's upper one
+    buf.dense.ravel()[cp.flat] = c
+    buf.dense.ravel()[::h.shape[0] + 1] *= 2
+    symm = get_blas_funcs("symm", (h,))
+    return value, symm(1.0, buf.dense.T, h.T, side=1, lower=1).T
 
 
 def _dis_value_grad(h):
@@ -408,7 +491,7 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
                 del grads  # freed before the next step allocates its own
                 trace.append(value)
             _, _, h = forward(params, g, adj)
-            final = loss_breakdown(params, g, corpus, cfg, adj)["total"]
+            final = _objective(h, corpus, cfg)[0]["total"]
     except FloatingPointError as exc:
         epoch = len(trace) + 1
         where = (f"in epoch {epoch}" if epoch <= cfg.epochs

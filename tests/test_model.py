@@ -111,6 +111,19 @@ class TestCheckpointFormats:
         back = np.loadtxt(p, skiprows=1, ndmin=2)
         np.testing.assert_allclose(back, h, rtol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_text_matches_per_value_format(self, tmp_path, dtype):
+        h = np.array([[0.0, 1e-30, 1 / 3, 123456789.0],
+                      [-0.0, 1.5, 2.0 ** -20, 7e12],
+                      [np.inf, -1e300 if dtype == np.float64 else -3e38,
+                       5e-324 if dtype == np.float64 else 1e-45, -2.5]],
+                     dtype=dtype)
+        p = tmp_path / "emb.txt"
+        save_embedding_text(p, h)
+        want = "3 4\n" + "".join(" ".join(f"{x:.9g}" for x in row) + "\n"
+                                  for row in h)
+        assert p.read_text() == want
+
     def test_binary_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         h = rng.normal(size=(5, 4)).astype(np.float32)

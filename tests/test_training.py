@@ -11,7 +11,7 @@ from scipy.special import expit
 
 from disene import training
 from disene.graph_core import build_graph
-from disene.model import init_params
+from disene.model import forward, init_params
 from disene.sampling import PairBatch, WalkConfig, build_pair_batch
 from disene.synth import default_spec, generate_synthetic
 from disene.training import (COSINE_EPS, SIGMA_CLAMP, AdamState, GradBuffer,
@@ -195,9 +195,15 @@ class TestCountPattern:
         cp = _count_pattern(batch.positives, batch.negatives, n)
         assert training.BLOCK_ENTRIES >= n * n
         want_value, want_dh = _rw_value_grad(h, cp)
-        # blocks of 2 rows; rows 9-11 hold no pair, so block [10, 12) is empty
+        assert len(cp.plan) == 1
+        # blocks of 2 rows; rows 9-11 hold no pair, so block [10, 12) is
+        # empty. A pattern plans its blocks on first use, so the patch needs
+        # a new pattern to reach the kernel
         monkeypatch.setattr(training, "BLOCK_ENTRIES", 2 * n)
-        value, dh = _rw_value_grad(h, cp)
+        blocked = _count_pattern(batch.positives, batch.negatives, n)
+        value, dh = _rw_value_grad(h, blocked)
+        assert len(blocked.plan) > 1
+        assert all(r1 - r0 == 2 for r0, r1, *_ in blocked.plan)
         assert value == want_value
         np.testing.assert_array_equal(dh, want_dh)
 
@@ -222,12 +228,33 @@ class TestCountPatternPaths(TestCountPattern):
         rng = np.random.default_rng(16)
         batch = _corpus_with_edge_cases(rng, 10)
         cp = _count_pattern(batch.positives, batch.negatives, 10)
-        h = _rand_h(rng, 10, 3)
-        for dtype in (np.float32, np.float64, np.float32):
-            _, dh = _rw_value_grad(h.astype(dtype), cp)
+        # float32 values, so both dtypes see the same embedding
+        h = _rand_h(rng, 10, 3).astype(np.float32).astype(np.float64)
+        want_value, want_dh = rw_oracle(h, batch), rw_grad_oracle(h, batch)
+        for dtype, rtol in ((np.float32, 1e-5), (np.float64, 1e-10),
+                            (np.float32, 1e-5)):
+            value, dh = _rw_value_grad(h.astype(dtype), cp)
             assert dh.dtype == dtype
-            np.testing.assert_allclose(dh, rw_grad_oracle(h, batch),
-                                       rtol=1e-5, atol=1e-5)
+            assert value == pytest.approx(want_value, rel=rtol)
+            np.testing.assert_allclose(dh, want_dh, rtol=rtol, atol=rtol)
+        assert set(cp.scratch) == {np.dtype(np.float32), np.dtype(np.float64)}
+
+    def test_float32_matches_the_float64_oracles(self):
+        rng = np.random.default_rng(17)
+        for scale, signs in ((0.6, False), (1.5, True), (4.0, False)):
+            n = int(rng.integers(8, 16))
+            h = _rand_h(rng, n, 4, scale=scale)
+            if signs:  # scores on both sides of the log-sigmoid
+                h *= rng.choice([-1.0, 1.0], size=h.shape)
+            h32 = h.astype(np.float32)
+            batch = _corpus_with_edge_cases(rng, n)
+            value, dh = _rw_value_grad(h32, _count_pattern(
+                batch.positives, batch.negatives, n))
+            assert dh.dtype == np.float32
+            assert value == pytest.approx(rw_oracle(h32, batch), rel=1e-5)
+            want = rw_grad_oracle(h32, batch)
+            np.testing.assert_allclose(dh, want, rtol=1e-5,
+                                       atol=1e-5 * np.abs(want).max())
 
 
 class TestDensityRegimes:
@@ -240,18 +267,15 @@ class TestDensityRegimes:
         return g, batch
 
     @staticmethod
-    def _gathered_blocks(cp, n):
-        height = max(1, training.BLOCK_ENTRIES // n)
-        starts = np.arange(0, n, height)
-        ends = np.minimum(starts + height, n)
-        entries = np.diff(cp.matrix.indptr[np.append(starts, n)])
-        return entries < training.GATHER_SHARE * (ends - starts) * (n - starts)
+    def _gathered_blocks(cp):
+        assert cp.plan
+        return np.array([offsets is None for *_, offsets in cp.plan])
 
     def test_er64_full_batch_is_dense(self):
         g, batch = self._pattern("er_cliques", 10)
         cp = _count_pattern(batch.positives, batch.negatives, g.num_nodes)
         assert cp.flat is not None
-        assert not self._gathered_blocks(cp, g.num_nodes).any()
+        assert not self._gathered_blocks(cp).any()
 
     def test_ba2560_full_batch_is_csr_blocks_and_slices_gather(self):
         g, batch = self._pattern("ba_cliques", 1, num_cliques=128,
@@ -259,13 +283,13 @@ class TestDensityRegimes:
         n = g.num_nodes
         cp = _count_pattern(batch.positives, batch.negatives, n)
         assert cp.flat is None
-        assert not self._gathered_blocks(cp, n).any()
+        assert not self._gathered_blocks(cp).any()
         # a sparse pattern gathers: 4096 of the corpus's pairs, like the
         # full corpus of a far larger graph, fill too few entries per block
         idx = np.random.default_rng(0).permutation(len(batch.positives))[:4096]
         sl = _count_pattern(batch.positives[idx], batch.negatives[idx], n)
         assert sl.flat is None
-        assert self._gathered_blocks(sl, n).all()
+        assert self._gathered_blocks(sl).all()
 
 
 class TestLossDis:
@@ -454,6 +478,19 @@ class TestTrain:
         res = train(g, LossConfig(lambda_dis=0.0, lambda_ent=0.0, epochs=5),
                     self.WALKS, dim_hidden=8, dim=3, activation="identity")
         assert (res.embedding < 0).any()  # plain skip-gram is unconstrained
+
+    def test_final_embedding_is_encoded_once(self, two_cliques, monkeypatch):
+        g, _ = two_cliques
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", counting)
+        res = train(g, LossConfig(epochs=5), self.WALKS, dim_hidden=8, dim=3)
+        assert len(calls) == 5 + 1
+        assert len(res.loss_trace) == 5
 
     def test_final_loss_matches_breakdown(self, two_cliques):
         g, _ = two_cliques
