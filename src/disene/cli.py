@@ -12,10 +12,12 @@ Every subcommand but `bench`, which takes --seeds, accepts --seed and the
 generator flags (--num-cliques, ...) that go with --kind.
 A config file is a flat JSON object whose keys are the long flags of the
 subcommand being run (dashes become underscores), typed like the flag; any
-other key exits 2. Flags win over config values, config values over
-defaults. One resolver makes each decision: `_resolve_graph` the graph,
-`_load_checkpoint` the checkpoint, and `_resolve_run` the training run,
-which `bench` shares with `train`, so equal runs get equal config hashes.
+other key exits 2. It is read as the flags it stands for, placed before the
+command line's, so one parse resolves every setting through its flag's type
+and choices, and a flag on the command line wins. One resolver makes each
+decision: `_resolve_graph` the graph, `_load_checkpoint` the checkpoint,
+and `_resolve_run` the training run, which `bench` parses from the
+equivalent `train` command line, so equal runs get equal config hashes.
 """
 
 from __future__ import annotations
@@ -81,37 +83,42 @@ def _config_keys(parser) -> dict:
             if a.option_strings and a.dest not in ("help", "config")}
 
 
-def _load_config(path, keys: dict) -> dict:
+def _config_argv(path, keys: dict) -> list[str]:
+    """The flags a config file stands for, for argparse to parse.
+
+    A switch becomes its flag when true, a list its comma-joined items, and
+    any other value `--flag=value`; floats print back exactly.
+    """
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise _fail("config file must hold a JSON object")
+    argv = []
     for key, val in cfg.items():
         action = keys.get(key)
         if action is None:
             raise _fail(f"unknown config key {key!r} (this subcommand has "
                         f"no --{key.replace('_', '-')} flag)")
         want = bool if action.nargs == 0 else _JSON_TYPES[action.type]
-        if want is float and isinstance(val, int) and not isinstance(val, bool):
-            continue
-        if not isinstance(val, want) or isinstance(val, bool) != (want is bool):
+        # an integer stands for a float; a bool is only a bool
+        fits = isinstance(val, (int, float) if want is float else want)
+        if not fits or isinstance(val, bool) != (want is bool):
             raise _fail(f"config key {key!r} expects {want.__name__}")
         item = _LIST_ITEMS.get(action.type)
-        if item is not None and any(type(x) is not item for x in val):
-            raise _fail(f"config key {key!r} expects a list of "
-                        f"{item.__name__}")
-        if action.choices is not None and val not in action.choices:
-            raise _fail(f"config key {key!r} must be one of "
-                        f"{', '.join(action.choices)}")
-    return cfg
-
-
-def _get(args, key, default=None):
-    """Flag if given, else config value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return args.run_config.get(key, default)
+        if item is not None:
+            if any(type(x) is not item for x in val):
+                raise _fail(f"config key {key!r} expects a list of "
+                            f"{item.__name__}")
+            if item is str and any(x == "" or "," in x for x in val):
+                raise _fail(f"config key {key!r}: an item cannot be empty "
+                            f"or hold a comma")
+            val = ",".join(map(str, val))
+        flag = action.option_strings[0]
+        if want is not bool:
+            argv.append(f"{flag}={val}")
+        elif val:
+            argv.append(flag)
+    return argv
 
 
 def _kind_of(name: str) -> str:
@@ -127,15 +134,15 @@ def config_hash(cfg: dict) -> str:
 
 
 def _outdir(args, default="."):
-    out = _get(args, "out", default)
+    out = default if args.out is None else args.out
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _check_counts(args):
-    """Raise unless every count setting given (flag or config) is >= 1."""
+    """Raise unless every count setting the command has is >= 1."""
     for key in ("threads", "workers", "permutations"):
-        count = _get(args, key)
+        count = getattr(args, key, None)
         if count is not None and count < 1:
             raise ValueError(f"--{key} must be at least 1, got {count}")
 
@@ -148,15 +155,17 @@ def _write_json(path, payload):
 
 # ---------------------------------------------------------------- graphs
 
-def _synth_spec(args, kind: str, seed: int):
-    spec = default_spec(kind, seed=seed)
-    fields = ("num_cliques", "clique_size", "base_nodes",
-              "attach_edges_per_clique", "noise_edges",
-              "er_p", "sbm_p_out", "ba_m")
-    override = {f: _get(args, f) for f in fields if _get(args, f) is not None}
-    if override:
-        spec = replace(spec, **override)
-        spec.validate()
+# the generator settings a flag or config key may override, with --kind
+_GEN_FIELDS = ("num_cliques", "clique_size", "base_nodes",
+               "attach_edges_per_clique", "noise_edges",
+               "er_p", "sbm_p_out", "ba_m")
+
+
+def _synth_spec(args, kind: str):
+    override = {f: getattr(args, f) for f in ("seed", *_GEN_FIELDS)
+                if getattr(args, f) is not None}
+    spec = replace(default_spec(kind), **override)
+    spec.validate()
     return spec
 
 
@@ -169,31 +178,39 @@ def _fingerprint(g: Graph) -> dict:
 def _resolve_graph(args, sidecar=None):
     """The graph a command works on: (g, gts, data_ref).
 
-    --data or --kind (flag or config) name it, never both; without either,
-    a checkpoint command uses the source its run.json records. data_ref
+    --data or --kind name it, never both; without either, a checkpoint
+    command uses the source its run.json records. The generator settings,
+    and the seed of `explain` and `evaluate`, go only with --kind. data_ref
     says where the graph came from: the edge list's path and sha256, or
     the resolved generator spec. --ground-truth goes only with an edge
     list, whose gts is None without it. Given a checkpoint's sidecar, the
     graph must be the one that checkpoint was trained on.
     """
-    data, kind = _get(args, "data"), _get(args, "kind")
+    data, kind = getattr(args, "data", None), args.kind
+    gt_path = getattr(args, "ground_truth", None)
     if data and kind:
         raise ValueError("give either --data or --kind, not both")
+    if not kind:
+        given = [f for f in _GEN_FIELDS if getattr(args, f) is not None]
+        if args.seed is not None and args.command in ("explain", "evaluate"):
+            given.append("seed")
+        if given:
+            raise ValueError(f"--{given[0].replace('_', '-')} goes with "
+                             f"--kind, which names a synthetic graph")
     ref = sidecar.get("data", {}) if sidecar is not None else {}
     if data or (not kind and "path" in ref):
         data = data or ref["path"]
         with open(data, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         g = load_edge_list(data)
-        gt_path = _get(args, "ground_truth")
         gts = load_ground_truth(gt_path, g) if gt_path else None
         data_ref = {"path": data, "sha256": digest}
     else:
-        if _get(args, "ground_truth"):
+        if gt_path:
             raise ValueError("--ground-truth goes with an edge list; a "
                              "synthetic graph brings its own")
         if kind:
-            spec = _synth_spec(args, _kind_of(kind), _get(args, "seed", 0))
+            spec = _synth_spec(args, _kind_of(kind))
         elif "spec" in ref:
             spec = SynthSpec(**ref["spec"])
         else:
@@ -272,50 +289,34 @@ class Run(NamedTuple):
 
 
 def _resolve_run(args) -> Run:
-    """The run `train` makes from its settings (flags, config, defaults)."""
-    seed = _get(args, "seed", 0)
-    method = _get(args, "method", "disene-fc")
-    lam_dis = _get(args, "lambda_dis")
-    lam_ent = _get(args, "lambda_ent")
+    """The run `train` makes from its parsed settings."""
+    seed = LossConfig.seed if args.seed is None else args.seed
+    method, lam_dis, lam_ent = args.method, args.lambda_dis, args.lambda_ent
     if method == "baseline-sgns":
         if lam_dis not in (None, 0.0) or lam_ent not in (None, 0.0):
             raise ValueError("baseline-sgns fixes both loss weights at 0")
         lam_dis = lam_ent = 0.0
     else:
-        lam_dis = 1.0 if lam_dis is None else lam_dis
-        lam_ent = 1.0 if lam_ent is None else lam_ent
+        lam_dis = LossConfig.lambda_dis if lam_dis is None else lam_dis
+        lam_ent = LossConfig.lambda_ent if lam_ent is None else lam_ent
     # a run with both regularizers off is plain skip-gram whatever it was
     # called on the command line, so the label says so
     label = "baseline-sgns" if lam_dis == 0.0 and lam_ent == 0.0 else method
-    activation = _get(args, "activation",
-                      "identity" if label == "baseline-sgns" else "relu")
-    split = _get(args, "split", 0.0)
-    if not 0.0 <= split < 1.0:
-        raise ValueError(f"--split must lie in [0, 1), got {split}")
+    activation = args.activation or (
+        "identity" if label == "baseline-sgns" else "relu")
+    if not 0.0 <= args.split < 1.0:
+        raise ValueError(f"--split must lie in [0, 1), got {args.split}")
 
-    walk = WalkConfig(
-        walk_length=_get(args, "walk_length", 20),
-        num_walks=_get(args, "num_walks", 10),
-        window=_get(args, "window", 5),
-        negatives_per_positive=_get(args, "negatives_per_positive", 1),
-        seed=seed)
-    loss = LossConfig(
-        lambda_dis=lam_dis, lambda_ent=lam_ent,
-        epochs=_get(args, "epochs", 50),
-        learning_rate=_get(args, "learning_rate", 0.01),
-        seed=seed)
-    config = {"method": method,
+    walk = WalkConfig(args.walk_length, args.num_walks, args.window,
+                      args.negatives_per_positive, seed=seed)
+    loss = LossConfig(lam_dis, lam_ent, args.epochs, args.learning_rate,
+                      seed=seed)
+    config = {**asdict(loss), **asdict(walk), "method": method,
               "encoder": "gcn" if method == "disene-gcn" else "fc",
               "activation": activation,
-              "dim": _get(args, "dim", 32),
-              "dim_hidden": _get(args, "dim_hidden", 128),
-              "lambda_dis": lam_dis, "lambda_ent": lam_ent,
-              "epochs": loss.epochs, "learning_rate": loss.learning_rate,
-              "walk_length": walk.walk_length, "num_walks": walk.num_walks,
-              "window": walk.window,
-              "negatives_per_positive": walk.negatives_per_positive,
-              "split": split,
-              "split_seed": _get(args, "split_seed", seed), "seed": seed}
+              "dim": args.dim, "dim_hidden": args.dim_hidden,
+              "split": args.split,
+              "split_seed": seed if args.split_seed is None else args.split_seed}
     return Run(label, config, loss, walk)
 
 
@@ -358,16 +359,15 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- explain
 
 def cmd_explain(args) -> int:
-    ckpt = _get(args, "checkpoint")
-    sidecar, h = _load_checkpoint(ckpt)
+    sidecar, h = _load_checkpoint(args.checkpoint)
     g, _, _ = _resolve_graph(args, sidecar)
     background = None
-    if _get(args, "background", "all") == "train":
+    if args.background == "train":
         split = _recorded_split(g, sidecar, "--background train")
         background = split.train_edges
     expl = build_explanations(h, g, background=background)
 
-    out = _outdir(args, default=ckpt)
+    out = _outdir(args, default=args.checkpoint)
     save_explanation(os.path.join(out, "explanations.json"), expl, g)
     print(f"explain: {h.shape[1]} dimensions, {len(expl.empty_dims)} empty "
           f"-> {out}")
@@ -377,21 +377,19 @@ def cmd_explain(args) -> int:
 # ---------------------------------------------------------------- evaluate
 
 def cmd_evaluate(args) -> int:
-    if args.checkpoints and _get(args, "checkpoint"):
+    if args.checkpoints and args.checkpoint:
         raise ValueError("give checkpoint directories as arguments or as "
                          "--checkpoint, not both")
-    ckpts = args.checkpoints or [_get(args, "checkpoint")]
-    want_dim = _get(args, "dim")
-    permutations = _get(args, "permutations", 100)
-    toggles = {name: not _get(args, f"no_{name}", False)
+    ckpts = args.checkpoints or [args.checkpoint]
+    toggles = {name: not getattr(args, f"no_{name}")
                for name in ("comprehensibility", "sparsity", "ovc", "poc")}
 
     loaded = []
     for path in ckpts:
         sidecar, h = _load_checkpoint(path)
-        if want_dim is not None and h.shape[1] != want_dim:
+        if args.dim is not None and h.shape[1] != args.dim:
             raise ValueError(f"checkpoint {path} has K={h.shape[1]}, "
-                             f"config expects K={want_dim}")
+                             f"config expects K={args.dim}")
         if loaded and h.shape[1] != loaded[0][1].shape[1]:
             raise ValueError("checkpoints disagree on K; aggregate runs "
                              "must share a dimensionality")
@@ -404,11 +402,12 @@ def cmd_evaluate(args) -> int:
         expl = build_explanations(h, g)
         rep = compute_report(
             g, h, expl, gts,
-            num_permutations=permutations,
+            num_permutations=args.permutations,
             seed=sidecar.get("seed", 0),
             metadata={"label": sidecar.get("label"),
                       "seed": sidecar.get("seed"),
                       "config_hash": sidecar.get("config_hash"),
+                      "data": sidecar.get("data"),
                       "graph": sidecar["graph"], "dim": h.shape[1]},
             toggles=toggles)
         name = "report.json" if len(loaded) == 1 else f"report_{i}.json"
@@ -430,27 +429,26 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------- downstream
 
 def cmd_downstream(args) -> int:
-    ckpt = _get(args, "checkpoint")
-    sidecar, h = _load_checkpoint(ckpt)
+    sidecar, h = _load_checkpoint(args.checkpoint)
     g, gts, _ = _resolve_graph(args, sidecar)
     if gts is None:
         raise ValueError("downstream tasks need ground truth "
                          "(--ground-truth, or a synthetic --kind)")
-    seed = _get(args, "seed", sidecar.get("seed", 0))
-    task = _get(args, "task", "link")
-    l2 = _get(args, "l2", 1e-4)
+    seed = sidecar.get("seed", 0) if args.seed is None else args.seed
+    task = args.task
 
     if task == "link":
         # the held-out edges are the ones the embedding never saw
         split = _recorded_split(g, sidecar, "the link task")
-        result = run_link_task(h, g, split, gts, seed=seed, l2=l2)
+        result = run_link_task(h, g, split, gts, seed=seed, l2=args.l2)
     else:
-        result = run_node_task(h, g, gts, seed=seed, l2=l2)
+        result = run_node_task(h, g, gts, seed=seed, l2=args.l2)
 
-    out = _outdir(args, default=ckpt)
+    out = _outdir(args, default=args.checkpoint)
     _write_json(os.path.join(out, f"{task}_task.json"), {
         "task": task, "label": sidecar.get("label"),
-        "config_hash": sidecar.get("config_hash"), "graph": sidecar["graph"],
+        "config_hash": sidecar.get("config_hash"),
+        "data": sidecar.get("data"), "graph": sidecar["graph"],
         "seed": seed, "auc_pr": result.auc_pr,
         "plausibility": result.plausibility_mean,
         "instances": len(result.per_instance), "skipped": result.skipped})
@@ -479,9 +477,10 @@ _BENCH_FIELDS = ("dataset", "method", "dim", "seed", "metric", "value",
 def _bench_one(job) -> list[dict]:
     dataset, method, dim, seed, tasks, permutations = job
     # the cell is the run `train --kind <dataset> --method <method>
-    # --dim <dim> --seed <seed> --split 0.1` makes, resolved the same way
-    args = argparse.Namespace(kind=dataset, method=method, dim=dim,
-                              seed=seed, split=BENCH_SPLIT, run_config={})
+    # --dim <dim> --seed <seed> --split 0.1` makes, parsed the same way
+    args = _build_parser().parse_args([
+        "train", "--kind", dataset, "--method", method, f"--dim={dim}",
+        f"--seed={seed}", f"--split={BENCH_SPLIT}"])
     run = _resolve_run(args)
     g, gts, _ = _resolve_graph(args)
     split, res = _fit(g, run)
@@ -583,25 +582,19 @@ def _summaries(out, rows):
 
 
 def cmd_bench(args) -> int:
-    datasets = [_kind_of(d) for d in _get(args, "datasets", list(KINDS))]
-    methods = _get(args, "methods", METHODS)
-    for m in methods:
+    datasets = [_kind_of(d) for d in args.datasets]
+    for m in args.methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
-    dims = _get(args, "dims", BENCH_DIMS)
-    seeds = _get(args, "seeds", BENCH_SEEDS)
-    tasks = _get(args, "tasks", ("link", "node"))
-    if not set(tasks) <= {"link", "node"}:
+    if not set(args.tasks) <= {"link", "node"}:
         raise ValueError("tasks must be link and/or node")
-    workers = _get(args, "workers", 1)
-    permutations = _get(args, "permutations", 100)
 
     out = _outdir(args, default="bench")
     results_path = os.path.join(out, "results.csv")
     done = _read_done(results_path)
-    manifest = [(d, m, k, s) for d in datasets for m in methods
-                for k in dims for s in seeds]
-    todo = [(d, m, k, s, tuple(tasks), permutations)
+    manifest = [(d, m, k, s) for d in datasets for m in args.methods
+                for k in args.dims for s in args.seeds]
+    todo = [(d, m, k, s, tuple(args.tasks), args.permutations)
             for d, m, k, s in manifest if (d, m, k, s) not in done]
     print(f"bench: {len(manifest)} runs, {len(manifest) - len(todo)} already "
           f"done, {len(todo)} to go")
@@ -621,9 +614,9 @@ def cmd_bench(args) -> int:
 
         # one loop for both paths: a failed job is counted and reported,
         # the other jobs still write their rows
-        pool = (ProcessPoolExecutor(max_workers=workers,
+        pool = (ProcessPoolExecutor(max_workers=args.workers,
                                     mp_context=get_context("spawn"))
-                if workers > 1 else None)
+                if args.workers > 1 else None)
         with pool or nullcontext():
             pending = ([pool.submit(_bench_one, job) for job in todo]
                        if pool else todo)
@@ -657,20 +650,18 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_params.add_argument("--seed", type=int)
     gen_params.add_argument("--kind", help="synthetic dataset: ring|sbm|ba|er "
                                            "(or full names)")
-    gen_params.add_argument("--num-cliques", dest="num_cliques", type=int)
-    gen_params.add_argument("--clique-size", dest="clique_size", type=int)
-    gen_params.add_argument("--base-nodes", dest="base_nodes", type=int)
-    gen_params.add_argument("--attach-edges-per-clique",
-                            dest="attach_edges_per_clique", type=int)
-    gen_params.add_argument("--noise-edges", dest="noise_edges", type=int)
-    gen_params.add_argument("--er-p", dest="er_p", type=float)
-    gen_params.add_argument("--sbm-p-out", dest="sbm_p_out", type=float)
-    gen_params.add_argument("--ba-m", dest="ba_m", type=int)
+    for f in _GEN_FIELDS:
+        gen_params.add_argument("--" + f.replace("_", "-"),
+                                type=type(getattr(SynthSpec, f)))
 
     # the graph of train and of the checkpoint commands; the latter default
     # to the source their checkpoint's run.json records
     graph = argparse.ArgumentParser(add_help=False, parents=[gen_params])
     graph.add_argument("--data", help="edge list file instead of --kind")
+
+    # shared by evaluate and bench, so its default is written once
+    permutations = argparse.ArgumentParser(add_help=False)
+    permutations.add_argument("--permutations", type=int, default=100)
 
     p = argparse.ArgumentParser(
         prog="disene",
@@ -683,38 +674,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", parents=[shared, graph],
                         help="train an embedding, write a checkpoint")
-    sp.add_argument("--method", choices=METHODS)
+    sp.add_argument("--method", choices=METHODS, default="disene-fc")
+    # None: decided by the run's label (identity for plain skip-gram)
     sp.add_argument("--activation", choices=ACTIVATIONS)
-    sp.add_argument("--dim", type=int, help="embedding dimensions K")
-    sp.add_argument("--dim-hidden", dest="dim_hidden", type=int)
-    sp.add_argument("--lambda-dis", dest="lambda_dis", type=float)
-    sp.add_argument("--lambda-ent", dest="lambda_ent", type=float)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sp.add_argument("--walk-length", dest="walk_length", type=int)
-    sp.add_argument("--num-walks", dest="num_walks", type=int)
-    sp.add_argument("--window", type=int)
-    sp.add_argument("--negatives-per-positive", dest="negatives_per_positive",
-                    type=int)
-    sp.add_argument("--split", type=float,
+    sp.add_argument("--dim", type=int, default=32,
+                    help="embedding dimensions K")
+    sp.add_argument("--dim-hidden", type=int, default=128)
+    # None: decided by --method
+    sp.add_argument("--lambda-dis", type=float)
+    sp.add_argument("--lambda-ent", type=float)
+    sp.add_argument("--epochs", type=int, default=LossConfig.epochs)
+    sp.add_argument("--learning-rate", type=float,
+                    default=LossConfig.learning_rate)
+    sp.add_argument("--walk-length", type=int, default=WalkConfig.walk_length)
+    sp.add_argument("--num-walks", type=int, default=WalkConfig.num_walks)
+    sp.add_argument("--window", type=int, default=WalkConfig.window)
+    sp.add_argument("--negatives-per-positive", type=int,
+                    default=WalkConfig.negatives_per_positive)
+    sp.add_argument("--split", type=float, default=0.0,
                     help="held-out edge fraction (0 trains on everything)")
-    sp.add_argument("--split-seed", dest="split_seed", type=int)
+    sp.add_argument("--split-seed", type=int)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("explain", parents=[shared, graph],
                         help="per-dimension explanation subgraphs")
     sp.add_argument("--checkpoint", help="checkpoint directory")
-    sp.add_argument("--background", choices=("all", "train"))
+    sp.add_argument("--background", choices=("all", "train"), default="all")
     sp.set_defaults(func=cmd_explain)
 
-    sp = sub.add_parser("evaluate", parents=[shared, graph],
+    sp = sub.add_parser("evaluate", parents=[shared, graph, permutations],
                         help="interpretability metrics report")
     sp.add_argument("checkpoints", nargs="*",
                     help="checkpoint directories (aggregated mean/std)")
     sp.add_argument("--checkpoint", help="single checkpoint directory")
-    sp.add_argument("--ground-truth", dest="ground_truth")
+    sp.add_argument("--ground-truth")
     sp.add_argument("--dim", type=int, help="expected K; mismatch errors")
-    sp.add_argument("--permutations", type=int)
     for metric in ("comprehensibility", "sparsity", "ovc", "poc"):
         sp.add_argument(f"--no-{metric}", action="store_const", const=True)
     sp.set_defaults(func=cmd_evaluate)
@@ -723,21 +717,20 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="link prediction / node classification; the "
                              "link task uses the checkpoint's recorded split")
     sp.add_argument("--checkpoint")
-    sp.add_argument("--task", choices=("link", "node"))
-    sp.add_argument("--ground-truth", dest="ground_truth")
-    sp.add_argument("--l2", type=float)
+    sp.add_argument("--task", choices=("link", "node"), default="link")
+    sp.add_argument("--ground-truth")
+    sp.add_argument("--l2", type=float, default=1e-4)
     sp.set_defaults(func=cmd_downstream)
 
-    sp = sub.add_parser("bench", parents=[shared],
+    sp = sub.add_parser("bench", parents=[shared, permutations],
                         help="synthetic benchmark grid -> CSV tables")
-    sp.add_argument("--datasets", type=_str_list,
+    sp.add_argument("--datasets", type=_str_list, default=list(KINDS),
                     help="comma separated dataset kinds")
-    sp.add_argument("--methods", type=_str_list)
-    sp.add_argument("--dims", type=_int_list)
-    sp.add_argument("--seeds", type=_int_list)
-    sp.add_argument("--tasks", type=_str_list)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--permutations", type=int)
+    sp.add_argument("--methods", type=_str_list, default=METHODS)
+    sp.add_argument("--dims", type=_int_list, default=BENCH_DIMS)
+    sp.add_argument("--seeds", type=_int_list, default=BENCH_SEEDS)
+    sp.add_argument("--tasks", type=_str_list, default=("link", "node"))
+    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_bench)
 
     # a config file may set exactly the options of the subcommand it is for,
@@ -749,8 +742,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _maybe_reexec(args, argv):
-    threads = _get(args, "threads")
-    if threads is None and _get(args, "deterministic"):
+    threads = args.threads
+    if threads is None and args.deterministic:
         threads = 1
     if threads is None:
         return
@@ -769,10 +762,14 @@ def _maybe_reexec(args, argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        args.run_config = (_load_config(args.config, args.config_keys)
-                           if args.config else {})
+        if args.config:
+            # the file's flags go first, so the command line's win
+            args = parser.parse_args(
+                [argv[0], *_config_argv(args.config, args.config_keys),
+                 *argv[1:]])
         _check_counts(args)
         _maybe_reexec(args, argv)
         return args.func(args)

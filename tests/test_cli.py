@@ -3,16 +3,22 @@ through main(), checking artifacts, labeling rules, and error exits."""
 
 import csv
 import hashlib
+import inspect
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from disene.cli import _build_parser, _resolve_run, main
+from disene.downstream import fit_logreg, run_link_task, run_node_task
 from disene.graph_core import load_edge_list, load_ground_truth
+from disene.metrics import compute_report
 from disene.model import load_embedding_binary
+from disene.sampling import WalkConfig
 from disene.synth import default_spec, generate_synthetic
+from disene.training import LossConfig, train
 
 MICRO_GEN = ["--num-cliques", "4", "--clique-size", "4", "--noise-edges", "0"]
 MICRO_TRAIN = ["--dim", "4", "--dim-hidden", "8", "--epochs", "3",
@@ -213,9 +219,29 @@ class TestTrain:
         train = parser.parse_args(["train"])
         gen = parser.parse_args(["gen"])
         own = set(train.config_keys) - set(gen.config_keys) - {"data"}
-        train.run_config = {}
         recorded = set(_resolve_run(train).config)
         assert own | {"seed"} == recorded - {"encoder"}
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        parser = _build_parser()
+        flags = parser.parse_args(["train"])
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert flags.dim == default(train, "dim")
+        assert flags.dim_hidden == default(train, "dim_hidden")
+        for command in ("evaluate", "bench"):
+            assert (parser.parse_args([command]).permutations
+                    == default(compute_report, "num_permutations"))
+        l2 = parser.parse_args(["downstream"]).l2
+        for fn in (fit_logreg, run_link_task, run_node_task):
+            assert l2 == default(fn, "l2")
+        for f in fields(WalkConfig):
+            if f.name != "seed":
+                assert getattr(flags, f.name) == f.default
+        assert flags.epochs == LossConfig.epochs
+        assert flags.learning_rate == LossConfig.learning_rate
 
 
 class TestConfigFile:
@@ -271,6 +297,39 @@ class TestConfigFile:
         cfg = _config(tmp_path, method="deepwalk")
         assert _status("train", "--kind", "ring", "--config", cfg,
                        "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("flags, values", [
+        (["--learning-rate", "1", "--split", "0"],
+         {"learning_rate": 1, "split": 0}),
+        (["--learning-rate", "0.30000000000000004", "--lambda-ent", "0.5"],
+         {"learning_rate": 0.1 + 0.2, "lambda_ent": 0.5}),
+    ])
+    def test_flag_and_config_give_one_hash(self, ring_data, tmp_path, flags,
+                                           values):
+        # a config value goes through its flag's type: an integer for a
+        # float setting is recorded, and hashed, as that float
+        graph = ["--data", str(ring_data / "edges.txt"), *MICRO_TRAIN]
+        assert _run("train", *graph, *flags,
+                    "--out", str(tmp_path / "flags")) == 0
+        assert _run("train", *graph, "--config", _config(tmp_path, **values),
+                    "--out", str(tmp_path / "config")) == 0
+        flag_run, config_run = (
+            json.loads((tmp_path / name / "run.json").read_text())
+            for name in ("flags", "config"))
+        assert (json.dumps(flag_run["config"], sort_keys=True)
+                == json.dumps(config_run["config"], sort_keys=True))
+        assert flag_run["config_hash"] == config_run["config_hash"]
+
+    @pytest.mark.parametrize("key, items", [
+        ("datasets", ["ring,sbm"]), ("methods", [""]),
+        ("tasks", ["link", ""])])
+    def test_list_item_no_flag_can_carry_rejected(self, tmp_path, capsys,
+                                                 key, items):
+        cfg = _config(tmp_path, **{key: items})
+        assert _status(*MICRO_BENCH, "--config", cfg,
+                       "--out", str(tmp_path / "out")) == 2
+        assert "cannot be empty or hold a comma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_deterministic_reexecs_single_threaded(self, tmp_path,
                                                          monkeypatch):
@@ -415,9 +474,11 @@ class TestProvenance:
             sidecar = json.loads((ckpt / "run.json").read_text())
             report = json.loads((out / "report.json").read_text())
             assert report["metadata"]["graph"] == sidecar["graph"]
+            assert report["metadata"]["data"] == sidecar["data"]
             for task in ("link", "node"):
                 payload = json.loads((out / f"{task}_task.json").read_text())
                 assert payload["graph"] == sidecar["graph"]
+                assert payload["data"] == sidecar["data"]
                 assert payload["config_hash"] == sidecar["config_hash"]
             fingerprints.append((sidecar["config_hash"], sidecar["graph"]))
         (hash_a, graph_a), (hash_b, graph_b) = fingerprints
@@ -427,6 +488,72 @@ class TestProvenance:
         sidecar = json.loads((ring_ckpt / "run.json").read_text())
         assert sidecar["data"]["path"] == str(ring_data / "edges.txt")
         assert len(sidecar["data"]["sha256"]) == 64
+
+    def test_outputs_name_their_edge_list(self, ba_setup, tmp_path):
+        # report.json and the task files carry run.json's data reference,
+        # here the edge list's path and sha256
+        data = ba_setup[0]
+        ckpt, out = tmp_path / "ckpt", tmp_path / "out"
+        assert _run("train", "--data", str(data / "edges.txt"), *MICRO_TRAIN,
+                    "--split", "0.2", "--out", str(ckpt)) == 0
+        truth = ["--ground-truth", str(data / "ground_truth.json")]
+        for command in (["evaluate", "--permutations", "5"],
+                        ["downstream", "--task", "link"],
+                        ["downstream", "--task", "node"]):
+            assert _run(*command, "--checkpoint", str(ckpt), *truth,
+                        "--out", str(out)) == 0
+        want = json.loads((ckpt / "run.json").read_text())["data"]
+        assert want["path"] == str(data / "edges.txt")
+        report = json.loads((out / "report.json").read_text())
+        assert report["metadata"]["data"] == want
+        for task in ("link", "node"):
+            payload = json.loads((out / f"{task}_task.json").read_text())
+            assert payload["data"] == want
+
+    @pytest.mark.parametrize("command, given", [
+        ("explain", ["--seed", "5"]),
+        ("evaluate", ["--seed", "5"]),
+        ("explain", ["--num-cliques", "64"]),
+        ("evaluate", ["--noise-edges", "999"]),
+        ("downstream", ["--num-cliques", "64"]),
+        ("explain", {"num_cliques": 64}),
+        ("evaluate", {"seed": 5}),
+        ("downstream", {"er_p": 0.5}),
+    ])
+    def test_generator_setting_without_kind_fails(self, ring_noiseless_ckpt,
+                                                  tmp_path, capsys, command,
+                                                  given):
+        # without --kind the checkpoint names the graph, so a generator
+        # setting, or the generator seed of explain and evaluate, would be
+        # ignored
+        if isinstance(given, dict):
+            given = ["--config", _config(tmp_path, **given)]
+        assert _status(command, "--checkpoint", str(ring_noiseless_ckpt),
+                       *given, "--out", str(tmp_path / "out")) == 2
+        assert "goes with --kind" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("given", [["--num-cliques", "64"], {"ba_m": 3}])
+    def test_generator_setting_with_an_edge_list_fails(self, ring_data,
+                                                       tmp_path, capsys,
+                                                       given):
+        if isinstance(given, dict):
+            given = ["--config", _config(tmp_path, **given)]
+        assert _status("train", "--data", str(ring_data / "edges.txt"),
+                       *MICRO_TRAIN, *given,
+                       "--out", str(tmp_path / "out")) == 2
+        assert "goes with --kind" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_downstream_seed_is_the_task_seed(self, ba_setup, tmp_path):
+        data, ckpt = ba_setup
+        assert _run("downstream", "--checkpoint", str(ckpt),
+                    "--data", str(data / "edges.txt"),
+                    "--ground-truth", str(data / "ground_truth.json"),
+                    "--task", "node", "--seed", "5",
+                    "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "node_task.json").read_text())[
+            "seed"] == 5
 
 
 class TestExplain:
