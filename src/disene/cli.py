@@ -393,12 +393,12 @@ def cmd_evaluate(args) -> int:
         if loaded and h.shape[1] != loaded[0][1].shape[1]:
             raise ValueError("checkpoints disagree on K; aggregate runs "
                              "must share a dimensionality")
-        loaded.append((sidecar, h))
+        g, gts, _ = _resolve_graph(args, sidecar)
+        loaded.append((sidecar, h, g, gts))
 
     out = _outdir(args, default=ckpts[0])
     rows = []
-    for i, (sidecar, h) in enumerate(loaded):
-        g, gts, _ = _resolve_graph(args, sidecar)
+    for i, (sidecar, h, g, gts) in enumerate(loaded):
         expl = build_explanations(h, g)
         rep = compute_report(
             g, h, expl, gts,

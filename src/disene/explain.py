@@ -24,9 +24,9 @@ from .graph_core import Graph
 
 @dataclass
 class AttributionContext:
-    """Background means mu_d and the edges they were computed over."""
+    """Background means mu_d and the number of edges they were computed over."""
     mu: np.ndarray            # (K,)
-    background: np.ndarray    # (B, 2)
+    background_size: int
 
     @classmethod
     def build(cls, h: np.ndarray, background: np.ndarray):
@@ -34,7 +34,7 @@ class AttributionContext:
         if len(background) == 0:
             raise ValueError("background edge set must be non-empty")
         prods = h[background[:, 0]].astype(np.float64) * h[background[:, 1]].astype(np.float64)
-        return cls(mu=prods.mean(axis=0), background=background)
+        return cls(mu=prods.mean(axis=0), background_size=len(background))
 
 
 @dataclass
@@ -103,7 +103,7 @@ def explanation_to_json(expl: Explanation, g: Graph) -> dict:
         })
     return {
         "num_dims": expl.num_dims,
-        "background_size": int(len(expl.context.background)),
+        "background_size": expl.context.background_size,
         "mu": [float(x) for x in expl.context.mu],
         "dims": dims,
     }

@@ -105,6 +105,17 @@ def _find_codes(codes: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.nda
     return rows, found
 
 
+def _distinct(codes: np.ndarray):
+    """Distinct values of non-negative int64 codes, ascending, with counts.
+
+    A sort, since np.unique of int64 takes a far slower hash path on
+    numpy 2.4.
+    """
+    codes = np.sort(codes)
+    first = np.flatnonzero(np.diff(codes, prepend=-1))
+    return codes[first], np.diff(first, append=len(codes))
+
+
 def build_graph(num_nodes: int, edges, node_ids=None) -> Graph:
     """Construct a Graph from an edge iterable, cleaning as it goes.
 
@@ -120,7 +131,7 @@ def build_graph(num_nodes: int, edges, node_ids=None) -> Graph:
         u, v = pairs[np.argmax(bad)]
         raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
     pairs = np.sort(pairs, axis=1)
-    codes = np.unique(_pair_codes(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes))
+    codes, _ = _distinct(_pair_codes(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes))
     arr = np.stack([codes // num_nodes, codes % num_nodes], axis=1)
     return Graph(num_nodes, arr, list(node_ids) if node_ids else None)
 
@@ -387,79 +398,63 @@ def train_subgraph(g: Graph, split: EdgeSplit) -> Graph:
     return build_graph(g.num_nodes, split.train_edges, g.node_ids)
 
 
-# Levels a multi-source BFS may run on one call. One level costs about
-# (V + nnz) * len(sources); a per-source csgraph search costs as much as ~16
-# levels on a path or a ring of cliques without chords, and ~40 on ba graphs
-# and rings with random chords (2-core Xeon, 1 BLAS thread), so deeper
-# searches go to csgraph.
-MAX_LEVELS = 32
+# Levels the word-packed BFS runs before the sources still open go to
+# csgraph. A level costs about (V + nnz) * ceil(B / 64) word operations. One
+# csgraph search per source costs as much as ~35 levels on a ring of cliques
+# without chords, where csgraph is cheapest against a level, and 60-130 on
+# ba, er and chorded rings (640-25600 nodes, 2-core Xeon, 1 BLAS thread). So
+# a deeper search costs at most about twice csgraph's, and a ring of 512
+# cliques with random chords (eccentricities up to 39) finishes in words. At
+# most 255, the largest hop the uint8 hop array holds.
+MAX_LEVELS = 40
 
 
 def bfs_distances(g: Graph, sources) -> np.ndarray:
     """Hop distances from each source node: (len(sources), V), inf where unreachable.
 
-    A level-synchronous BFS from all sources at once: column j of a (V, B)
-    frontier holds source j's newest nodes, and one level is one sparse
-    product `A @ frontier` plus a mask of the nodes not yet seen; each level
-    adds the unseen mask to an int32 hop counter. Levels stop when every
-    frontier is empty, or at min(MAX_LEVELS, 2 * ecc) where ecc is the
-    eccentricity of a probe source (the one of highest degree), since no
-    distance in the probe's component exceeds twice it. Columns still open at
-    that bound, and every column of the probe's component when ecc alone
-    passes MAX_LEVELS, are searched per source by csgraph instead.
+    A multi-source BFS with one bit per source (MS-BFS, Then et al., PVLDB
+    8(4), 2014): bit j % 64 of word j // 64 in row v of a (V, ceil(B / 64))
+    uint64 array `seen` says that source j has reached v. One level gathers
+    the frontier words of every node's neighbours, ORs them per node and
+    masks out the bits already seen; the new bits are written, as the level,
+    into a (V, B) uint8 hop array. Sources whose frontier is still open after
+    MAX_LEVELS levels are searched per source by csgraph instead.
 
-    When the BFS answers every source, the result is the transpose of its
-    (V, B) array, so it is F-ordered.
+    The result is the transpose of a (V, B) array, so it is F-ordered.
     """
     sources = np.asarray(sources, dtype=np.int64)
-    b = len(sources)
-    if not g.degrees[sources].any():    # no source has an edge
-        dist = np.full((b, g.num_nodes), np.inf)
-        dist[np.arange(b), sources] = 0.0
-        return dist
-    # the matrix is symmetric, so the directed searches need no symmetrizing
-    adj = g.matrix(np.float32)
-    probe = sources[np.argmax(g.degrees[sources])]
-    reach = csgraph.shortest_path(adj, unweighted=True, indices=probe)
-    ecc = int(reach[np.isfinite(reach)].max())
-    near = np.isfinite(reach[sources])   # sources in the probe's component
-    searched = near.copy() if ecc > MAX_LEVELS else np.zeros(b, dtype=bool)
-    if searched.all():
-        return csgraph.shortest_path(adj, unweighted=True, indices=sources)
-    cols = np.flatnonzero(~searched)
-    bound = min(MAX_LEVELS, 2 * ecc)
-    hops, unseen, open_ = _frontier_levels(adj, sources[cols], bound)
-    if bound == 2 * ecc:
-        open_ &= ~near[cols]
-    levels = np.where(unseen, np.inf, hops).T
-    searched[cols[open_]] = True
-    if not searched.any():
-        return levels
-    dist = np.empty((b, g.num_nodes))
-    dist[cols] = levels
-    dist[searched] = csgraph.shortest_path(adj, unweighted=True,
-                                           indices=sources[searched])
+    b, n = len(sources), g.num_nodes
+    col = np.arange(b)
+    seen = np.zeros((n, -(-b // 64)), dtype=np.uint64)
+    # unbuffered, since repeated sources set bits in one row
+    np.bitwise_or.at(seen, (sources, col // 64),
+                     np.left_shift(np.uint64(1), (col % 64).astype(np.uint64)))
+    hops = np.zeros((n, b), dtype=np.uint8)
+    has = np.flatnonzero(g.degrees)
+    frontier, open_ = seen, np.zeros(b, dtype=bool)
+    for level in range(1, MAX_LEVELS + 1):
+        new = np.zeros_like(seen)
+        new[has] = np.bitwise_or.reduceat(np.take(frontier, g.indices, axis=0),
+                                          g.indptr[has], axis=0)
+        new &= ~seen
+        rows = np.flatnonzero(new.any(axis=1))
+        if not len(rows):
+            break
+        seen |= new
+        hops[rows] += np.uint8(level) * _source_bits(new[rows], b)
+        frontier = new
+    else:
+        open_ = _source_bits(np.bitwise_or.reduce(frontier), b).astype(bool)
+    dist = np.where(_source_bits(seen, b), hops, np.inf).T
+    if open_.any():
+        dist[open_] = csgraph.shortest_path(g.matrix(), unweighted=True,
+                                            indices=sources[open_])
     return dist
 
 
-def _frontier_levels(adj, sources: np.ndarray, max_levels: int):
-    """Up to `max_levels` BFS levels from every source at once.
-
-    Returns the (V, B) int32 hop counter, the (V, B) mask of nodes not
-    reached, and the (B,) mask of sources whose frontier is not yet empty.
-    `max_levels` must be at least 1.
-    """
-    b = len(sources)
-    unseen = np.ones((adj.shape[0], b), dtype=bool)
-    unseen[sources, np.arange(b)] = False
-    frontier = (~unseen).astype(np.float32)
-    hops = np.zeros(unseen.shape, dtype=np.int32)
-    for _ in range(max_levels):
-        new = adj @ frontier > 0
-        new &= unseen
-        hops += unseen
-        unseen ^= new
-        if not new.any():
-            break
-        frontier = new.astype(np.float32)
-    return hops, unseen, new.any(axis=0)
+def _source_bits(words: np.ndarray, b: int) -> np.ndarray:
+    """The first b bits of each row of uint64 words, as 0/1 uint8, bit j % 64
+    of word j // 64 at column j."""
+    # a little-endian view puts bit j at byte j // 8, bit j % 8
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         axis=-1, count=b, bitorder="little")

@@ -84,7 +84,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_blas_funcs
 
-from .graph_core import Graph
+from .graph_core import Graph, _distinct
 from .model import (EncoderParams, activation_grad, forward, init_params,
                     normalized_adjacency)
 from .sampling import PairBatch, WalkConfig, build_pair_batch
@@ -145,13 +145,6 @@ class _Weighted:
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-
-
-def _distinct(codes: np.ndarray):
-    """Distinct values of non-negative int64 codes, ascending, with counts."""
-    codes = np.sort(codes)
-    first = np.flatnonzero(np.diff(codes, prepend=-1))
-    return codes[first], np.diff(first, append=len(codes))
 
 
 def _aggregate(pairs: np.ndarray, num_nodes: int) -> _Weighted:

@@ -344,19 +344,6 @@ class TestBfs:
                             shape=(g.num_nodes, g.num_nodes))
         return shortest_path(adj, method="BF", unweighted=True)[sources]
 
-    @pytest.fixture
-    def levels(self, monkeypatch):
-        """Source counts of each frontier search, and of its open columns."""
-        runs = []
-        inner = graph_core._frontier_levels
-
-        def spy(adj, sources, max_levels):
-            hops, unseen, open_ = inner(adj, sources, max_levels)
-            runs.append((len(sources), int(open_.sum())))
-            return hops, unseen, open_
-        monkeypatch.setattr(graph_core, "_frontier_levels", spy)
-        return runs
-
     def test_isolated_and_repeated_sources(self):
         # two components and isolated nodes 3, 8 and 9
         g = build_graph(10, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7)])
@@ -364,32 +351,47 @@ class TestBfs:
             got = bfs_distances(g, sources)
             np.testing.assert_array_equal(got, self._oracle(g, sources))
 
+    def test_sources_over_several_words(self):
+        # 150 sources fill three words; node 5 sits at columns 63 and 64 on
+        # either side of the first word boundary, node 0 at 0, 127 and 128
+        rng = np.random.default_rng(5)
+        g = random_graph(rng, 40, 0.06)
+        sources = rng.integers(40, size=150)
+        sources[[63, 64]] = 5
+        sources[[0, 127, 128]] = 0
+        got = bfs_distances(g, sources)
+        np.testing.assert_array_equal(got, self._oracle(g, sources))
+        assert got.dtype == np.float64 and got.flags.f_contiguous
+
+    def test_edgeless_graph(self):
+        g = build_graph(4, [])
+        np.testing.assert_array_equal(bfs_distances(g, [2, 0, 2]),
+                                      self._oracle(g, [2, 0, 2]))
+
     def test_empty_source_list(self, path_graph):
         assert bfs_distances(path_graph, []).shape == (0, 6)
 
-    def test_deep_path_goes_to_csgraph(self, levels):
+    def test_deep_path_goes_to_csgraph(self):
         n = 2 * graph_core.MAX_LEVELS + 5
         g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
         sources = np.arange(0, n, 3)
-        np.testing.assert_array_equal(bfs_distances(g, sources),
-                                      self._oracle(g, sources))
-        assert levels == []
+        got = bfs_distances(g, sources)
+        np.testing.assert_array_equal(got, self._oracle(g, sources))
+        assert got.dtype == np.float64 and got.flags.f_contiguous
 
-    def test_deep_component_beside_a_shallow_one(self, levels):
-        # a path with a pendant at its middle (the probe), and a triangle
+    def test_deep_component_beside_a_shallow_one(self):
+        # a path with a pendant at its middle, and a triangle
         n = 2 * graph_core.MAX_LEVELS + 5
         mid = n // 2
         edges = [(i, i + 1) for i in range(n - 1)] + [(mid, n)]
         edges += [(n + 1, n + 2), (n + 2, n + 3), (n + 3, n + 1)]
         g = build_graph(n + 4, edges)
         sources = np.arange(n + 4)
-        np.testing.assert_array_equal(bfs_distances(g, sources),
-                                      self._oracle(g, sources))
-        assert levels == [(3, 0)]         # the triangle alone ran levels
+        got = bfs_distances(g, sources)
+        np.testing.assert_array_equal(got, self._oracle(g, sources))
+        assert got.flags.f_contiguous
 
-    def test_long_path_beside_a_star_is_handed_off(self, levels):
-        # the star's centre is the probe: eccentricity 1, so the BFS stops
-        # after 2 levels and the path's sources go to csgraph
+    def test_long_path_beside_a_star_is_handed_off(self):
         n = 2 * graph_core.MAX_LEVELS + 5
         edges = [(0, i) for i in range(1, 6)]
         edges += [(6 + i, 7 + i) for i in range(n - 1)]
@@ -397,9 +399,15 @@ class TestBfs:
         sources = np.arange(6 + n)
         np.testing.assert_array_equal(bfs_distances(g, sources),
                                       self._oracle(g, sources))
-        # open at the bound: the path, and the leaves, whose last level
-        # found the other leaves (the probe's bound closes those)
-        assert levels == [(6 + n, n + 5)]
+
+    def test_longest_search_the_levels_finish(self):
+        # source 3's eccentricity is MAX_LEVELS - 1, so its search ends in
+        # the levels; sources 0-2 are still open after them
+        n = graph_core.MAX_LEVELS + 3
+        g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        sources = [0, 1, 2, 3, 2, 1]
+        np.testing.assert_array_equal(bfs_distances(g, sources),
+                                      self._oracle(g, sources))
 
     def test_anchors(self, path_graph):
         d = bfs_distances(path_graph, [0, 5])

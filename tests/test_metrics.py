@@ -28,8 +28,7 @@ def _expl_from_sets(edge_sets, g=None):
     w = np.zeros((g.num_edges, len(edge_sets)))
     for d, es in enumerate(edge_sets):
         w[g.edge_rows(sorted(es)), d] = 1.0
-    ctx = AttributionContext(mu=np.zeros(len(edge_sets)),
-                             background=np.array([[0, 1]]))
+    ctx = AttributionContext(mu=np.zeros(len(edge_sets)), background_size=1)
     return Explanation(weights=w, context=ctx)
 
 
