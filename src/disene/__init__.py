@@ -18,11 +18,11 @@ from .model import (EncoderParams, init_params,
 from .training import (AdamState, GradBuffer, LossConfig, TrainResult,
                        adam_step, loss_breakdown, total_loss_and_grads, train)
 from .explain import (AttributionContext, Explanation, build_explanations,
-                      node_support)
+                      edge_features, node_support)
 from .metrics import (MetricsReport, auc_pr, comprehensibility, compute_report,
                       fpc_matrix, jaccard, overlap_consistency, pearson,
                       positional_coherence, sparsity)
 from .downstream import (LogRegModel, TaskResult, build_task_masks,
-                         edge_features, fit_logreg, linear_shap, plausibility)
+                         fit_logreg, linear_shap, plausibility)
 
 __version__ = "0.1.0"

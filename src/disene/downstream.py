@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
+from .explain import edge_features
 from .graph_core import EdgeSplit, Graph, GroundTruth, sample_non_edges
 from .metrics import auc_pr, weighted_f1
 
@@ -123,12 +124,6 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray,
         w, f, z = w + t * step, f_t, z_t
     raise RuntimeError(f"logistic regression did not converge in "
                        f"{MAX_NEWTON_STEPS} Newton steps")
-
-
-def edge_features(h: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Hadamard features h(u) * h(v) for each pair row."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    return h[pairs[:, 0]].astype(np.float64) * h[pairs[:, 1]].astype(np.float64)
 
 
 def linear_shap(model: LogRegModel, x: np.ndarray,

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph_core import Graph
 
@@ -30,11 +31,25 @@ class AttributionContext:
 
     @classmethod
     def build(cls, h: np.ndarray, background: np.ndarray):
-        background = np.asarray(background, dtype=np.int64)
-        if len(background) == 0:
+        return cls.of_products(edge_features(h, background))
+
+    @classmethod
+    def of_products(cls, prods: np.ndarray):
+        """The context of a background given its (B, K) edge products."""
+        if len(prods) == 0:
             raise ValueError("background edge set must be non-empty")
-        prods = h[background[:, 0]].astype(np.float64) * h[background[:, 1]].astype(np.float64)
-        return cls(mu=prods.mean(axis=0), background_size=len(background))
+        return cls(mu=prods.mean(axis=0), background_size=len(prods))
+
+
+def edge_features(h: np.ndarray, pairs) -> np.ndarray:
+    """Hadamard features h(u) * h(v) for each (u, v) pair row: (P, K)
+    float64, the products h_d(u) h_d(v) that phi_d centers.
+
+    numpy casts h's rows to float64 inside the product, which is exact, so
+    the result equals the product of the two casts without allocating them.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.multiply(h[pairs[:, 0]], h[pairs[:, 1]], dtype=np.float64)
 
 
 @dataclass
@@ -71,47 +86,59 @@ def build_explanations(h: np.ndarray, g: Graph,
                        background: np.ndarray | None = None) -> Explanation:
     """Masks M^(d) = max(0, phi_d) over the graph's edges, every dimension.
 
-    `background` defaults to all edges of g; pass a training edge set to
-    center against what the model saw during optimization.
+    `background` defaults to all edges of g, whose products are then the
+    ones phi is taken from; pass a training edge set to center against what
+    the model saw during optimization.
     """
-    bg = g.edges if background is None else np.asarray(background, dtype=np.int64)
-    ctx = AttributionContext.build(h, bg)
-    eu, ev = g.edges[:, 0], g.edges[:, 1]
-    phi = h[eu].astype(np.float64) * h[ev].astype(np.float64) - ctx.mu[None, :]
+    phi = edge_features(h, g.edges)
+    ctx = (AttributionContext.of_products(phi) if background is None
+           else AttributionContext.build(h, background))
+    phi -= ctx.mu[None, :]
     return Explanation(weights=np.maximum(phi, 0.0, out=phi), context=ctx)
 
 
 def node_support(expl: Explanation, g: Graph) -> np.ndarray:
-    """(V, K) bool: node v is an endpoint of an edge in E_d, i.e. v in V_d."""
-    out = np.zeros((g.num_nodes, expl.num_dims), dtype=bool)
-    support = expl.support
-    np.logical_or.at(out, g.edges[:, 0], support)
-    np.logical_or.at(out, g.edges[:, 1], support)
-    return out
+    """(V, K) bool: node v is an endpoint of an edge in E_d, i.e. v in V_d.
+
+    The (V, E) incidence matrix times the (E, K) support counts each node's
+    edges in each E_d; float32 counts are exact up to 2**24.
+    """
+    e = np.arange(g.num_edges)
+    incidence = sp.csr_matrix(
+        (np.ones(2 * len(e), dtype=np.float32), (g.edges.T.ravel(), np.tile(e, 2))),
+        shape=(g.num_nodes, len(e)))
+    return (incidence @ expl.support.astype(np.float32)) > 0
 
 
-def explanation_to_json(expl: Explanation, g: Graph) -> dict:
-    nodes = node_support(expl, g)
-    dims = []
-    for d, rows in enumerate(expl.edge_sets):
-        dims.append({
-            "dim": d,
-            "edges": g.edges[rows].tolist(),
-            "weights": expl.weights[rows, d].tolist(),
-            "nodes": np.flatnonzero(nodes[:, d]).tolist(),
-            "empty": len(rows) == 0,
-        })
-    return {
-        "num_dims": expl.num_dims,
-        "background_size": expl.context.background_size,
-        "mu": [float(x) for x in expl.context.mu],
-        "dims": dims,
-    }
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
 
 def save_explanation(path, expl: Explanation, g: Graph):
-    # json.dumps without indent runs the C encoder; json.dump never does
-    text = json.dumps(explanation_to_json(expl, g), sort_keys=True,
-                      separators=(",", ":"))
+    """Write the explanation as one line of JSON.
+
+    The bytes are those of json.dumps(payload, sort_keys=True,
+    separators=(",", ":")) plus a newline, for the payload
+    {"background_size", "dims", "mu", "num_dims"}, where dims[d] is
+    {"dim": d, "edges": [[u, v], ...], "empty", "nodes": [...],
+    "weights": [...]} over E_d's rows of g.edges, in row order, and V_d's
+    nodes, ascending. The text is joined from per-graph tables of each
+    edge's "[u,v]" and each node's digits; only the weights are formatted
+    per dimension, by json itself.
+    """
+    node_text = np.array([str(v) for v in range(g.num_nodes)], dtype=object)
+    edge_text = (("[" + node_text + ",")[g.edges[:, 0]]
+                 + (node_text + "]")[g.edges[:, 1]])
+    nodes = node_support(expl, g)
+    dims = []
+    for d, rows in enumerate(expl.edge_sets):
+        dims.append(
+            f'{{"dim":{d},"edges":[{",".join(edge_text[rows].tolist())}],'
+            f'"empty":{_compact(len(rows) == 0)},'
+            f'"nodes":[{",".join(node_text[nodes[:, d]].tolist())}],'
+            f'"weights":{_compact(expl.weights[rows, d].tolist())}}}')
+    mu = _compact([float(x) for x in expl.context.mu])
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(f'{{"background_size":{expl.context.background_size},'
+                 f'"dims":[{",".join(dims)}],"mu":{mu},'
+                 f'"num_dims":{expl.num_dims}}}\n')

@@ -143,9 +143,9 @@ def largest_component_subgraph(g: Graph) -> Graph:
     node order (and node_ids alignment) is preserved under the new indexing.
     """
     _, labels = csgraph.connected_components(g.matrix(), directed=False)
-    _, first = np.unique(labels, return_index=True)   # first node per label
-    by_first = np.argsort(first)
-    best = by_first[np.argmax(np.bincount(labels)[by_first])]
+    sizes = np.bincount(labels)
+    # the first node of any largest component names the one kept
+    best = labels[np.argmax(sizes[labels] == sizes.max())]
     keep = np.flatnonzero(labels == best)
     remap = np.full(g.num_nodes, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
@@ -159,13 +159,14 @@ def load_edge_list(path, largest_component: bool = True) -> Graph:
     """Load a whitespace-separated edge list.
 
     Each non-comment line holds two node tokens; '#' starts a comment line and
-    blank lines are skipped. Tokens are remapped to dense indices in order of
-    first appearance. By default the graph is then restricted to its largest
+    blank lines are skipped. Tokens are numbered densely in ascending order:
+    by integer value when every token is an integer, so a graph written
+    with integer nodes comes back under the same numbering, and as strings
+    otherwise. By default the graph is then restricted to its largest
     connected component (synthetic generators bypass this entirely by
     constructing Graph objects directly).
     """
-    index: dict[str, int] = {}
-    edges = []
+    pairs = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -174,18 +175,16 @@ def load_edge_list(path, largest_component: bool = True) -> Graph:
             toks = line.split()
             if len(toks) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two node tokens, got {len(toks)}")
-            pair = []
-            for t in toks:
-                if t not in index:
-                    index[t] = len(index)
-                pair.append(index[t])
-            edges.append(tuple(pair))
-    if len(index) < 2:
+            pairs.append(toks)
+    tokens = {t for pair in pairs for t in pair}
+    if len(tokens) < 2:
         raise ValueError(f"{path}: fewer than 2 nodes after cleaning")
-    ids = [None] * len(index)
-    for tok, i in index.items():
-        ids[i] = tok
-    g = build_graph(len(index), edges, ids)
+    try:
+        ids = sorted(tokens, key=lambda t: (int(t), t))
+    except ValueError:
+        ids = sorted(tokens)
+    index = {t: i for i, t in enumerate(ids)}
+    g = build_graph(len(ids), [(index[u], index[v]) for u, v in pairs], ids)
     if largest_component:
         g = largest_component_subgraph(g)
         if g.num_nodes < 2:

@@ -11,6 +11,16 @@ Every generator returns edges as one (E, 2) array and leaves cleaning to
 `build_graph`. Ground truth is the clique labels' intra-label edges, through
 `communities_from_labels`; base nodes carry label -1. Generation is
 deterministic: one seed, one byte-identical edge list.
+
+The ba base is defined by a scalar loop: each new node's targets are
+`repeated[rng.integers(len(repeated))]`, drawn until m of them differ.
+`_ba_base` replays that loop from the bit generator's raw output, read in
+chunks, the way numpy reads it for a bound k < 2**32:
+- each 64-bit output serves two 32-bit draws, its low half first;
+- a draw x maps to (x * k) >> 32 (Lemire, "Fast Random Integer Generation
+  in an Interval", ACM TOMACS 2019), and numpy draws again when
+  (x * k) mod 2**32 < (2**32 - k) mod k.
+A bound of 2**32 or more, where numpy takes another path, raises instead.
 """
 
 from __future__ import annotations
@@ -137,21 +147,52 @@ def _sbm_cliques(spec: SynthSpec):
 
 
 def _ba_base(n: int, m: int, rng) -> np.ndarray:
-    """Preferential attachment: each new node links to m distinct old nodes."""
-    edges = []
+    """Preferential attachment: each new node links to m distinct old nodes.
+
+    Node m links to nodes 0..m-1; each later node links to m distinct
+    targets drawn degree-proportionally from `repeated`, which lists every
+    node once per edge end so far. `rng`'s stream is read ahead in chunks,
+    so `rng` is spent after the call.
+    """
+    draws = _uint32_draws(rng.bit_generator)
     repeated: list[int] = []
     targets = list(range(m))
+    ends = []
     for source in range(m, n):
-        for t in targets:
-            edges.append((min(source, t), max(source, t)))
+        ends.extend(targets)
         repeated.extend(targets)
         repeated.extend([source] * m)
-        # sample m distinct targets, degree-proportional via the repeated list
-        chosen: set[int] = set()
-        while len(chosen) < m:
-            chosen.add(repeated[int(rng.integers(len(repeated)))])
-        targets = sorted(chosen)
-    return np.array(edges, dtype=np.int64)
+        targets = _draw_distinct(draws, repeated, m)
+    return np.stack([np.array(ends, dtype=np.int64),
+                     np.repeat(np.arange(m, n, dtype=np.int64), m)], axis=1)
+
+
+def _uint32_draws(bit_generator, chunk: int = 4096):
+    """The 32-bit draws numpy's Generator takes from `bit_generator`, in
+    order: each 64-bit output in turn, its low half first."""
+    while True:
+        raw = bit_generator.random_raw(chunk).astype("<u8", copy=False)
+        yield from raw.view("<u4").tolist()
+
+
+def _draw_distinct(draws, pool, m: int) -> list[int]:
+    """m distinct entries of `pool`, ascending, drawn as the loop
+
+        while fewer than m differ: pool[rng.integers(len(pool))]
+
+    draws them from the stream `draws` (the module docstring states how
+    numpy maps a 32-bit draw into [0, len(pool))).
+    """
+    k = len(pool)
+    if not 2 <= k < 1 << 32:
+        raise ValueError(f"a bounded draw replays bounds in [2, 2**32), got {k}")
+    threshold = ((1 << 32) - k) % k
+    chosen: set[int] = set()
+    while len(chosen) < m:
+        x = next(draws) * k
+        if (x & 0xFFFFFFFF) >= threshold:
+            chosen.add(pool[x >> 32])
+    return sorted(chosen)
 
 
 def _er_base(n: int, p: float, rng) -> np.ndarray:

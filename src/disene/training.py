@@ -68,7 +68,8 @@ a float32 result, differ.
 
 Each term has one function returning its value and dL/dH, and
 `_objective` adds them up for both the training step and `loss_breakdown`,
-so the loss trace and the final loss come from the same code. Gradients
+so the loss trace and the final loss come from the same code; the final
+loss and the breakdown ask for the values only, which skips the gradients. Gradients
 are computed analytically (no autodiff) and pass a central
 finite-difference check in 64-bit mode; see the test suite. Optimization is
 bias-corrected Adam, one full-corpus step per epoch.
@@ -284,9 +285,9 @@ def _pattern_dots(h, cp: _CountPattern, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rw_value_grad(h, cp: _CountPattern):
+def _rw_value_grad(h, cp: _CountPattern, grad: bool = True):
     """L_rw and dL_rw/dH on the pattern, in h's dtype; the value is summed
-    in float64."""
+    in float64. Without `grad` the gradient is None."""
     buf = cp.buffers(h.dtype)
     s, e, t, c = buf.work
     _pattern_dots(h, cp, s)
@@ -299,6 +300,8 @@ def _rw_value_grad(h, cp: _CountPattern):
     np.clip(np.subtract(s, t, out=c), lo, hi, out=c)
     np.clip(np.negative(t, out=t), lo, hi, out=t)
     value = -(float(cp.pos @ c) + float(cp.neg @ t))
+    if not grad:
+        return value, None
     # sigmoid(s) = 1/(1 + e) for s >= 0 and e/(1 + e) below, and
     # C = P (sigmoid(s) - 1) + N sigmoid(s) = (P + N) sigmoid(s) - P
     np.add(e, 1, out=t)
@@ -322,9 +325,9 @@ def _rw_value_grad(h, cp: _CountPattern):
     return value, symm(1.0, buf.dense.T, h.T, side=1, lower=1).T
 
 
-def _dis_value_grad(h):
+def _dis_value_grad(h, grad: bool = True):
     """L_dis, the sum of cosines between scaled affiliation columns over the
-    ordered pairs d != l, and dL_dis/dH."""
+    ordered pairs d != l, and dL_dis/dH (None without `grad`)."""
     s = h.sum(axis=0)
     f = h * s[None, :]
     g = f.T @ f
@@ -332,6 +335,8 @@ def _dis_value_grad(h):
     d = np.outer(n, n) + COSINE_EPS
     c = g / d
     value = float(c.sum() - np.trace(c))
+    if not grad:
+        return value, None
     alive = n > 0.0
     n_safe = np.where(alive, n, 1.0)
     a = 1.0 / d
@@ -347,10 +352,11 @@ def _dis_value_grad(h):
     return value, dh.astype(h.dtype, copy=False)
 
 
-def _ent_value_grad(h):
+def _ent_value_grad(h, grad: bool = True):
     """1 - H(p)/ln K for the column-mass distribution p, in [0, 1], and its
-    gradient. All-zero H carries no mass to distribute, which counts as
-    maximally concentrated: penalty 1. One dimension has penalty 0."""
+    gradient (None without `grad`). All-zero H carries no mass to
+    distribute, which counts as maximally concentrated: penalty 1. One
+    dimension has penalty 0."""
     k = h.shape[1]
     if k < 2:
         return 0.0, np.zeros_like(h)
@@ -362,19 +368,22 @@ def _ent_value_grad(h):
     logp = np.log(np.maximum(p, MASS_EPS))
     ent = -float(np.sum(p * logp))
     value = 1.0 - ent / math.log(k)
+    if not grad:
+        return value, None
     dpen_ds = (logp + ent) / (t * math.log(k))
     dh = np.broadcast_to(dpen_ds.astype(h.dtype), h.shape).copy()
     return value, dh
 
 
-def _objective(h, cp: _CountPattern, cfg: LossConfig):
-    """The loss terms at H, keyed rw, dis, ent and total, and dL/dH.
+def _objective(h, cp: _CountPattern, cfg: LossConfig, grad: bool = True):
+    """The loss terms at H, keyed rw, dis, ent and total, and dL/dH (None
+    without `grad`; the terms are the same either way).
 
     A regularizer counts when its weight is positive; a term that does not
     count reads 0.0. The total adds the weighted terms in the order rw, dis,
     ent.
     """
-    rw, dh = _rw_value_grad(h, cp)
+    rw, dh = _rw_value_grad(h, cp, grad)
     terms = {"rw": rw, "dis": 0.0, "ent": 0.0}
     total = rw
     # L_dis compares pairs of dimensions, so one dimension leaves it out
@@ -383,9 +392,10 @@ def _objective(h, cp: _CountPattern, cfg: LossConfig):
         ("ent", cfg.lambda_ent, _ent_value_grad))
     for name, weight, value_grad in regularizers:
         if weight > 0:
-            terms[name], dh_term = value_grad(h)
+            terms[name], dh_term = value_grad(h, grad)
             total += weight * terms[name]
-            dh = dh + weight * dh_term
+            if grad:
+                dh = dh + weight * dh_term
     terms["total"] = total
     return terms, dh
 
@@ -397,7 +407,7 @@ def loss_breakdown(params, g, batch, cfg: LossConfig, adj=None) -> dict:
     total is the one `total_loss_and_grads` returns at these parameters.
     """
     _, _, h = forward(params, g, adj)
-    return _objective(h, _as_pattern(batch, g.num_nodes), cfg)[0]
+    return _objective(h, _as_pattern(batch, g.num_nodes), cfg, grad=False)[0]
 
 
 def total_loss_and_grads(params: EncoderParams, g: Graph, batch, cfg: LossConfig,
@@ -484,7 +494,7 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
                 del grads  # freed before the next step allocates its own
                 trace.append(value)
             _, _, h = forward(params, g, adj)
-            final = _objective(h, corpus, cfg)[0]["total"]
+            final = _objective(h, corpus, cfg, grad=False)[0]["total"]
     except FloatingPointError as exc:
         epoch = len(trace) + 1
         where = (f"in epoch {epoch}" if epoch <= cfg.epochs

@@ -109,9 +109,21 @@ class TestGen:
         assert _run("gen", "--kind", "smallworld", "--out", str(tmp_path)) == 2
 
     @pytest.mark.parametrize("kind", ["ring", "sbm", "ba", "er"])
+    def test_edge_list_keeps_the_generator_numbering(self, kind, tmp_path):
+        # integer tokens are numbered by value, so --data and --kind name
+        # one graph with one numbering
+        assert _run("gen", "--kind", kind, "--seed", "1",
+                    "--out", str(tmp_path)) == 0
+        g = load_edge_list(tmp_path / "edges.txt")
+        want, _ = generate_synthetic(default_spec(kind + "_cliques", seed=1))
+        assert g.num_nodes == want.num_nodes
+        np.testing.assert_array_equal(g.edges, want.edges)
+        assert g.node_ids == [str(v) for v in range(want.num_nodes)]
+
+    @pytest.mark.parametrize("kind", ["ring", "sbm", "ba", "er"])
     def test_ground_truth_reads_back_over_the_edge_list(self, kind, tmp_path):
-        # the edge list loader numbers nodes by first appearance, so the
-        # communities must come back through the tokens, not the indices
+        # the communities come back through the tokens, which hold for any
+        # numbering the loader gives, not through the indices
         assert _run("gen", "--kind", kind, "--seed", "1",
                     "--out", str(tmp_path)) == 0
         g = load_edge_list(tmp_path / "edges.txt")

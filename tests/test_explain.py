@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from disene.explain import (AttributionContext, build_explanations,
-                            explanation_to_json, node_support,
-                            save_explanation)
+                            node_support, save_explanation)
 from disene.graph_core import build_graph
 
 
@@ -27,6 +26,33 @@ def reconstruction_logit(h, ctx, u, v) -> float:
     k = h.shape[1]
     return float(sum(attribution(h, ctx, d, u, v) for d in range(k))
                  + ctx.mu.sum())
+
+
+def node_support_oracle(expl, g):
+    out = np.zeros((g.num_nodes, expl.num_dims), dtype=bool)
+    np.logical_or.at(out, g.edges[:, 0], expl.support)
+    np.logical_or.at(out, g.edges[:, 1], expl.support)
+    return out
+
+
+def explanation_payload(expl, g) -> dict:
+    """The explanations.json payload, built as nested lists."""
+    nodes = node_support_oracle(expl, g)
+    dims = []
+    for d, rows in enumerate(expl.edge_sets):
+        dims.append({
+            "dim": d,
+            "edges": g.edges[rows].tolist(),
+            "weights": expl.weights[rows, d].tolist(),
+            "nodes": np.flatnonzero(nodes[:, d]).tolist(),
+            "empty": len(rows) == 0,
+        })
+    return {
+        "num_dims": expl.num_dims,
+        "background_size": expl.context.background_size,
+        "mu": [float(x) for x in expl.context.mu],
+        "dims": dims,
+    }
 
 
 def _random_case(seed, n=9, k=3):
@@ -103,6 +129,20 @@ class TestMasks:
             assert expl.edge_sets[d].tolist() == rows.tolist()
             assert set(np.flatnonzero(nodes[:, d])) == set(g.edges[rows].ravel())
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_node_support_matches_the_scatter(self, seed):
+        # isolated nodes, an empty dimension and a dimension over every edge
+        g, h = _random_case(seed, k=4)
+        g = build_graph(g.num_nodes + 2, g.edges)
+        h = np.vstack([h, np.ones((2, 4), dtype=h.dtype)])
+        h[:, 1] = 0.0
+        expl = build_explanations(h, g)
+        expl.weights[:, 3] = 1.0
+        got = node_support(expl, g)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, node_support_oracle(expl, g))
+        assert not got[-2:].any() and not got[:, 1].any()
+
     def test_zero_column_yields_empty_dim(self):
         g, h = _random_case(6)
         h[:, 1] = 0.0
@@ -168,7 +208,29 @@ class TestJsonExport:
         expl = build_explanations(h, g)
         p = tmp_path / "expl.json"
         save_explanation(p, expl, g)
-        assert json.loads(p.read_text()) == explanation_to_json(expl, g)
+        assert json.loads(p.read_text()) == explanation_payload(expl, g)
+
+    @pytest.mark.parametrize("case", ["random", "empty_dims", "one_dim",
+                                      "exponent", "isolated_nodes"])
+    def test_bytes_are_the_json_encoding(self, tmp_path, case):
+        g, h = _random_case(11, k=1 if case == "one_dim" else 4)
+        if case == "empty_dims":
+            h[:, [0, 2]] = 0.0
+        if case == "exponent":     # weights such as 1.25e-05
+            h *= np.float32(1e-3)
+        if case == "isolated_nodes":
+            g = build_graph(g.num_nodes + 3, g.edges)
+            h = np.vstack([h, np.ones((3, h.shape[1]), dtype=h.dtype)])
+        expl = build_explanations(h, g)
+        text = json.dumps(explanation_payload(expl, g), sort_keys=True,
+                          separators=(",", ":")) + "\n"
+        if case == "empty_dims":
+            assert expl.empty_dims == [0, 2]
+        if case == "exponent":
+            assert "e-0" in text
+        p = tmp_path / "expl.json"
+        save_explanation(p, expl, g)
+        assert p.read_bytes() == text.encode()
 
     def test_export_is_deterministic(self, tmp_path):
         g, h = _random_case(10)

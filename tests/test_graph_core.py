@@ -94,6 +94,20 @@ class TestLoaders:
         assert g.num_nodes == 3 and g.num_edges == 3
         assert sorted(g.node_ids) == ["a", "b", "c"]
 
+    @pytest.mark.parametrize("text,ids", [
+        ("10 2\n2 -1\n", ["-1", "2", "10"]),      # integers by value
+        ("10 2\n2 b\n", ["10", "2", "b"]),        # else as strings
+        ("7 007\n007 8\n", ["007", "7", "8"]),    # equal values stay apart
+    ])
+    def test_edge_list_numbering(self, tmp_path, text, ids):
+        p = tmp_path / "edges.txt"
+        p.write_text(text)
+        g = load_edge_list(p)
+        assert g.node_ids == ids
+        named = sorted(tuple(sorted((ids[u], ids[v]))) for u, v in g.edges.tolist())
+        assert named == sorted(tuple(sorted(line.split()))
+                               for line in text.splitlines())
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "edges.txt"
         p.write_text("0 1\n2\n")

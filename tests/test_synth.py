@@ -107,6 +107,68 @@ class TestErBase:
         np.testing.assert_array_equal(got, np.stack([iu[keep], iv[keep]], axis=1))
 
 
+def ba_base_loop(n, m, rng):
+    """The scalar loop `_ba_base` replays: one rng.integers call per draw."""
+    edges = []
+    repeated = []
+    targets = list(range(m))
+    for source in range(m, n):
+        for t in targets:
+            edges.append((min(source, t), max(source, t)))
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+        chosen = set()
+        while len(chosen) < m:
+            chosen.add(repeated[int(rng.integers(len(repeated)))])
+        targets = sorted(chosen)
+    return np.array(edges, dtype=np.int64)
+
+
+class TestBaBase:
+    @pytest.mark.parametrize("n,m", [(2, 1), (6, 5), (40, 1), (40, 3),
+                                     (320, 5), (200, 12)])
+    @pytest.mark.parametrize("seed", [0, 1, 1901])
+    def test_replays_the_scalar_loop(self, n, m, seed):
+        for retry in range(3):
+            want = ba_base_loop(n, m, np.random.default_rng([seed, retry]))
+            got = synth._ba_base(n, m, np.random.default_rng([seed, retry]))
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_draws_are_the_generators_32_bit_stream(self, chunk):
+        draws = synth._uint32_draws(np.random.default_rng(3).bit_generator,
+                                    chunk)
+        want = np.random.default_rng(3).integers(2**32, size=25,
+                                                 dtype=np.uint32)
+        assert [next(draws) for _ in range(25)] == want.tolist()
+
+    def test_bounded_draws_near_2_31(self):
+        # (2**32 - k) mod k = 2**31 - 1, so about half of all draws are
+        # drawn again
+        k = 2**31 + 1
+        stream = synth._uint32_draws(np.random.default_rng(5).bit_generator, 7)
+        read = []
+
+        def draws():
+            for x in stream:
+                read.append(x)
+                yield x
+
+        it = draws()
+        got = [synth._draw_distinct(it, range(k), 1)[0] for _ in range(200)]
+        rng = np.random.default_rng(5)
+        assert got == [int(rng.integers(k)) for _ in range(200)]
+        assert len(read) > 300
+        # both streams go on in step
+        assert next(it) == int(rng.integers(2**32, dtype=np.uint64))
+
+    @pytest.mark.parametrize("k", [0, 1, 2**32, 2**40])
+    def test_bound_outside_the_32_bit_path_raises(self, k):
+        with pytest.raises(ValueError, match="bounded draw"):
+            synth._draw_distinct(iter([]), range(k), 1)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("kind", KINDS)
     def test_same_seed_same_graph(self, kind):

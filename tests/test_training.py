@@ -492,6 +492,33 @@ class TestTrain:
         assert len(calls) == 5 + 1
         assert len(res.loss_trace) == 5
 
+    @pytest.mark.parametrize("path", sorted(RW_PATHS))
+    def test_final_loss_is_the_objective_total(self, two_cliques, path,
+                                               monkeypatch):
+        # read without dL/dH, the final loss is still the total that the
+        # objective with its gradient gives, to the bit
+        for name, value in RW_PATHS[path].items():
+            monkeypatch.setattr(training, name, value)
+        rw_value_grad, grads = training._rw_value_grad, []
+
+        def recording(h, cp, grad=True):
+            grads.append(grad)
+            return rw_value_grad(h, cp, grad)
+
+        monkeypatch.setattr(training, "_rw_value_grad", recording)
+        g, _ = two_cliques
+        cfg = LossConfig(epochs=3)
+        res = train(g, cfg, self.WALKS, dim_hidden=8, dim=4)
+        assert grads == [True] * 3 + [False]
+        batch = build_pair_batch(g, self.WALKS)
+        cp = _count_pattern(batch.positives, batch.negatives, g.num_nodes)
+        assert (cp.flat is not None) == (path == "dense")
+        assert all((offsets is None) == (path == "gather")
+                   for *_, offsets in cp.plan)
+        terms, dh = training._objective(res.embedding, cp, cfg)
+        assert dh is not None
+        assert res.final_loss == terms["total"]
+
     def test_final_loss_matches_breakdown(self, two_cliques):
         g, _ = two_cliques
         cfg = LossConfig(epochs=4)
