@@ -17,8 +17,8 @@ from .model import (EncoderParams, init_params,
                     save_embedding_binary, save_embedding_text)
 from .training import (AdamState, GradBuffer, LossConfig, TrainResult,
                        adam_step, loss_breakdown, total_loss_and_grads, train)
-from .explain import (AttributionContext, Explanation, build_explanations,
-                      edge_features, node_support)
+from .explain import (Explanation, build_explanations, edge_features,
+                      node_support)
 from .metrics import (MetricsReport, auc_pr, comprehensibility, compute_report,
                       fpc_matrix, jaccard, overlap_consistency, pearson,
                       positional_coherence, sparsity)

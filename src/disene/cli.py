@@ -31,6 +31,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, replace
+from functools import cache
 from multiprocessing import get_context
 from typing import NamedTuple
 
@@ -148,9 +149,11 @@ def _check_counts(args):
 
 
 def _write_json(path, payload):
+    # a NaN would make the file invalid JSON (undefined metrics are null);
+    # encoding first leaves no half-written file when one slips in
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------- graphs
@@ -368,7 +371,7 @@ def cmd_explain(args) -> int:
     expl = build_explanations(h, g, background=background)
 
     out = _outdir(args, default=args.checkpoint)
-    save_explanation(os.path.join(out, "explanations.json"), expl, g)
+    save_explanation(os.path.join(out, "explanations.json"), expl)
     print(f"explain: {h.shape[1]} dimensions, {len(expl.empty_dims)} empty "
           f"-> {out}")
     return 0
@@ -401,7 +404,7 @@ def cmd_evaluate(args) -> int:
     for i, (sidecar, h, g, gts) in enumerate(loaded):
         expl = build_explanations(h, g)
         rep = compute_report(
-            g, h, expl, gts,
+            h, expl, gts,
             num_permutations=args.permutations,
             seed=sidecar.get("seed", 0),
             metadata={"label": sidecar.get("label"),
@@ -411,7 +414,7 @@ def cmd_evaluate(args) -> int:
                       "graph": sidecar["graph"], "dim": h.shape[1]},
             toggles=toggles)
         name = "report.json" if len(loaded) == 1 else f"report_{i}.json"
-        rep.save(os.path.join(out, name))
+        _write_json(os.path.join(out, name), rep.to_json())
         rows.append(rep.metrics)
 
     keys = sorted({k for r in rows for k in r if isinstance(r.get(k), (int, float))})
@@ -497,7 +500,7 @@ def _bench_one(job) -> list[dict]:
         values["node_plausibility"] = node.plausibility_mean
 
     expl = build_explanations(h, g)
-    rep = compute_report(g, h, expl, gts, num_permutations=permutations,
+    rep = compute_report(h, expl, gts, num_permutations=permutations,
                          seed=seed)
     for key in ("comprehensibility_mean", "sparsity_score", "ovc", "poc",
                 "empty_dims"):
@@ -637,6 +640,9 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+# built once per process: parsing never changes the parser, and no command
+# mutates a default it hands out (the list defaults and config_keys dicts)
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", help="output directory")

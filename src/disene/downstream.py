@@ -172,7 +172,6 @@ class TaskResult:
     plausibility_mean: float | None
     per_instance: list = field(default_factory=list)   # (key, g_index, value)
     skipped: int = 0
-    model: LogRegModel | None = None
 
 
 def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
@@ -214,7 +213,7 @@ def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
     pairs = split.test_edges[inside]
     psi = linear_shap(model, edge_features(h, pairs), zero_bg)
     # an instance's community is the first one holding it
-    return _task_result("link", auc, model, list(map(tuple, pairs.tolist())),
+    return _task_result("link", auc, list(map(tuple, pairs.tolist())),
                         [int(np.flatnonzero(t)[0]) for t in truth[inside]],
                         psi, f1)
 
@@ -252,12 +251,12 @@ def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
     f1 = weighted_f1(masks, gts.node_truth)
     nodes = test_idx[y[test_idx] == 1.0]
     psi = linear_shap(model, x[nodes], zero_bg)
-    return _task_result("node", auc, model, nodes.tolist(),
+    return _task_result("node", auc, nodes.tolist(),
                         gts.node_truth[nodes].argmax(axis=1).tolist(),
                         psi, f1)
 
 
-def _task_result(task, auc, model, keys, g_index, psi, f1) -> TaskResult:
+def _task_result(task, auc, keys, g_index, psi, f1) -> TaskResult:
     """Plausibility of each instance; those with no positive attribution are skipped."""
     values = plausibility(psi, f1, g_index)
     per_instance = [(key, gi, float(val))
@@ -266,5 +265,5 @@ def _task_result(task, auc, model, keys, g_index, psi, f1) -> TaskResult:
     mean = float(np.mean([p[2] for p in per_instance])) if per_instance else None
     return TaskResult(task=task, auc_pr=auc, plausibility_mean=mean,
                       per_instance=per_instance,
-                      skipped=len(keys) - len(per_instance), model=model)
+                      skipped=len(keys) - len(per_instance))
 

@@ -23,24 +23,6 @@ import scipy.sparse as sp
 from .graph_core import Graph
 
 
-@dataclass
-class AttributionContext:
-    """Background means mu_d and the number of edges they were computed over."""
-    mu: np.ndarray            # (K,)
-    background_size: int
-
-    @classmethod
-    def build(cls, h: np.ndarray, background: np.ndarray):
-        return cls.of_products(edge_features(h, background))
-
-    @classmethod
-    def of_products(cls, prods: np.ndarray):
-        """The context of a background given its (B, K) edge products."""
-        if len(prods) == 0:
-            raise ValueError("background edge set must be non-empty")
-        return cls(mu=prods.mean(axis=0), background_size=len(prods))
-
-
 def edge_features(h: np.ndarray, pairs) -> np.ndarray:
     """Hadamard features h(u) * h(v) for each (u, v) pair row: (P, K)
     float64, the products h_d(u) h_d(v) that phi_d centers.
@@ -52,16 +34,19 @@ def edge_features(h: np.ndarray, pairs) -> np.ndarray:
     return np.multiply(h[pairs[:, 0]], h[pairs[:, 1]], dtype=np.float64)
 
 
-@dataclass
+@dataclass(eq=False)
 class Explanation:
-    """Phi+ = max(0, phi) over the graph's edges, every dimension.
+    """Phi+ = max(0, phi) over a graph's edges, every dimension.
 
-    weights[i, d] is dimension d's mask weight on edge g.edges[i]; it is
+    weights[i, d] is dimension d's mask weight on edge graph.edges[i]; it is
     non-zero exactly where phi_d is positive, so column d's support is the
-    explanation subgraph E_d.
+    explanation subgraph E_d. mu holds the background means mu_d and
+    background_size the number of edges they were taken over.
     """
+    graph: Graph
     weights: np.ndarray       # (E, K) float64
-    context: AttributionContext
+    mu: np.ndarray            # (K,)
+    background_size: int
 
     @property
     def num_dims(self):
@@ -91,18 +76,22 @@ def build_explanations(h: np.ndarray, g: Graph,
     the model saw during optimization.
     """
     phi = edge_features(h, g.edges)
-    ctx = (AttributionContext.of_products(phi) if background is None
-           else AttributionContext.build(h, background))
-    phi -= ctx.mu[None, :]
-    return Explanation(weights=np.maximum(phi, 0.0, out=phi), context=ctx)
+    prods = phi if background is None else edge_features(h, background)
+    if len(prods) == 0:
+        raise ValueError("background edge set must be non-empty")
+    mu = prods.mean(axis=0)
+    phi -= mu[None, :]
+    return Explanation(graph=g, weights=np.maximum(phi, 0.0, out=phi), mu=mu,
+                       background_size=len(prods))
 
 
-def node_support(expl: Explanation, g: Graph) -> np.ndarray:
+def node_support(expl: Explanation) -> np.ndarray:
     """(V, K) bool: node v is an endpoint of an edge in E_d, i.e. v in V_d.
 
     The (V, E) incidence matrix times the (E, K) support counts each node's
     edges in each E_d; float32 counts are exact up to 2**24.
     """
+    g = expl.graph
     e = np.arange(g.num_edges)
     incidence = sp.csr_matrix(
         (np.ones(2 * len(e), dtype=np.float32), (g.edges.T.ravel(), np.tile(e, 2))),
@@ -114,22 +103,23 @@ def _compact(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-def save_explanation(path, expl: Explanation, g: Graph):
+def save_explanation(path, expl: Explanation):
     """Write the explanation as one line of JSON.
 
     The bytes are those of json.dumps(payload, sort_keys=True,
     separators=(",", ":")) plus a newline, for the payload
     {"background_size", "dims", "mu", "num_dims"}, where dims[d] is
     {"dim": d, "edges": [[u, v], ...], "empty", "nodes": [...],
-    "weights": [...]} over E_d's rows of g.edges, in row order, and V_d's
+    "weights": [...]} over E_d's rows of graph.edges, in row order, and V_d's
     nodes, ascending. The text is joined from per-graph tables of each
     edge's "[u,v]" and each node's digits; only the weights are formatted
     per dimension, by json itself.
     """
+    g = expl.graph
     node_text = np.array([str(v) for v in range(g.num_nodes)], dtype=object)
     edge_text = (("[" + node_text + ",")[g.edges[:, 0]]
                  + (node_text + "]")[g.edges[:, 1]])
-    nodes = node_support(expl, g)
+    nodes = node_support(expl)
     dims = []
     for d, rows in enumerate(expl.edge_sets):
         dims.append(
@@ -137,8 +127,8 @@ def save_explanation(path, expl: Explanation, g: Graph):
             f'"empty":{_compact(len(rows) == 0)},'
             f'"nodes":[{",".join(node_text[nodes[:, d]].tolist())}],'
             f'"weights":{_compact(expl.weights[rows, d].tolist())}}}')
-    mu = _compact([float(x) for x in expl.context.mu])
+    mu = _compact([float(x) for x in expl.mu])
     with open(path, "w") as fh:
-        fh.write(f'{{"background_size":{expl.context.background_size},'
+        fh.write(f'{{"background_size":{expl.background_size},'
                  f'"dims":[{",".join(dims)}],"mu":{mu},'
                  f'"num_dims":{expl.num_dims}}}\n')

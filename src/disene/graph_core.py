@@ -5,10 +5,9 @@ Everything downstream (sampling, training, explanation, metrics) works on the
 range 0..num_nodes-1, no self loops, no duplicate edges, no weights. A node
 pair u < v is identified by the int64 code u * V + v; graph construction,
 edge lookups and non-edge sampling work on these codes. Ground truth is a
-pair of indicator arrays, one aligned with the graph's edges and one with
-its nodes. A ground-truth file stores only each community's node names, as
-the edge list names them; a community's edges are derived on loading as the
-graph's edges with both endpoints in it.
+node indicator array of one graph; a community's edges are derived from it
+as the graph's edges with both endpoints in it. A ground-truth file stores
+only each community's node names, as the edge list names them.
 """
 
 from __future__ import annotations
@@ -194,27 +193,36 @@ def load_edge_list(path, largest_component: bool = True) -> Graph:
 
 @dataclass(eq=False)
 class GroundTruth:
-    """Ground-truth communities of one graph, as indicators aligned with it.
+    """Ground-truth communities of one graph.
 
-    `edge_truth` is the (E, C) bool indicator over the rows of graph.edges,
-    `node_truth` the (V, C) one over the node index; column c is community
-    c.
+    `node_truth` is the (V, C) bool indicator over graph's node index;
+    column c is community c.
     """
     graph: Graph
-    edge_truth: np.ndarray
     node_truth: np.ndarray
 
     @property
     def num_communities(self) -> int:
-        return self.edge_truth.shape[1]
+        return self.node_truth.shape[1]
+
+    @cached_property
+    def edge_truth(self) -> np.ndarray:
+        """(E, C) bool over the rows of graph.edges: both endpoints in c."""
+        ends = self.graph.edges
+        return self.node_truth[ends[:, 0]] & self.node_truth[ends[:, 1]]
 
     def check_graph(self, g: Graph):
-        """Raise unless the indicators have one row per edge and node of g."""
-        rows = (self.edge_truth.shape[0], self.node_truth.shape[0])
-        if rows != (g.num_edges, g.num_nodes):
-            raise ValueError(f"ground truth covers {rows[0]} edges and "
-                             f"{rows[1]} nodes, the graph has {g.num_edges} "
-                             f"and {g.num_nodes}")
+        """Raise unless g is the graph this ground truth was built over.
+
+        An equal graph passes: the same node count and edge array.
+        """
+        own = self.graph
+        if g is own or (g.num_nodes == own.num_nodes
+                        and np.array_equal(g.edges, own.edges)):
+            return
+        raise ValueError(f"ground truth covers {own.num_edges} edges and "
+                         f"{own.num_nodes} nodes of another graph; this one "
+                         f"has {g.num_edges} and {g.num_nodes}")
 
     def community_of_edge(self, u, v):
         """First community holding edge (u, v), else None (also for a non-edge)."""
@@ -237,8 +245,9 @@ def communities_from_labels(g: Graph, labels: np.ndarray,
                             exclude: set | None = None) -> GroundTruth:
     """Group intra-label edges into communities.
 
-    For each label value, the community edge set is every edge whose two
-    endpoints carry that label; node set is the endpoints of those edges.
+    For each label value, the community's nodes are the endpoints of the
+    edges whose two endpoints carry that label, so its edges are exactly
+    those intra-label edges.
     Labels listed in `exclude` (e.g. a -1 background marker) form no
     community. Communities with no internal edge are dropped; the rest are
     ordered by label.
@@ -251,13 +260,10 @@ def communities_from_labels(g: Graph, labels: np.ndarray,
     inside &= ~np.isin(ends[:, 0], list(exclude or ()))
     rows = np.flatnonzero(inside)
     kinds, col = np.unique(ends[rows, 0], return_inverse=True)
-    c = len(kinds)
-    edge_truth = np.zeros((g.num_edges, c), dtype=bool)
-    edge_truth[rows, col] = True
-    node_truth = np.zeros((g.num_nodes, c), dtype=bool)
+    node_truth = np.zeros((g.num_nodes, len(kinds)), dtype=bool)
     node_truth[g.edges[rows, 0], col] = True
     node_truth[g.edges[rows, 1], col] = True
-    return GroundTruth(g, edge_truth, node_truth)
+    return GroundTruth(g, node_truth)
 
 
 def ground_truth_to_json(gt: GroundTruth) -> dict:
@@ -306,8 +312,7 @@ def ground_truth_from_json(g: Graph, payload: dict) -> GroundTruth:
                 raise ValueError(f"ground truth names node {name!r}, "
                                  f"outside the graph")
             node_truth[index[str(name)], c] = True
-    edge_truth = node_truth[g.edges[:, 0]] & node_truth[g.edges[:, 1]]
-    return GroundTruth(g, edge_truth, node_truth)
+    return GroundTruth(g, node_truth)
 
 
 def load_ground_truth(path, g: Graph) -> GroundTruth:

@@ -7,7 +7,6 @@ positional coherence) return (None, reason) instead of a number.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -141,7 +140,7 @@ def proximities(g: Graph, sources) -> np.ndarray:
 SOURCE_BLOCK_ENTRIES = 1 << 19
 
 
-def fpc_matrix(h: np.ndarray, expl: Explanation, g: Graph) -> np.ndarray:
+def fpc_matrix(h: np.ndarray, expl: Explanation) -> np.ndarray:
     """All FPC(d, l) = Pearson(zeta(., V_d), H_:,l); undefined entries are nan.
 
     zeta(u, V_d) = sum_{v in V_d} 1 / (1 + dist(u, v)), the proximities
@@ -149,8 +148,8 @@ def fpc_matrix(h: np.ndarray, expl: Explanation, g: Graph) -> np.ndarray:
     blocks of SOURCE_BLOCK_ENTRIES // V sources, so memory is O(block * V)
     however many nodes the explanations cover.
     """
-    k = h.shape[1]
-    nodes = node_support(expl, g)
+    k, g = h.shape[1], expl.graph
+    nodes = node_support(expl)
     used = np.flatnonzero(nodes.any(axis=1))
     if len(used) == 0:
         return np.full((k, k), np.nan)
@@ -162,7 +161,7 @@ def fpc_matrix(h: np.ndarray, expl: Explanation, g: Graph) -> np.ndarray:
     return correlations(zeta, h.T)
 
 
-def positional_coherence(h: np.ndarray, expl: Explanation, g: Graph,
+def positional_coherence(h: np.ndarray, expl: Explanation,
                          num_permutations: int = 100, seed: int = 0,
                          fpc_mat: np.ndarray | None = None) -> tuple[float | None, str | None]:
     """Diagonal FPC sum over its average under random dimension permutations.
@@ -174,7 +173,7 @@ def positional_coherence(h: np.ndarray, expl: Explanation, g: Graph,
     if num_permutations < 1:
         raise ValueError(f"positional coherence needs at least 1 permutation, "
                          f"got {num_permutations}")
-    mat = fpc_matrix(h, expl, g) if fpc_mat is None else fpc_mat
+    mat = fpc_matrix(h, expl) if fpc_mat is None else fpc_mat
     k = mat.shape[0]
     diag = np.diag(mat)
     if np.sum(~np.isnan(diag)) < 2:
@@ -236,16 +235,8 @@ class MetricsReport:
         return {"metadata": self.metadata, "metrics": self.metrics,
                 "per_dimension": self.per_dimension, "nulls": self.nulls}
 
-    def save(self, path):
-        # a NaN would make the file invalid JSON (undefined metrics are
-        # null); encoding first leaves no half-written file when one slips in
-        text = json.dumps(self.to_json(), indent=1, sort_keys=True,
-                          allow_nan=False)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
 
-
-def compute_report(g: Graph, h: np.ndarray, expl: Explanation,
+def compute_report(h: np.ndarray, expl: Explanation,
                    gts: GroundTruth | None = None,
                    num_permutations: int = 100, seed: int = 0,
                    metadata: dict | None = None,
@@ -254,15 +245,17 @@ def compute_report(g: Graph, h: np.ndarray, expl: Explanation,
 
     `toggles` may switch off individual metrics by name
     (comprehensibility, sparsity, ovc, poc). Ground truth is only needed
-    for comprehensibility.
+    for comprehensibility; when given, it must be of the explanation's
+    graph.
     """
+    if gts is not None:
+        gts.check_graph(expl.graph)
     on = lambda name: toggles is None or toggles.get(name, True)
     rep = MetricsReport(metadata=metadata or {})
     rep.metrics["num_dims"] = h.shape[1]
     rep.metrics["empty_dims"] = len(expl.empty_dims)
 
     if on("comprehensibility") and gts is not None and gts.num_communities:
-        gts.check_graph(g)
         scores, best = comprehensibility(expl.weights, gts.edge_truth)
         rep.per_dimension["comprehensibility"] = scores.tolist()
         rep.per_dimension["best_community"] = best
@@ -282,10 +275,10 @@ def compute_report(g: Graph, h: np.ndarray, expl: Explanation,
             rep.metrics["ovc"] = val
 
     if on("poc"):
-        mat = fpc_matrix(h, expl, g)
+        mat = fpc_matrix(h, expl)
         rep.per_dimension["fpc_diag"] = [None if math.isnan(x) else float(x)
                                          for x in np.diag(mat)]
-        val, reason = positional_coherence(h, expl, g, num_permutations, seed,
+        val, reason = positional_coherence(h, expl, num_permutations, seed,
                                            fpc_mat=mat)
         if val is None:
             rep.metrics["poc"] = None

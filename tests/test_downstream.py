@@ -19,6 +19,7 @@ from disene.downstream import (LogRegModel, build_task_masks, edge_features,
 from disene.graph_core import (build_graph, communities_from_labels,
                                sample_non_edges, split_edges)
 from disene.metrics import weighted_f1
+from disene.synth import default_spec, generate_synthetic
 
 
 def _toy_dataset(seed=0, n=60, k=3):
@@ -381,6 +382,15 @@ class TestLinkTask:
             run_link_task(h, bigger, split, gts, seed=0)
         with pytest.raises(ValueError, match="ground truth covers"):
             run_node_task(h, bigger, gts, seed=0)
+        # ba seeds 0 and 1: 640 nodes and 3047 edges each, other edges
+        g0, _ = generate_synthetic(default_spec("ba_cliques", seed=0))
+        g1, gts1 = generate_synthetic(default_spec("ba_cliques", seed=1))
+        assert (g0.num_nodes, g0.num_edges) == (g1.num_nodes, g1.num_edges)
+        h0 = np.random.default_rng(0).random((g0.num_nodes, 3))
+        with pytest.raises(ValueError, match="ground truth covers"):
+            run_link_task(h0, g0, split_edges(g0, 0.1, seed=0), gts1, seed=0)
+        with pytest.raises(ValueError, match="ground truth covers"):
+            run_node_task(h0, g0, gts1, seed=0)
 
     def test_bridge_test_edge_is_excluded_from_plausibility(self, two_cliques):
         g, gts = two_cliques

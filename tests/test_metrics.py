@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from disene import metrics
-from disene.explain import (AttributionContext, Explanation, build_explanations,
-                            node_support)
+from disene.cli import _write_json
+from disene.explain import Explanation, build_explanations, node_support
 from disene.graph_core import build_graph, communities_from_labels
 from disene.metrics import (MetricsReport, auc_pr, comprehensibility,
                             compute_report, fpc_matrix, jaccard,
                             overlap_consistency, pearson,
                             positional_coherence, proximities, sparsity,
                             weighted_f1)
+from disene.synth import default_spec, generate_synthetic
 
 
 def _expl_from_sets(edge_sets, g=None):
@@ -28,8 +29,8 @@ def _expl_from_sets(edge_sets, g=None):
     w = np.zeros((g.num_edges, len(edge_sets)))
     for d, es in enumerate(edge_sets):
         w[g.edge_rows(sorted(es)), d] = 1.0
-    ctx = AttributionContext(mu=np.zeros(len(edge_sets)), background_size=1)
-    return Explanation(weights=w, context=ctx)
+    return Explanation(graph=g, weights=w, mu=np.zeros(len(edge_sets)),
+                       background_size=1)
 
 
 def _mask(g, weights):
@@ -220,14 +221,14 @@ class TestFpc:
         h[:, 0] = 1.0 / (1.0 + u) + 1.0 / (1.0 + np.abs(u - 1))  # zeta(., {0, 1})
         h[:, 1] = u
         expl = _expl_from_sets([{(0, 1)}, {(4, 5)}], path_graph)
-        got = fpc_matrix(h, expl, path_graph)[0, 0]
+        got = fpc_matrix(h, expl)[0, 0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_none_for_empty_set_or_constant_column(self, path_graph):
         h = np.ones((6, 2))
         h[:, 0] = np.arange(6.0)
         expl = _expl_from_sets([set(), {(0, 1)}], path_graph)
-        mat = fpc_matrix(h, expl, path_graph)
+        mat = fpc_matrix(h, expl)
         assert math.isnan(mat[0, 0])      # empty V_d
         assert math.isnan(mat[1, 1])      # constant column
 
@@ -236,8 +237,8 @@ class TestFpc:
         g = build_graph(7, [(i, i + 1) for i in range(6)] + [(0, 3)])
         h = np.abs(rng.normal(size=(7, 3)))
         expl = build_explanations(h, g)
-        nodes = node_support(expl, g)
-        mat = fpc_matrix(h, expl, g)
+        nodes = node_support(expl)
+        mat = fpc_matrix(h, expl)
         for d in range(3):
             for l in range(3):
                 want = _fpc_oracle(h, g, np.flatnonzero(nodes[:, d]), l)
@@ -256,11 +257,11 @@ class TestFpc:
         g = build_graph(17, edges)
         h = np.abs(rng.normal(size=(17, 4)))
         expl = build_explanations(h, g)
-        used = node_support(expl, g).any(axis=1).sum()
+        used = node_support(expl).any(axis=1).sum()
         assert metrics.SOURCE_BLOCK_ENTRIES >= used * g.num_nodes
-        want = fpc_matrix(h, expl, g)
+        want = fpc_matrix(h, expl)
         monkeypatch.setattr(metrics, "SOURCE_BLOCK_ENTRIES", 3 * g.num_nodes)
-        got = fpc_matrix(h, expl, g)
+        got = fpc_matrix(h, expl)
         assert np.array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -270,38 +271,38 @@ class TestPositionalCoherence:
     def test_needs_a_permutation(self, count):
         mat = np.full((4, 4), 0.5)
         with pytest.raises(ValueError, match="at least 1 permutation"):
-            positional_coherence(None, None, None, num_permutations=count,
+            positional_coherence(None, None, num_permutations=count,
                                  fpc_mat=mat)
 
     def test_constant_matrix_scores_exactly_one(self):
         mat = np.full((4, 4), 0.5)
-        val, reason = positional_coherence(None, None, None, fpc_mat=mat)
+        val, reason = positional_coherence(None, None, fpc_mat=mat)
         assert reason is None
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_matrix_is_undefined(self):
-        val, reason = positional_coherence(None, None, None,
+        val, reason = positional_coherence(None, None,
                                            fpc_mat=np.zeros((3, 3)))
         assert val is None and "denominator" in reason
 
     def test_sparse_diagonal_is_undefined(self):
         mat = np.full((3, 3), np.nan)
         mat[0, 0] = 0.9
-        val, reason = positional_coherence(None, None, None, fpc_mat=mat)
+        val, reason = positional_coherence(None, None, fpc_mat=mat)
         assert val is None and "diagonal" in reason
 
     def test_deterministic_in_the_seed(self):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(5, 5)) + 2.0
-        a = positional_coherence(None, None, None, seed=11, fpc_mat=mat)
-        b = positional_coherence(None, None, None, seed=11, fpc_mat=mat)
+        a = positional_coherence(None, None, seed=11, fpc_mat=mat)
+        b = positional_coherence(None, None, seed=11, fpc_mat=mat)
         assert a == b
         assert a[0] is not None
 
     def test_strong_diagonal_scores_above_one(self):
         mat = np.full((6, 6), 0.1)
         np.fill_diagonal(mat, 0.9)
-        val, reason = positional_coherence(None, None, None, fpc_mat=mat)
+        val, reason = positional_coherence(None, None, fpc_mat=mat)
         assert reason is None
         assert val > 1.0
 
@@ -369,7 +370,7 @@ class TestComputeReport:
 
     def test_metric_values_on_indicator_embedding(self, indicator_setup):
         g, gts, h, expl = indicator_setup
-        rep = compute_report(g, h, expl, gts)
+        rep = compute_report(h, expl, gts)
         assert rep.metrics["num_dims"] == 3
         assert rep.metrics["empty_dims"] == 0
         # dims 0/1 recover their cliques exactly; dim 2 covers 3 of 10 edges
@@ -381,7 +382,7 @@ class TestComputeReport:
 
     def test_toggles_drop_metrics(self, indicator_setup):
         g, gts, h, expl = indicator_setup
-        rep = compute_report(g, h, expl, gts,
+        rep = compute_report(h, expl, gts,
                              toggles={"ovc": False, "poc": False})
         assert "ovc" not in rep.metrics and "poc" not in rep.metrics
         assert "comprehensibility_mean" in rep.metrics
@@ -391,11 +392,20 @@ class TestComputeReport:
         other = build_graph(10, g.edges[:-1])
         gts = communities_from_labels(other, np.array([0] * 5 + [1] * 5))
         with pytest.raises(ValueError, match="ground truth covers 20 edges"):
-            compute_report(g, h, expl, gts)
+            compute_report(h, expl, gts)
+        # ring seeds 0 and 1: 320 nodes and 1619 edges each, other edges
+        g0, _ = generate_synthetic(default_spec("ring_cliques", seed=0))
+        g1, gts1 = generate_synthetic(default_spec("ring_cliques", seed=1))
+        assert (g0.num_nodes, g0.num_edges) == (g1.num_nodes, g1.num_edges)
+        h0 = np.random.default_rng(0).random((g0.num_nodes, 3))
+        expl0 = build_explanations(h0, g0)
+        for toggles in (None, {"comprehensibility": False}):
+            with pytest.raises(ValueError, match="ground truth covers"):
+                compute_report(h0, expl0, gts1, toggles=toggles)
 
     def test_no_ground_truth_skips_comprehensibility(self, indicator_setup):
         g, _, h, expl = indicator_setup
-        rep = compute_report(g, h, expl, gts=None)
+        rep = compute_report(h, expl, gts=None)
         assert "comprehensibility_mean" not in rep.metrics
         assert "sparsity_score" in rep.metrics
 
@@ -404,16 +414,18 @@ class TestComputeReport:
         h = np.zeros((10, 3))
         h[:5, :] = 1.0  # three identical columns: OvC has zero JSI variance
         expl = build_explanations(h, g)
-        rep = compute_report(g, h, expl, gts)
+        rep = compute_report(h, expl, gts)
         assert rep.metrics["ovc"] is None
         assert "ovc" in rep.nulls
 
     def test_save_round_trip(self, indicator_setup, tmp_path):
         import json
         g, gts, h, expl = indicator_setup
-        rep = compute_report(g, h, expl, gts, metadata={"run": "x"})
+        rep = compute_report(h, expl, gts, metadata={"run": "x"})
         p = tmp_path / "report.json"
-        rep.save(p)
+        _write_json(p, rep.to_json())
+        assert p.read_text() == json.dumps(rep.to_json(), indent=1,
+                                           sort_keys=True) + "\n"
         data = json.loads(p.read_text())
         assert data["metadata"] == {"run": "x"}
         assert data["metrics"]["num_dims"] == 3
@@ -421,5 +433,5 @@ class TestComputeReport:
     def test_save_refuses_nan(self, tmp_path):
         p = tmp_path / "report.json"
         with pytest.raises(ValueError):
-            MetricsReport(metrics={"poc": float("nan")}).save(p)
+            _write_json(p, MetricsReport(metrics={"poc": math.nan}).to_json())
         assert not p.exists()

@@ -38,13 +38,24 @@ class TestShapes:
 
     def test_every_community_is_a_clique(self):
         for kind in KINDS:
-            g, gts = generate_synthetic(default_spec(kind, seed=1))
+            spec = default_spec(kind, seed=1)
+            g, gts = generate_synthetic(spec)
             es = edges_set(g)
             for c in range(gts.num_communities):
                 nodes = np.flatnonzero(gts.node_truth[:, c]).tolist()
                 want = {(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]}
                 assert want <= es
                 assert edges_set_of(g, gts.edge_truth[:, c]) == want
+            # the planted labels: clique c on the last nodes, -1 before them
+            planted = spec.num_cliques * spec.clique_size
+            labels = np.full(g.num_nodes, -1)
+            labels[g.num_nodes - planted:] = np.repeat(
+                np.arange(spec.num_cliques), spec.clique_size)
+            ends = labels[g.edges]
+            comm = np.arange(gts.num_communities)
+            np.testing.assert_array_equal(
+                gts.edge_truth,
+                (ends[:, [0]] == comm) & (ends[:, [1]] == comm))
 
     def test_attachment_count(self):
         # each clique hangs off the base by exactly one extra edge
