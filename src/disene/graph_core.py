@@ -105,13 +105,17 @@ def _find_codes(codes: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _distinct(codes: np.ndarray):
-    """Distinct values of non-negative int64 codes, ascending, with counts.
+    """Distinct values of integer codes, ascending, with counts.
 
     A sort, since np.unique of int64 takes a far slower hash path on
-    numpy 2.4.
+    numpy 2.4. Each run starts where a value differs from the one before;
+    the flags are bool, since np.flatnonzero of integer differences is
+    several times slower.
     """
     codes = np.sort(codes)
-    first = np.flatnonzero(np.diff(codes, prepend=-1))
+    starts = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
     return codes[first], np.diff(first, append=len(codes))
 
 

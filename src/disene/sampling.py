@@ -3,7 +3,10 @@
 Walks are unbiased (every neighbor equally likely), fixed length, started
 num_walks times from every node. Positive pairs come from a sliding window
 over each walk, emitted in both directions; negatives corrupt the first
-endpoint with a uniformly drawn node.
+endpoint with a uniformly drawn node. `build_pair_batch` materialises that
+corpus as (P, 2) arrays and is the reference; `count_pairs` reads the same
+corpus from the walks, window offset by window offset, and returns only how
+often each unordered pair occurs, which is all the trainer needs.
 
 The walks are defined by a step-by-step loop: start node v owns the PCG64
 stream of `SeedSequence([seed, v])`, and at each step its walks, in order,
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph
+from .graph_core import Graph, _distinct
 
 
 @dataclass(frozen=True)
@@ -36,12 +39,17 @@ class WalkConfig:
     seed: int = 0
 
     def validate(self):
-        if self.walk_length < 1 or self.num_walks < 1:
-            raise ValueError("walk_length and num_walks must be >= 1")
-        if not (1 <= self.window < max(self.walk_length, 2)):
+        self.validate_walks()
+        # a window needs two walk positions, so walk_length 1 has no corpus
+        if not 1 <= self.window < self.walk_length:
             raise ValueError("window must satisfy 1 <= window < walk_length")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
+
+    def validate_walks(self):
+        """Check only what the walks use: walk_length and num_walks."""
+        if self.walk_length < 1 or self.num_walks < 1:
+            raise ValueError("walk_length and num_walks must be >= 1")
 
 
 @dataclass
@@ -114,7 +122,7 @@ def generate_walks(g: Graph, cfg: WalkConfig) -> np.ndarray:
     reject (probability below degree / 2**32 per draw) is redone by
     `_scalar_walks`.
     """
-    cfg.validate()
+    cfg.validate_walks()
     n, w, length = g.num_nodes, cfg.num_walks, cfg.walk_length
     walks = np.full((n, w, length), -1, dtype=np.int64)
     walks[:, :, 0] = np.arange(n)[:, None]
@@ -167,6 +175,11 @@ def pairs_from_walks(walks, window: int) -> np.ndarray:
     return out
 
 
+def _negative_rng(seed: int):
+    # one stream for all negatives, apart from every node's walk stream
+    return np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
+
+
 def sample_negatives(g: Graph, positives: np.ndarray, k: int, seed: int) -> np.ndarray:
     """k corruptions per positive: first endpoint replaced by a uniform node.
 
@@ -176,7 +189,7 @@ def sample_negatives(g: Graph, positives: np.ndarray, k: int, seed: int) -> np.n
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
+    rng = _negative_rng(seed)
     p = len(positives)
     u = rng.integers(0, g.num_nodes, size=p * k)
     v = np.repeat(positives[:, 1], k)
@@ -185,7 +198,62 @@ def sample_negatives(g: Graph, positives: np.ndarray, k: int, seed: int) -> np.n
 
 def build_pair_batch(g: Graph, cfg: WalkConfig) -> PairBatch:
     """Walks -> window pairs -> negatives, one deterministic corpus."""
+    cfg.validate()
     walks = generate_walks(g, cfg)
     pos = pairs_from_walks(walks, cfg.window)
     neg = sample_negatives(g, pos, cfg.negatives_per_positive, cfg.seed)
     return PairBatch(positives=pos, negatives=neg)
+
+
+def count_pairs(g: Graph, cfg: WalkConfig):
+    """`build_pair_batch`'s corpus counted per unordered pair, never built.
+
+    Returns (codes, pos, neg): the ascending int64 codes min * V + max of
+    the unordered pairs the corpus holds, and how often each occurs as a
+    positive and as a negative, in either order, as float64 counts. They
+    are the counts of `build_pair_batch(g, cfg)`, read offset by offset
+    from the walks: an offset's window pairs (a, b) are its positives
+    (a, b) and then (b, a), and their negatives are drawn from the same
+    stream in that order, one chunk per offset. (A bounded draw below
+    2**32 is a 32-bit PCG64 draw, and the generator keeps the spare half of
+    a 64-bit output across calls, so the chunks read the stream as one
+    draw does.) Codes are int32 while V * V < 2**31, int64 beyond.
+    """
+    cfg.validate()
+    n, k = g.num_nodes, cfg.negatives_per_positive
+    dtype = np.int32 if n * n < 2**31 else np.int64
+    walks = generate_walks(g, cfg).astype(dtype)
+    rng = _negative_rng(cfg.seed)
+    folded = ([], [])
+    for delta in range(1, cfg.window + 1):
+        a, b = walks[:, :-delta], walks[:, delta:]
+        ok = (a >= 0) & (b >= 0) & (a != b)
+        a, b = a[ok], b[ok]
+        folded[0].append(np.minimum(a, b) * n + np.maximum(a, b))
+        # a negative keeps its positive's second endpoint: b for (a, b),
+        # then a for (b, a), k times each
+        v = np.repeat(np.concatenate([b, a]), k)
+        u = rng.integers(0, n, size=len(v), dtype=dtype)
+        folded[1].append(np.minimum(u, v) * n + np.maximum(u, v))
+    (pos_codes, pos_counts), (neg_codes, neg_counts) = (
+        _distinct(np.concatenate(side)) for side in folded)
+    del walks, folded
+    # merge the two ascending runs: a stable argsort is a timsort, which
+    # merges them in one pass and keeps each side's codes in their order
+    both = np.concatenate([pos_codes, neg_codes])
+    order = np.argsort(both, kind="stable")
+    both = both[order]
+    from_pos = order < len(pos_codes)
+    del order
+    starts = np.ones(len(both), dtype=bool)
+    np.not_equal(both[1:], both[:-1], out=starts[1:])
+    codes = both[starts]
+    # each code's rank among the distinct codes
+    rank = np.cumsum(starts)
+    rank -= 1
+    # each window pair is two positives, (a, b) and (b, a)
+    pos = np.bincount(rank[from_pos], weights=2 * pos_counts,
+                      minlength=len(codes))
+    neg = np.bincount(rank[~from_pos], weights=neg_counts,
+                      minlength=len(codes))
+    return codes.astype(np.int64, copy=False), pos, neg

@@ -22,11 +22,15 @@ corpus holds (u, v) as a positive and as a negative pair, and S = H H^T,
     L_rw = -sum P * log sigmoid(S) - sum N * log sigmoid(-S)
 
 summed over the entries where P or N is non-zero. S is symmetric, so the
-counts live on one upper-triangular CSR pattern M, built once per corpus:
+counts live on one upper-triangular CSR pattern M, built once per run:
 it holds each unordered pair {u, v} once, as (min, max), with P and N summed
-over both orders. Each step evaluates S on M's entries from row blocks of
-the upper half of H H^T, writes C = (P + N) * sigmoid(S) - P, which is
-P * (sigmoid(S) - 1) + N * sigmoid(S), into M and takes
+over both orders. `train` counts M straight from the walks
+(`sampling.count_pairs`), without materialising the pairs; `_count_pattern`
+counts the materialised corpus of `build_pair_batch`, gives the same M bit
+for bit, and serves as the reference. Each step evaluates S on M's entries
+from row blocks of the upper half of H H^T, writes
+C = (P + N) * sigmoid(S) - P, which is P * (sigmoid(S) - 1) + N * sigmoid(S),
+into M and takes
 
     dL_rw/dH = (M + M^T) H
 
@@ -88,7 +92,9 @@ from scipy.linalg import get_blas_funcs
 from .graph_core import Graph, _distinct
 from .model import (EncoderParams, activation_grad, forward, init_params,
                     normalized_adjacency)
-from .sampling import PairBatch, WalkConfig, build_pair_batch
+# train counts its pattern with count_pairs; build_pair_batch stays
+# importable here because the benchmark's tracer wraps it by this name
+from .sampling import PairBatch, WalkConfig, build_pair_batch, count_pairs
 
 SIGMA_CLAMP = 1e-7   # sigmoid outputs clipped to [c, 1-c] before the log
 COSINE_EPS = 1e-12   # cosine denominator guard
@@ -233,6 +239,13 @@ def _count_pattern(positives: np.ndarray, negatives: np.ndarray,
     pos, neg = (np.bincount(np.searchsorted(codes, f), weights=w.w,
                             minlength=len(codes))
                 for f, w in zip(folded, sides))
+    return _pattern(codes, pos, neg, n)
+
+
+def _pattern(codes: np.ndarray, pos: np.ndarray, neg: np.ndarray,
+             n: int) -> _CountPattern:
+    """The count pattern of ascending int64 codes min * V + max and their
+    positive and negative counts."""
     rows, cols = codes // n, codes % n
     indptr = np.searchsorted(rows, np.arange(n + 1))
     matrix = sp.csr_matrix((np.zeros(len(codes)), cols, indptr), shape=(n, n))
@@ -403,7 +416,7 @@ def _objective(h, cp: _CountPattern, cfg: LossConfig, grad: bool = True):
 def loss_breakdown(params, g, batch, cfg: LossConfig, adj=None) -> dict:
     """Loss terms at the current parameters, keyed rw, dis, ent and total.
 
-    `batch` is a PairBatch or the count pattern `train` built from one. The
+    `batch` is a PairBatch or the count pattern `train` builds. The
     total is the one `total_loss_and_grads` returns at these parameters.
     """
     _, _, h = forward(params, g, adj)
@@ -414,7 +427,7 @@ def total_loss_and_grads(params: EncoderParams, g: Graph, batch, cfg: LossConfig
                          adj=None):
     """Total loss and analytic parameter gradients.
 
-    `batch` is a PairBatch or the count pattern `train` built from one.
+    `batch` is a PairBatch or the count pattern `train` builds.
     The two regularizers always see the full-graph embedding, regardless of
     which pairs the batch holds.
     """
@@ -465,24 +478,23 @@ class TrainResult:
 def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
           dim_hidden: int = 128, dim: int = 32,
           activation: str = "relu") -> TrainResult:
-    """Full training run: corpus generation, epochs of Adam, final encode.
+    """Full training run: corpus counts, epochs of Adam, final encode.
 
-    The walk corpus (positives and negatives) is generated once up front and
-    counted into one pattern; each epoch is one Adam step on the whole
-    pattern, and its trace entry is that step's loss. Parameters are
-    float32.
+    The walks are generated once up front and their positive and negative
+    pairs counted into one pattern as they are read, with no pair arrays;
+    each epoch is one Adam step on the whole pattern, and its trace entry
+    is that step's loss. Parameters are float32.
     """
     cfg.validate()
     walk_cfg.validate()
     if activation == "identity" and (cfg.lambda_dis > 0 or cfg.lambda_ent > 0):
         raise ValueError("regularizers assume non-negative H; "
                          "identity activation requires lambda_dis = lambda_ent = 0")
-    batch = build_pair_batch(g, walk_cfg)
+    corpus = _pattern(*count_pairs(g, walk_cfg), g.num_nodes)
     params = init_params(g, kind, dim_hidden, dim, seed=cfg.seed,
                          activation=activation)
     adj = normalized_adjacency(g) if kind == "gcn" else None
     state = AdamState.zeros(params)
-    corpus = _count_pattern(batch.positives, batch.negatives, g.num_nodes)
 
     trace = []
     try:

@@ -204,6 +204,15 @@ class TestTrain:
         assert "--split must lie in [0, 1)" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_walk_too_short_for_the_window_fails(self, tmp_path, capsys):
+        # one-node walks hold no window pair, so the corpus would be empty
+        assert _status("train", "--kind", "ring", "--seed", "0", "--split",
+                       "0.1", "--dim", "8", "--epochs", "2", "--walk-length",
+                       "1", "--window", "1", "--out", str(tmp_path)) == 2
+        assert ("window must satisfy 1 <= window < walk_length"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("flag, value", [("--learning-rate", "1e6"),
                                              ("--lambda-dis", "1e300"),
                                              ("--learning-rate", "1e300")])

@@ -192,3 +192,11 @@ class TestBatch:
             WalkConfig(window=0).validate()
         with pytest.raises(ValueError):
             WalkConfig(negatives_per_positive=0).validate()
+
+    @pytest.mark.parametrize("walk_length, window", [(1, 1), (3, 3), (3, 4)])
+    def test_window_must_fit_in_the_walk(self, walk_length, window):
+        cfg = WalkConfig(walk_length=walk_length, window=window)
+        with pytest.raises(ValueError, match="window < walk_length"):
+            cfg.validate()
+        # the walks alone do not use the window
+        cfg.validate_walks()

@@ -10,9 +10,10 @@ import pytest
 from scipy.special import expit
 
 from disene import training
-from disene.graph_core import build_graph
+from disene.graph_core import build_graph, split_edges, train_subgraph
 from disene.model import forward, init_params
-from disene.sampling import PairBatch, WalkConfig, build_pair_batch
+from disene.sampling import (PairBatch, WalkConfig, build_pair_batch,
+                             count_pairs)
 from disene.synth import default_spec, generate_synthetic
 from disene.training import (COSINE_EPS, SIGMA_CLAMP, AdamState, GradBuffer,
                              LossConfig, adam_step, loss_breakdown,
@@ -255,6 +256,101 @@ class TestCountPatternPaths(TestCountPattern):
             want = rw_grad_oracle(h32, batch)
             np.testing.assert_allclose(dh, want, rtol=1e-5,
                                        atol=1e-5 * np.abs(want).max())
+
+
+def reference_pattern(g, cfg):
+    """The count pattern of the materialised corpus."""
+    batch = build_pair_batch(g, cfg)
+    return _count_pattern(batch.positives, batch.negatives, g.num_nodes)
+
+
+def assert_walk_counts_match(g, cfg):
+    """`count_pairs` gives the reference pattern, bit for bit."""
+    got = training._pattern(*count_pairs(g, cfg), g.num_nodes)
+    want = reference_pattern(g, cfg)
+    for name in ("indptr", "indices"):
+        a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (got.flat is None) == (want.flat is None)
+    for name in ("rows", "pos", "neg", "flat"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _split_graph(kind, seed, **spec):
+    g, _ = generate_synthetic(replace(default_spec(kind, seed=seed), **spec))
+    return train_subgraph(g, split_edges(g, 0.1, seed))
+
+
+# cliques of two and these seeds leave nodes without a training edge at
+# split 0.1, whose walks are padded with -1
+ISOLATING = {"ring_cliques": 1, "sbm_cliques": 0, "ba_cliques": 0,
+             "er_cliques": 6}
+WALK_CASES = {
+    "default": {},
+    "three_negatives": {"negatives_per_positive": 3},
+    "window_1": {"window": 1},
+    "window_walk_length_minus_1": {"walk_length": 8, "window": 7},
+    "one_walk": {"num_walks": 1},
+}
+
+
+class TestWalkCounts:
+    """`train` counts its pattern from the walks; the reference counts the
+    corpus `build_pair_batch` materialises. The two agree bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(ISOLATING))
+    def test_benchmark_sized_families(self, kind):
+        assert_walk_counts_match(_split_graph(kind, 20001),
+                                 WalkConfig(seed=20001))
+
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    @pytest.mark.parametrize("kind", sorted(ISOLATING))
+    def test_isolated_nodes_and_walk_settings(self, kind, case):
+        g = _split_graph(kind, ISOLATING[kind], num_cliques=16,
+                         clique_size=2, base_nodes=32,
+                         noise_edges=4 if kind == "ring_cliques" else 0)
+        assert (g.degrees == 0).any()
+        assert_walk_counts_match(
+            g, WalkConfig(seed=ISOLATING[kind], **WALK_CASES[case]))
+
+    def test_codes_past_int32(self):
+        # V * V >= 2**31 counts in int64: the live nodes are the last ten,
+        # so the positives' codes min * V + max pass 2**31
+        n = 50000
+        live = range(n - 10, n)
+        g = build_graph(n, [(u, v) for u in live for v in live if u < v])
+        cfg = WalkConfig(walk_length=4, num_walks=2, window=2, seed=3)
+        codes, pos, _ = count_pairs(g, cfg)
+        assert codes[pos > 0].min() >= 2**31
+        assert_walk_counts_match(g, cfg)
+
+    def test_train_equals_training_on_the_reference_pattern(self,
+                                                            monkeypatch):
+        g = _split_graph("er_cliques", 20001)
+        cfg, walks = LossConfig(epochs=5, seed=20001), WalkConfig(seed=20001)
+        got = train(g, cfg, walks, dim_hidden=16, dim=8)
+        want_pattern = reference_pattern(g, walks)
+        monkeypatch.setattr(training, "_pattern", lambda *_: want_pattern)
+        want = train(g, cfg, walks, dim_hidden=16, dim=8)
+        assert got.embedding.tobytes() == want.embedding.tobytes()
+        assert got.loss_trace == want.loss_trace
+        assert got.final_loss == want.final_loss
+
+    def test_train_builds_no_pair_batch(self, monkeypatch):
+        # nor does it count with np.unique or np.union1d, which take a hash
+        # path far slower than a sort on numpy 2.4
+        def refuse(*_, **__):
+            raise AssertionError("train built or hashed the pair corpus")
+
+        monkeypatch.setattr(training, "build_pair_batch", refuse)
+        monkeypatch.setattr(training, "_count_pattern", refuse)
+        monkeypatch.setattr(np, "unique", refuse)
+        monkeypatch.setattr(np, "union1d", refuse)
+        g = build_graph(6, [(i, i + 1) for i in range(5)])
+        train(g, LossConfig(epochs=2), WalkConfig(walk_length=4, window=2),
+              dim_hidden=4, dim=2)
 
 
 class TestDensityRegimes:
