@@ -9,7 +9,7 @@ whole synthetic grid into CSV tables.
 
 Every subcommand accepts --out, --config, --threads and --deterministic.
 Every subcommand but `bench`, which takes --seeds, accepts --seed and the
-generator flags (--num-cliques, ...) that go with --kind.
+generator flags (--num-cliques, ...) that the --kind family reads.
 A config file is a flat JSON object whose keys are the long flags of the
 subcommand being run (dashes become underscores), typed like the flag; any
 other key exits 2. It is read as the flags it stands for, placed before the
@@ -45,7 +45,7 @@ from .metrics import compute_report
 from .model import (ACTIVATIONS, load_embedding_binary, save_embedding_binary,
                     save_embedding_text)
 from .sampling import WalkConfig
-from .synth import KINDS, SynthSpec, default_spec, generate_synthetic
+from .synth import KINDS, READS, SynthSpec, default_spec, generate_synthetic
 from .training import LossConfig, train
 
 METHODS = ("disene-fc", "disene-gcn", "baseline-sgns")
@@ -141,11 +141,15 @@ def _outdir(args, default="."):
 
 
 def _check_counts(args):
-    """Raise unless every count setting the command has is >= 1."""
-    for key in ("threads", "workers", "permutations"):
-        count = getattr(args, key, None)
-        if count is not None and count < 1:
-            raise ValueError(f"--{key} must be at least 1, got {count}")
+    """Raise unless every count setting the command has is >= 1 and every
+    seed, each of `bench --seeds` included, is >= 0."""
+    for key, least in (("threads", 1), ("workers", 1), ("permutations", 1),
+                       ("seed", 0), ("split_seed", 0), ("seeds", 0)):
+        value = getattr(args, key, None)
+        for count in value if isinstance(value, (list, tuple)) else [value]:
+            if count is not None and count < least:
+                raise ValueError(f"--{key.replace('_', '-')} must be at "
+                                 f"least {least}, got {count}")
 
 
 def _write_json(path, payload):
@@ -167,6 +171,10 @@ _GEN_FIELDS = ("num_cliques", "clique_size", "base_nodes",
 def _synth_spec(args, kind: str):
     override = {f: getattr(args, f) for f in ("seed", *_GEN_FIELDS)
                 if getattr(args, f) is not None}
+    unread = [f for f in override if f not in READS[kind]]
+    if unread:
+        raise ValueError(f"--{unread[0].replace('_', '-')} does not go with "
+                         f"--kind {kind}, whose generator does not read it")
     spec = replace(default_spec(kind), **override)
     spec.validate()
     return spec
@@ -309,6 +317,8 @@ def _resolve_run(args) -> Run:
         "identity" if label == "baseline-sgns" else "relu")
     if not 0.0 <= args.split < 1.0:
         raise ValueError(f"--split must lie in [0, 1), got {args.split}")
+    if args.split_seed is not None and args.split == 0.0:
+        raise ValueError("--split-seed goes with --split")
 
     walk = WalkConfig(args.walk_length, args.num_walks, args.window,
                       args.negatives_per_positive, seed=seed)

@@ -3,11 +3,12 @@
 Two variants share the head H = rho(Z W):
 
 - fc:  Z = W1 (a free embedding table; input features are the identity)
-- gcn: Z = A_hat W1 with the symmetric-normalized self-loop adjacency
+- gcn: Z = A_hat W1 with the symmetric-normalized self-loop adjacency,
+  which the caller builds once (`normalized_adjacency`) and passes in
 
 rho is relu or softplus, so every embedding coordinate is >= 0 and the
 column j of H reads as a soft node-community affiliation. Edge likelihood
-is sigmoid(h(u) . h(v)).
+is sigmoid(h(u) . h(v)). `ACTIVATIONS` maps each name to (rho, rho').
 """
 
 from __future__ import annotations
@@ -22,9 +23,22 @@ from scipy.special import expit
 from .graph_core import Graph
 
 ENCODER_KINDS = ("fc", "gcn")
-# identity exists for the plain skip-gram baseline; it drops the
-# non-negativity guarantee, so the regularizers must stay off with it
-ACTIVATIONS = ("relu", "softplus", "identity")
+
+
+def softplus(x):
+    # stable for large |x|
+    return np.logaddexp(0.0, x)
+
+
+# name -> (rho, rho'), rho' evaluated at the pre-activation. identity exists
+# for the plain skip-gram baseline; it drops the non-negativity guarantee,
+# so the regularizers must stay off with it
+ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0.0),
+             lambda pre: (pre > 0).astype(pre.dtype)),
+    "softplus": (softplus, expit),
+    "identity": (lambda x: x, np.ones_like),
+}
 
 
 @dataclass
@@ -66,42 +80,16 @@ def normalized_adjacency(g: Graph, dtype=np.float32) -> sp.csr_matrix:
     return (scale @ a @ scale).tocsr()
 
 
-def softplus(x):
-    # stable for large |x|
-    return np.logaddexp(0.0, x)
-
-
-def activation_fn(name):
-    if name == "relu":
-        return lambda x: np.maximum(x, 0.0)
-    if name == "softplus":
-        return softplus
-    if name == "identity":
-        return lambda x: x
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def activation_grad(name, pre):
-    """Derivative of the activation, evaluated at the pre-activation."""
-    if name == "relu":
-        return (pre > 0).astype(pre.dtype)
-    if name == "softplus":
-        return expit(pre)
-    if name == "identity":
-        return np.ones_like(pre)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def forward(params: EncoderParams, g: Graph, adj: sp.csr_matrix | None = None):
-    """Full forward pass, returning (Z, pre-activation, H) for backprop."""
-    if params.kind == "fc":
-        z = params.W1
-    else:
-        if adj is None:
-            adj = normalized_adjacency(g, dtype=params.W1.dtype)
-        z = adj @ params.W1
+def forward(params: EncoderParams, adj: sp.csr_matrix | None = None):
+    """Full forward pass, returning (Z, pre-activation, H) for backprop;
+    gcn takes A_hat (`normalized_adjacency`) as `adj`, fc no adjacency."""
+    if params.kind == "gcn" and adj is None:
+        raise ValueError("the gcn encoder needs A_hat as adj")
+    if params.kind == "fc" and adj is not None:
+        raise ValueError("the fc encoder takes no adjacency")
+    z = params.W1 if adj is None else adj @ params.W1
     pre = z @ params.W
-    h = activation_fn(params.activation)(pre)
+    h = ACTIVATIONS[params.activation][0](pre)
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("non-finite values in encoder output")
     return z, pre, h

@@ -76,6 +76,16 @@ class SynthSpec:
             raise ValueError("noise_edges must be non-negative")
 
 
+# the SynthSpec fields each family's generator reads, besides kind; any other
+# field leaves its graph unchanged
+_EVERY = ("seed", "num_cliques", "clique_size")
+_ATTACHED = (*_EVERY, "base_nodes", "attach_edges_per_clique")
+READS = {"ring_cliques": (*_EVERY, "noise_edges"),
+         "sbm_cliques": (*_EVERY, "sbm_p_out"),
+         "ba_cliques": (*_ATTACHED, "ba_m"),
+         "er_cliques": (*_ATTACHED, "er_p")}
+
+
 def default_spec(kind: str, seed: int = 0) -> SynthSpec:
     """Benchmark-calibrated spec for a dataset family.
 

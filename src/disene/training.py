@@ -26,9 +26,11 @@ counts live on one upper-triangular CSR pattern M, built once per run:
 it holds each unordered pair {u, v} once, as (min, max), with P and N summed
 over both orders. `train` counts M straight from the walks
 (`sampling.count_pairs`), without materialising the pairs; `_count_pattern`
-counts the materialised corpus of `build_pair_batch`, gives the same M bit
-for bit, and serves as the reference. Each step evaluates S on M's entries
-from row blocks of the upper half of H H^T, writes
+counts explicit pairs, such as `build_pair_batch`'s corpus, into the same M
+bit for bit, and serves as the reference. The step and `loss_breakdown`
+take M, and a gcn encoder's A_hat from their caller, never pairs or the
+graph. Each step evaluates S on M's entries from row blocks of the upper
+half of H H^T, writes
 C = (P + N) * sigmoid(S) - P, which is P * (sigmoid(S) - 1) + N * sigmoid(S),
 into M and takes
 
@@ -90,11 +92,11 @@ import scipy.sparse as sp
 from scipy.linalg import get_blas_funcs
 
 from .graph_core import Graph, _distinct
-from .model import (EncoderParams, activation_grad, forward, init_params,
+from .model import (ACTIVATIONS, EncoderParams, forward, init_params,
                     normalized_adjacency)
 # train counts its pattern with count_pairs; build_pair_batch stays
 # importable here because the benchmark's tracer wraps it by this name
-from .sampling import PairBatch, WalkConfig, build_pair_batch, count_pairs
+from .sampling import WalkConfig, build_pair_batch, count_pairs
 
 SIGMA_CLAMP = 1e-7   # sigmoid outputs clipped to [c, 1-c] before the log
 COSINE_EPS = 1e-12   # cosine denominator guard
@@ -254,12 +256,6 @@ def _pattern(codes: np.ndarray, pos: np.ndarray, neg: np.ndarray,
     return _CountPattern(matrix, rows, pos, neg, flat)
 
 
-def _as_pattern(batch, num_nodes: int) -> _CountPattern:
-    if isinstance(batch, PairBatch):
-        return _count_pattern(batch.positives, batch.negatives, num_nodes)
-    return batch  # already built
-
-
 # entries of the dense product h[r0:r1] @ h[r0:].T held at once, at most
 BLOCK_ENTRIES = 1 << 20
 # a row block holding fewer pattern entries than this share of its product's
@@ -413,38 +409,32 @@ def _objective(h, cp: _CountPattern, cfg: LossConfig, grad: bool = True):
     return terms, dh
 
 
-def loss_breakdown(params, g, batch, cfg: LossConfig, adj=None) -> dict:
-    """Loss terms at the current parameters, keyed rw, dis, ent and total.
+def loss_breakdown(params, cp, cfg: LossConfig, adj=None) -> dict:
+    """Loss terms at the current parameters, keyed rw, dis, ent and total;
+    the total is the one `total_loss_and_grads` returns on the same
+    arguments."""
+    _, _, h = forward(params, adj)
+    return _objective(h, cp, cfg, grad=False)[0]
 
-    `batch` is a PairBatch or the count pattern `train` builds. The
-    total is the one `total_loss_and_grads` returns at these parameters.
+
+def total_loss_and_grads(params: EncoderParams, cp: _CountPattern,
+                         cfg: LossConfig, adj=None):
+    """Total loss and analytic parameter gradients on the count pattern `cp`.
+
+    `adj` is A_hat for a gcn encoder and None for fc. The two regularizers
+    always see the full-graph embedding, whichever pairs `cp` holds.
     """
-    _, _, h = forward(params, g, adj)
-    return _objective(h, _as_pattern(batch, g.num_nodes), cfg, grad=False)[0]
-
-
-def total_loss_and_grads(params: EncoderParams, g: Graph, batch, cfg: LossConfig,
-                         adj=None):
-    """Total loss and analytic parameter gradients.
-
-    `batch` is a PairBatch or the count pattern `train` builds.
-    The two regularizers always see the full-graph embedding, regardless of
-    which pairs the batch holds.
-    """
-    cp = _as_pattern(batch, g.num_nodes)
-    if params.kind == "gcn" and adj is None:
-        adj = normalized_adjacency(g, dtype=params.W1.dtype)
-    z, pre, h = forward(params, g, adj)
+    z, pre, h = forward(params, adj)
 
     terms, dh = _objective(h, cp, cfg)
     value = terms["total"]
     if not math.isfinite(value):
         raise FloatingPointError(f"loss diverged (value={value})")
 
-    dpre = dh * activation_grad(params.activation, pre)
+    dpre = dh * ACTIVATIONS[params.activation][1](pre)
     dW = z.T @ dpre
     dz = dpre @ params.W.T
-    dW1 = (adj.T @ dz) if params.kind == "gcn" else dz
+    dW1 = dz if adj is None else adj.T @ dz
     return value, GradBuffer(dW1.astype(params.W1.dtype, copy=False),
                              dW.astype(params.W.dtype, copy=False))
 
@@ -501,11 +491,11 @@ def train(g: Graph, cfg: LossConfig, walk_cfg: WalkConfig, kind: str = "fc",
         # an overflow or a NaN raises where it happens, not at the next check
         with np.errstate(over="raise", invalid="raise"):
             for _ in range(cfg.epochs):
-                value, grads = total_loss_and_grads(params, g, corpus, cfg, adj)
+                value, grads = total_loss_and_grads(params, corpus, cfg, adj)
                 adam_step(params, grads, state, cfg.learning_rate)
                 del grads  # freed before the next step allocates its own
                 trace.append(value)
-            _, _, h = forward(params, g, adj)
+            _, _, h = forward(params, adj)
             final = _objective(h, corpus, cfg, grad=False)[0]["total"]
     except FloatingPointError as exc:
         epoch = len(trace) + 1

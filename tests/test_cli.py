@@ -108,6 +108,28 @@ class TestGen:
     def test_unknown_kind_fails(self, tmp_path):
         assert _run("gen", "--kind", "smallworld", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("command, kind, given, flag", [
+        ("gen", "sbm", ["--ba-m", "3"], "--ba-m"),
+        ("gen", "sbm", ["--er-p", "0.5"], "--er-p"),
+        ("gen", "sbm", ["--base-nodes", "30"], "--base-nodes"),
+        ("gen", "sbm", ["--noise-edges", "3"], "--noise-edges"),
+        ("gen", "ring", {"attach_edges_per_clique": 2},
+         "--attach-edges-per-clique"),
+        ("gen", "er", {"ba_m": 3}, "--ba-m"),
+        ("train", "ba", ["--sbm-p-out", "0.1"], "--sbm-p-out"),
+        ("train", "ring", {"base_nodes": 30}, "--base-nodes"),
+    ])
+    def test_setting_the_kind_does_not_read_fails(self, tmp_path, capsys,
+                                                  command, kind, given, flag):
+        # it would leave the graph as it is but change the recorded spec
+        if isinstance(given, dict):
+            given = ["--config", _config(tmp_path, **given)]
+        assert _status(command, "--kind", kind, *given,
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} does not go with --kind {kind}_cliques" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["ring", "sbm", "ba", "er"])
     def test_edge_list_keeps_the_generator_numbering(self, kind, tmp_path):
         # integer tokens are numbered by value, so --data and --kind name
@@ -203,6 +225,18 @@ class TestTrain:
                        "--split", split, "--out", str(tmp_path)) == 2
         assert "--split must lie in [0, 1)" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("given", [["--split-seed", "5"],
+                                       ["--split", "0", "--split-seed", "5"],
+                                       {"split_seed": 5}])
+    def test_split_seed_without_split_fails(self, tmp_path, capsys, given):
+        # without a split the seed draws nothing, yet would move config_hash
+        if isinstance(given, dict):
+            given = ["--config", _config(tmp_path, **given)]
+        assert _status("train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN,
+                       *given, "--out", str(tmp_path / "out")) == 2
+        assert "--split-seed goes with --split" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_walk_too_short_for_the_window_fails(self, tmp_path, capsys):
         # one-node walks hold no window pair, so the corpus would be empty
@@ -390,6 +424,35 @@ class TestConfigFile:
             argv = [*argv, "--config", _config(tmp_path, **cfg)]
         assert _status(*argv, "--out", str(tmp_path / "out")) == 2
         assert f"--{key} must be at least 1" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("argv, cfg, flag", [
+        (["gen", "--kind", "ring", *MICRO_GEN, "--seed", "-1"], {}, "seed"),
+        (["gen", "--kind", "ring", *MICRO_GEN, "--threads", "1"],
+         {"seed": -1}, "seed"),
+        (["train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN,
+          "--seed", "-1"], {}, "seed"),
+        (["train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN, "--split",
+          "0.1", "--split-seed", "-1"], {}, "split-seed"),
+        (["train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN, "--split",
+          "0.1", "--threads", "1"], {"split_seed": -2}, "split-seed"),
+        (["downstream", "--checkpoint", "ckpt", "--seed", "-1"], {}, "seed"),
+        ([*MICRO_BENCH, "--seeds", "0,-1"], {}, "seeds"),
+        (["bench", "--datasets", "ring", "--threads", "1"], {"seeds": [-1]},
+         "seeds"),
+    ])
+    def test_negative_seeds_fail_before_any_reexec(self, tmp_path, capsys,
+                                                   monkeypatch, argv, cfg,
+                                                   flag):
+        calls = []
+        monkeypatch.delenv("DISENE_THREADS", raising=False)
+        monkeypatch.setattr(os, "execvpe", lambda *a: calls.append(a))
+        if cfg:
+            argv = [*argv, "--config", _config(tmp_path, **cfg)]
+        assert _status(*argv, "--out", str(tmp_path / "out")) == 2
+        assert f"--{flag} must be at least 0, got -" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out").exists()
 

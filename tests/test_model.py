@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from disene.graph_core import build_graph
-from disene.model import (ACTIVATIONS, EncoderParams, activation_fn,
-                          activation_grad, forward, init_params,
+from disene.model import (ACTIVATIONS, forward, init_params,
                           load_embedding_binary, normalized_adjacency,
                           save_embedding_binary, save_embedding_text,
                           softplus)
@@ -16,15 +15,26 @@ def small_graph():
     return build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
 
 
+def encode(params, g):
+    """forward with the adjacency the encoder takes: A_hat for gcn."""
+    adj = (normalized_adjacency(g, dtype=params.W1.dtype)
+           if params.kind == "gcn" else None)
+    return forward(params, adj)
+
+
+def rho(name):
+    return ACTIVATIONS[name][0]
+
+
 class TestActivations:
     def test_relu_and_softplus_nonnegative(self):
         x = np.linspace(-5, 5, 101)
-        assert (activation_fn("relu")(x) >= 0).all()
-        assert (activation_fn("softplus")(x) > 0).all()
+        assert (rho("relu")(x) >= 0).all()
+        assert (rho("softplus")(x) > 0).all()
 
     def test_identity_passthrough(self):
         x = np.array([-2.0, 0.0, 3.0])
-        np.testing.assert_array_equal(activation_fn("identity")(x), x)
+        np.testing.assert_array_equal(rho("identity")(x), x)
 
     def test_softplus_stable_for_large_inputs(self):
         big = np.array([800.0, -800.0])
@@ -39,8 +49,8 @@ class TestActivations:
         x = rng.normal(size=200) * 3
         x = x[np.abs(x) > 1e-3]  # stay away from the relu kink
         eps = 1e-6
-        fd = (activation_fn(name)(x + eps) - activation_fn(name)(x - eps)) / (2 * eps)
-        np.testing.assert_allclose(activation_grad(name, x), fd, atol=1e-6)
+        fd = (rho(name)(x + eps) - rho(name)(x - eps)) / (2 * eps)
+        np.testing.assert_allclose(ACTIVATIONS[name][1](x), fd, atol=1e-6)
 
 
 class TestAdjacency:
@@ -65,25 +75,25 @@ class TestForward:
     def test_shapes_and_nonnegativity(self, small_graph):
         for kind in ("fc", "gcn"):
             params = init_params(small_graph, kind, dim_hidden=7, dim=3, seed=0)
-            z, pre, h = forward(params, small_graph)
+            z, pre, h = encode(params, small_graph)
             assert z.shape == (5, 7) and pre.shape == (5, 3) and h.shape == (5, 3)
             assert (h >= 0).all()
 
     def test_fc_is_lookup(self, small_graph):
         params = init_params(small_graph, "fc", dim_hidden=4, dim=2, seed=1)
-        z, _, _ = forward(params, small_graph)
+        z, _, _ = encode(params, small_graph)
         np.testing.assert_array_equal(z, params.W1)
 
     def test_gcn_smooths_with_adjacency(self, small_graph):
         params = init_params(small_graph, "gcn", dim_hidden=4, dim=2, seed=1)
-        z, _, _ = forward(params, small_graph)
+        z, _, _ = encode(params, small_graph)
         adj = normalized_adjacency(small_graph, dtype=params.W1.dtype)
         np.testing.assert_allclose(z, adj @ params.W1, rtol=1e-6)
 
     def test_identity_activation_passes_sign_through(self, small_graph):
         params = init_params(small_graph, "fc", dim_hidden=6, dim=4, seed=2,
                              activation="identity")
-        _, pre, h = forward(params, small_graph)
+        _, pre, h = encode(params, small_graph)
         np.testing.assert_array_equal(pre, h)
         assert (h < 0).any()  # glorot init straddles zero
 
@@ -91,7 +101,16 @@ class TestForward:
         params = init_params(small_graph, "fc", dim_hidden=3, dim=2, seed=0)
         params.W1[0, 0] = np.nan
         with pytest.raises(FloatingPointError):
-            forward(params, small_graph)
+            encode(params, small_graph)
+
+    def test_adjacency_goes_with_gcn_only(self, small_graph):
+        gcn = init_params(small_graph, "gcn", dim_hidden=4, dim=2, seed=0)
+        fc = init_params(small_graph, "fc", dim_hidden=4, dim=2, seed=0)
+        adj = normalized_adjacency(small_graph)
+        with pytest.raises(ValueError, match="gcn encoder needs"):
+            forward(gcn)
+        with pytest.raises(ValueError, match="fc encoder takes no"):
+            forward(fc, adj)
 
     def test_init_deterministic(self, small_graph):
         a = init_params(small_graph, "gcn", 8, 4, seed=3)

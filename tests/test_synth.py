@@ -1,5 +1,7 @@
 """Synthetic benchmark generators: sizes, structure, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -191,6 +193,26 @@ class TestDeterminism:
         a, _ = generate_synthetic(default_spec("er_cliques", seed=0))
         b, _ = generate_synthetic(default_spec("er_cliques", seed=1))
         assert not np.array_equal(a.edges, b.edges)
+
+
+# a small spec every family generates from, and one other value per field
+SMALL = dict(num_cliques=4, clique_size=4, base_nodes=20, ba_m=2, er_p=0.3,
+             sbm_p_out=0.3, noise_edges=3, seed=0)
+OTHER = dict(num_cliques=5, clique_size=5, base_nodes=24,
+             attach_edges_per_clique=2, er_p=0.5, sbm_p_out=0.6, ba_m=3,
+             noise_edges=6, seed=1)
+
+
+class TestReads:
+    @pytest.mark.parametrize("field", sorted(OTHER))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_family_reads_exactly_its_fields(self, kind, field):
+        # a field of the table changes the graph; any other leaves it be
+        base = SynthSpec(kind=kind, **SMALL)
+        a, _ = generate_synthetic(base)
+        b, _ = generate_synthetic(replace(base, **{field: OTHER[field]}))
+        same = a.num_nodes == b.num_nodes and np.array_equal(a.edges, b.edges)
+        assert same != (field in synth.READS[kind])
 
 
 class TestValidation:

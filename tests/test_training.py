@@ -11,7 +11,7 @@ from scipy.special import expit
 
 from disene import training
 from disene.graph_core import build_graph, split_edges, train_subgraph
-from disene.model import forward, init_params
+from disene.model import forward, init_params, normalized_adjacency
 from disene.sampling import (PairBatch, WalkConfig, build_pair_batch,
                              count_pairs)
 from disene.synth import default_spec, generate_synthetic
@@ -26,10 +26,20 @@ def _rand_h(rng, n, k, scale=1.0):
     return np.abs(rng.normal(size=(n, k))) * scale
 
 
+def pattern_of(batch, num_nodes):
+    """The count pattern of a pair batch."""
+    return _count_pattern(batch.positives, batch.negatives, num_nodes)
+
+
+def adjacency_of(params, g):
+    """The adjacency the encoder takes: A_hat in W1's dtype for gcn."""
+    return (normalized_adjacency(g, dtype=params.W1.dtype)
+            if params.kind == "gcn" else None)
+
+
 def loss_rw(h, batch):
     """The trainer's L_rw value on a pair batch."""
-    return _rw_value_grad(h, _count_pattern(batch.positives, batch.negatives,
-                                            h.shape[0]))[0]
+    return _rw_value_grad(h, pattern_of(batch, h.shape[0]))[0]
 
 
 def loss_dis(h):
@@ -412,7 +422,7 @@ class TestLossDis:
         batch = build_pair_batch(g, WalkConfig(walk_length=4, num_walks=2,
                                                window=2, seed=0))
         params = init_params(g, "fc", 4, 1, seed=0, dtype=np.float64)
-        bd = loss_breakdown(params, g, batch, cfg)
+        bd = loss_breakdown(params, pattern_of(batch, g.num_nodes), cfg)
         assert bd["dis"] == bd["ent"] == 0.0
         assert bd["total"] == bd["rw"] > 0.0
 
@@ -445,7 +455,7 @@ class TestEntropyReg:
             assert -1e-12 <= got <= 1.0 + 1e-12
 
 
-def _fd_grads(params, g, batch, cfg, eps=1e-5):
+def _fd_grads(params, cp, cfg, adj, eps=1e-5):
     """Central finite differences of the total loss, entry by entry."""
     out = {}
     for name in ("W1", "W"):
@@ -454,9 +464,9 @@ def _fd_grads(params, g, batch, cfg, eps=1e-5):
         for idx in np.ndindex(*w.shape):
             keep = w[idx]
             w[idx] = keep + eps
-            fp = total_loss_and_grads(params, g, batch, cfg)[0]
+            fp = total_loss_and_grads(params, cp, cfg, adj)[0]
             w[idx] = keep - eps
-            fm = total_loss_and_grads(params, g, batch, cfg)[0]
+            fm = total_loss_and_grads(params, cp, cfg, adj)[0]
             w[idx] = keep
             grad[idx] = (fp - fm) / (2 * eps)
         out[name] = grad
@@ -477,8 +487,9 @@ class TestGradients:
                                                window=2, seed=1))
         params = init_params(g, kind, dim_hidden=3, dim=3, seed=4,
                              activation=activation, dtype=np.float64)
-        _, buf = total_loss_and_grads(params, g, batch, cfg)
-        fd = _fd_grads(params, g, batch, cfg)
+        cp, adj = pattern_of(batch, g.num_nodes), adjacency_of(params, g)
+        _, buf = total_loss_and_grads(params, cp, cfg, adj)
+        fd = _fd_grads(params, cp, cfg, adj)
         assert _rel_err(buf.dW1, fd["W1"]) < 1e-6
         assert _rel_err(buf.dW, fd["W"]) < 1e-6
 
@@ -488,8 +499,9 @@ class TestGradients:
         batch = build_pair_batch(g, WalkConfig(walk_length=4, num_walks=2,
                                                window=2, seed=0))
         params = init_params(g, "fc", 4, 2, seed=0, dtype=np.float64)
-        _, buf = total_loss_and_grads(params, g, batch, cfg)
-        fd = _fd_grads(params, g, batch, cfg)
+        cp = pattern_of(batch, g.num_nodes)
+        _, buf = total_loss_and_grads(params, cp, cfg)
+        fd = _fd_grads(params, cp, cfg, None)
         assert _rel_err(buf.dW1, fd["W1"]) < 1e-6
         assert _rel_err(buf.dW, fd["W"]) < 1e-6
 
@@ -503,9 +515,10 @@ class TestObjective:
         batch = build_pair_batch(g, WalkConfig(walk_length=5, num_walks=2,
                                                window=2, seed=1))
         params = init_params(g, kind, dim_hidden=6, dim=4, seed=3)
-        bd = loss_breakdown(params, g, batch, cfg)
+        cp, adj = pattern_of(batch, g.num_nodes), adjacency_of(params, g)
+        bd = loss_breakdown(params, cp, cfg, adj)
         assert bd["dis"] > 0.0 and bd["ent"] > 0.0
-        assert bd["total"] == total_loss_and_grads(params, g, batch, cfg)[0]
+        assert bd["total"] == total_loss_and_grads(params, cp, cfg, adj)[0]
 
 
 class TestAdam:
@@ -619,8 +632,7 @@ class TestTrain:
         g, _ = two_cliques
         cfg = LossConfig(epochs=4)
         res = train(g, cfg, self.WALKS, dim_hidden=8, dim=4)
-        batch = build_pair_batch(g, self.WALKS)
-        bd = loss_breakdown(res.params, g, batch, cfg)
+        bd = loss_breakdown(res.params, reference_pattern(g, self.WALKS), cfg)
         assert res.final_loss == pytest.approx(bd["total"], rel=1e-6)
         assert bd["total"] == pytest.approx(
             bd["rw"] + cfg.lambda_dis * bd["dis"] + cfg.lambda_ent * bd["ent"],
