@@ -99,12 +99,12 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray,
             return LogRegModel(beta=w[:k].copy(), intercept=float(w[k]),
                                background_mean=x.mean(axis=0))
         s = p * (1.0 - p)
-        xs = x * s[:, None]       # the one (N, K) temporary of a step
+        xr = x * np.sqrt(s)[:, None]   # the one (N, K) temporary of a step
         hess = np.empty((k + 1, k + 1))
-        hess[:k, :k] = x.T @ xs
-        hess[k, :k] = hess[:k, k] = xs.sum(axis=0)
+        hess[:k, :k] = xr.T @ xr          # numpy runs A^T A as one SYRK
+        hess[k, :k] = hess[:k, k] = x.T @ s
         hess[k, k] = s.sum()
-        del xs
+        del xr
         hess /= n
         hess[:k, :k] += l2 * np.eye(k)
         step = -cho_solve(cho_factor(hess), grad)
@@ -214,8 +214,7 @@ def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
     psi = linear_shap(model, edge_features(h, pairs), zero_bg)
     # an instance's community is the first one holding it
     return _task_result("link", auc, list(map(tuple, pairs.tolist())),
-                        [int(np.flatnonzero(t)[0]) for t in truth[inside]],
-                        psi, f1)
+                        truth[inside].argmax(axis=1).tolist(), psi, f1)
 
 
 def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,

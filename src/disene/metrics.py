@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import xlogy
 
 from .explain import Explanation, node_support
@@ -47,17 +48,23 @@ def pearson(x, y) -> float:
 def weighted_f1(weights: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """F1 of every mask column against every truth column: (K, C).
 
-    `weights` (N, K) holds non-negative masks and `truth` (N, C) 0/1
-    indicators over the same N rows. Precision weights each row by its mask
-    value (W^T T / sum w); recall counts the mask's strictly positive support
-    against the truth size ([W > 0]^T T / |C|). A zero mask or an empty
-    truth column scores 0.
+    `weights` (N, K) holds non-negative masks and `truth` (N, C) membership
+    indicators over the same N rows; any non-zero truth entry counts as
+    membership. Precision weights each row by its mask value (W^T T / sum w);
+    recall counts the mask's strictly positive support against the truth
+    size ([W > 0]^T T / |C|). A zero mask or an empty truth column scores 0.
+    Both numerators are summed over the truth's non-zeros only.
     """
     w = np.asarray(weights, dtype=np.float64)
-    t = np.asarray(truth, dtype=np.float64)
+    t = np.asarray(truth)
+    n, c = t.shape
+    row, col = np.divmod(np.flatnonzero(t), c)
+    # (C, N): each community's member rows, in row order
+    members = sp.csr_matrix((np.ones(len(row)), (col, row)), shape=(c, n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        prec = (w.T @ t) / w.sum(axis=0)[:, None]
-        rec = ((w > 0.0).T.astype(np.float64) @ t) / t.sum(axis=0)[None, :]
+        prec = (members @ w).T / w.sum(axis=0)[:, None]
+        rec = ((members @ (w > 0.0).astype(np.float64)).T
+               / np.bincount(col, minlength=c)[None, :])
         f1 = 2.0 * prec * rec / (prec + rec)
     return np.where((prec > 0.0) & (rec > 0.0), f1, 0.0)
 
@@ -137,7 +144,7 @@ def proximities(g: Graph, sources) -> np.ndarray:
 
 
 # entries of the (sources x V) proximity block fpc_matrix holds at once, at most
-SOURCE_BLOCK_ENTRIES = 1 << 19
+SOURCE_BLOCK_ENTRIES = 1 << 20
 
 
 def fpc_matrix(h: np.ndarray, expl: Explanation) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.special import expit
 
@@ -64,6 +65,56 @@ def _oracle(x, y, l2):
                     jac=True, method="BFGS", options={"gtol": 1e-11}).x
 
 
+def _relu_hadamard_dataset(seed=0, n=3000, k=32, v=300):
+    """Hadamard features of a ReLU embedding in which a tenth of the nodes
+    are all zero, so many feature rows are all zero."""
+    rng = np.random.default_rng(seed)
+    h = np.maximum(rng.normal(size=(v, k)) - 0.5, 0.0)
+    h[: v // 10] = 0.0
+    x = edge_features(h, rng.integers(0, v, size=(n, 2)))
+    y = (rng.random(n) < expit(x @ rng.normal(scale=3.0, size=k) - 0.5)).astype(float)
+    return x, y
+
+
+def _reference_newton(x, y, l2):
+    """The fit with its Hessian formed as x.T @ (x * s), step for step:
+    (beta, intercept, Newton steps taken)."""
+    n, k = x.shape
+    w = np.zeros(k + 1)
+
+    def objective(w):
+        z = x @ w[:k] + w[k]
+        loss = np.mean(np.logaddexp(0.0, z) - y * z)
+        return loss + 0.5 * l2 * (w[:k] @ w[:k]), z
+
+    f, z = objective(w)
+    for steps in range(downstream.MAX_NEWTON_STEPS):
+        p = expit(z)
+        r = p - y
+        grad = np.append(x.T @ r / n + l2 * w[:k], r.mean())
+        if np.abs(grad).max() <= downstream.GRAD_TOL:
+            return w[:k], w[k], steps
+        s = p * (1.0 - p)
+        xs = x * s[:, None]
+        hess = np.empty((k + 1, k + 1))
+        hess[:k, :k] = x.T @ xs
+        hess[k, :k] = hess[:k, k] = xs.sum(axis=0)
+        hess[k, k] = s.sum()
+        hess /= n
+        hess[:k, :k] += l2 * np.eye(k)
+        step = -cho_solve(cho_factor(hess), grad)
+        decrease = -(grad @ step)
+        full = decrease <= downstream.F_RESOLUTION * max(abs(f), 1.0)
+        t = 1.0
+        for _ in range(downstream.LINE_SEARCH_STEPS):
+            f_t, z_t = objective(w + t * step)
+            if full or f_t <= f - downstream.ARMIJO * t * decrease:
+                break
+            t *= 0.5
+        w, f, z = w + t * step, f_t, z_t
+    raise AssertionError("reference Newton did not converge")
+
+
 # separable up to the penalty: undamped Newton raises the objective on its
 # ninth step, so the fit must backtrack
 OVERSHOOT_X = np.array([[-2.0, 1.0], [-1.0, -15.0], [0.0, -2.0], [3.0, 1.0]])
@@ -96,6 +147,22 @@ class TestFitLogreg:
         ref = _oracle(x, y, l2)
         np.testing.assert_allclose(model.beta, ref[:-1], atol=1e-6)
         assert model.intercept == pytest.approx(ref[-1], abs=1e-6)
+
+    @pytest.mark.parametrize("data, l2", [(_toy_dataset(), 0.1),
+                                          (_hadamard_dataset(), 1e-4),
+                                          (_relu_hadamard_dataset(), 1e-4)])
+    def test_matches_the_reference_newton(self, data, l2, monkeypatch):
+        x, y = data
+        beta, intercept, steps = _reference_newton(x, y, l2)
+        solves = []
+        monkeypatch.setattr(downstream, "cho_solve",
+                            lambda *a: solves.append(1) or cho_solve(*a))
+        model = fit_logreg(x, y, l2=l2)
+        assert len(solves) == steps
+        scale = max(np.abs(beta).max(), abs(intercept))
+        np.testing.assert_allclose(model.beta, beta, rtol=0, atol=1e-12 * scale)
+        assert model.intercept == pytest.approx(intercept, rel=0,
+                                                abs=1e-12 * scale)
 
     def test_backtracks_where_the_newton_step_overshoots(self, monkeypatch):
         l2 = 1e-4

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disene import metrics
 from disene.cli import _write_json
@@ -57,6 +59,31 @@ class TestPearson:
             pearson(np.ones(3), np.ones(4))
 
 
+def _dense_weighted_f1(weights, truth):
+    """The two-GEMM formula over a float64 copy of the truth: the oracle."""
+    w = np.asarray(weights, dtype=np.float64)
+    t = np.asarray(truth, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prec = (w.T @ t) / w.sum(axis=0)[:, None]
+        rec = ((w > 0.0).T.astype(np.float64) @ t) / t.sum(axis=0)[None, :]
+        f1 = 2.0 * prec * rec / (prec + rec)
+    return np.where((prec > 0.0) & (rec > 0.0), f1, 0.0)
+
+
+def _random_f1_case(seed, n, k, c, dtype):
+    """Sparse masks with an all-zero last column, and 0/1 truth with an empty
+    last column and, from C = 3, a first row in two communities."""
+    rng = np.random.default_rng(seed)
+    w = rng.random((n, k)) * (rng.random((n, k)) < 0.5)
+    w[:, -1] = 0.0
+    t = rng.random((n, c)) < 0.3
+    if c:
+        t[:, -1] = False
+    if c >= 3:
+        t[0, :2] = True
+    return w, t.astype(dtype)
+
+
 class TestWeightedF1:
     def test_hand_case(self):
         # rows (0,1), (2,3); precision 2/3 (weighted), recall 1 -> f1 = 0.8
@@ -69,6 +96,32 @@ class TestWeightedF1:
         got = weighted_f1(np.array([[1.0], [0.0]]),
                           np.array([[0, 0], [0, 1]]))
         assert got.tolist() == [[0.0, 0.0]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           k=st.integers(1, 5), c=st.integers(0, 6),
+           dtype=st.sampled_from([bool, np.int64]))
+    def test_matches_the_dense_formula(self, seed, n, k, c, dtype):
+        w, t = _random_f1_case(seed, n, k, c, dtype)
+        got = weighted_f1(w, t)
+        assert got.shape == (k, c)
+        np.testing.assert_allclose(got, _dense_weighted_f1(w, t),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, c", [(1, 0), (1, 3), (9, 0), (9, 4)])
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_edge_shapes_match_the_dense_formula(self, n, c, dtype):
+        w, t = _random_f1_case(n + c, n, 3, c, dtype)
+        got = weighted_f1(w, t)
+        assert got.shape == (3, c)
+        np.testing.assert_allclose(got, _dense_weighted_f1(w, t),
+                                   rtol=0, atol=1e-12)
+
+    def test_any_non_zero_truth_entry_is_membership(self):
+        w = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
+        t = np.array([[1, 0], [1, 1], [0, 1]])
+        np.testing.assert_array_equal(weighted_f1(w, 5 * t),
+                                      weighted_f1(w, t))
 
 
 class TestComprehensibility:
