@@ -58,11 +58,6 @@ _KIND_ALIASES = {"ring": "ring_cliques", "sbm": "sbm_cliques",
                  "ba": "ba_cliques", "er": "er_cliques"}
 
 
-def _fail(msg: str) -> "SystemExit":
-    print(f"error: {msg}", file=sys.stderr)
-    return SystemExit(2)
-
-
 def _int_list(text):
     return [int(x) for x in text.split(",") if x]
 
@@ -93,26 +88,26 @@ def _config_argv(path, keys: dict) -> list[str]:
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise _fail("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     argv = []
     for key, val in cfg.items():
         action = keys.get(key)
         if action is None:
-            raise _fail(f"unknown config key {key!r} (this subcommand has "
-                        f"no --{key.replace('_', '-')} flag)")
+            raise ValueError(f"unknown config key {key!r} (this subcommand "
+                             f"has no --{key.replace('_', '-')} flag)")
         want = bool if action.nargs == 0 else _JSON_TYPES[action.type]
         # an integer stands for a float; a bool is only a bool
         fits = isinstance(val, (int, float) if want is float else want)
         if not fits or isinstance(val, bool) != (want is bool):
-            raise _fail(f"config key {key!r} expects {want.__name__}")
+            raise ValueError(f"config key {key!r} expects {want.__name__}")
         item = _LIST_ITEMS.get(action.type)
         if item is not None:
             if any(type(x) is not item for x in val):
-                raise _fail(f"config key {key!r} expects a list of "
-                            f"{item.__name__}")
+                raise ValueError(f"config key {key!r} expects a list of "
+                                 f"{item.__name__}")
             if item is str and any(x == "" or "," in x for x in val):
-                raise _fail(f"config key {key!r}: an item cannot be empty "
-                            f"or hold a comma")
+                raise ValueError(f"config key {key!r}: an item cannot be "
+                                 f"empty or hold a comma")
             val = ",".join(map(str, val))
         flag = action.option_strings[0]
         if want is not bool:
@@ -525,17 +520,6 @@ def _bench_one(job) -> list[dict]:
             for k, v in sorted(values.items())]
 
 
-def _read_done(path) -> set:
-    """(dataset, method, dim, seed) of every run results.csv has rows of."""
-    done = set()
-    if os.path.exists(path):
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                done.add((row["dataset"], row["method"], int(row["dim"]),
-                          int(row["seed"])))
-    return done
-
-
 def _rewrite_results(path) -> list[dict]:
     """Sort results.csv's rows and write them under _BENCH_FIELDS.
 
@@ -604,17 +588,19 @@ def cmd_bench(args) -> int:
 
     out = _outdir(args, default="bench")
     results_path = os.path.join(out, "results.csv")
-    done = _read_done(results_path)
-    manifest = [(d, m, k, s) for d in datasets for m in args.methods
-                for k in args.dims for s in args.seeds]
+    # the rows append under this version's header, so a file written by an
+    # older one (no graph column) is rewritten under it first
+    done = {(r["dataset"], r["method"], int(r["dim"]), int(r["seed"]))
+            for r in _rewrite_results(results_path)}
+    # a cell named twice (a kind and its alias, a repeated seed) runs once
+    manifest = list(dict.fromkeys(
+        (d, m, k, s) for d in datasets for m in args.methods
+        for k in args.dims for s in args.seeds))
     todo = [(d, m, k, s, tuple(args.tasks), args.permutations)
             for d, m, k, s in manifest if (d, m, k, s) not in done]
     print(f"bench: {len(manifest)} runs, {len(manifest) - len(todo)} already "
           f"done, {len(todo)} to go")
 
-    # the rows append under this version's header, so a file written by an
-    # older one (no graph column) is rewritten under it first
-    _rewrite_results(results_path)
     failures = 0
     with open(results_path, "a", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS)

@@ -12,8 +12,8 @@ training-feature means.
 
 The positive parts of Psi_j over a global universe (all graph edges, or all
 nodes) form per-feature masks B^(j), one (N, J) array whose rows follow
-g.edges or the node index; plausibility of one prediction is the
-attribution-weighted F1 of those masks against the instance's own
+g.edges or the node index. An instance's attributions are its row of those
+masks, and its plausibility is their weighted F1 against its own
 ground-truth community.
 """
 
@@ -133,7 +133,7 @@ def linear_shap(model: LogRegModel, x: np.ndarray,
     Satisfies the efficiency identity sum_j Psi_j = logit(x) - mean
     background logit. Works on one instance (K,) or a batch (N, K).
     `background` overrides the stored training-feature means; the task
-    runners pass zeros, the absence state of non-negative activations.
+    masks pass zeros, the absence state of non-negative activations.
     """
     x = np.asarray(x, dtype=np.float64)
     mu = model.background_mean if background is None else background
@@ -180,8 +180,10 @@ def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
 
     The classifier learns train edges vs an equal number of sampled
     non-edges. AUC-PR is scored on held-out edges vs the split's negatives.
-    Plausibility is averaged over test edges that lie inside a ground-truth
-    community; the masks B^(j) span all edges of the full graph.
+    Features are built once over the full graph's edges (train and test
+    edges are rows of it; a non-edge raises ValueError), and the masks
+    B^(j) span them: a test edge's attributions are its row of the masks.
+    Plausibility is averaged over test edges inside a community.
 
     Attributions use the zero-vector SHAP background: for non-negative
     embeddings a zero feature is an absent feature, so Psi_j is the
@@ -191,30 +193,26 @@ def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
     dimensions (most visible on the node task).
     """
     gts.check_graph(g)
+    x = edge_features(h, g.edges)
+    train_rows = g.edge_rows(split.train_edges)
+    test_rows = g.edge_rows(split.test_edges)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
-    train_neg = sample_non_edges(g, len(split.train_edges), rng)
-    x_train = np.concatenate([edge_features(h, split.train_edges),
-                              edge_features(h, train_neg)])
-    y_train = np.concatenate([np.ones(len(split.train_edges)),
+    train_neg = sample_non_edges(g, len(train_rows), rng)
+    x_train = np.concatenate([x[train_rows], edge_features(h, train_neg)])
+    y_train = np.concatenate([np.ones(len(train_rows)),
                               np.zeros(len(train_neg))])
     model = fit_logreg(x_train, y_train, l2=l2)
 
-    x_test = np.concatenate([edge_features(h, split.test_edges),
+    x_test = np.concatenate([x[test_rows],
                              edge_features(h, split.test_negatives)])
-    y_test = np.concatenate([np.ones(len(split.test_edges)),
+    y_test = np.concatenate([np.ones(len(test_rows)),
                              np.zeros(len(split.test_negatives))])
     auc = auc_pr(model.predict_proba(x_test), y_test)
 
-    zero_bg = np.zeros_like(model.background_mean)
-    masks = build_task_masks(model, edge_features(h, g.edges), zero_bg)
-    f1 = weighted_f1(masks, gts.edge_truth)
-    truth = gts.edge_truth[g.edge_rows(split.test_edges)]
-    inside = truth.any(axis=1)
-    pairs = split.test_edges[inside]
-    psi = linear_shap(model, edge_features(h, pairs), zero_bg)
-    # an instance's community is the first one holding it
-    return _task_result("link", auc, list(map(tuple, pairs.tolist())),
-                        truth[inside].argmax(axis=1).tolist(), psi, f1)
+    inside = gts.edge_truth[test_rows].any(axis=1)
+    return _task_result("link", auc, model, x, gts.edge_truth,
+                        test_rows[inside],
+                        list(map(tuple, split.test_edges[inside].tolist())))
 
 
 def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
@@ -224,7 +222,8 @@ def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
     Nodes inside any planted community are the positive class, background
     nodes the negative one; needs both (so ring/sbm style graphs without
     background nodes are rejected). Masks B^(j) span all nodes and, as in
-    the link task, attributions are taken against the zero background.
+    the link task, are taken against the zero background; a test node's
+    attributions are its row of the masks.
     """
     gts.check_graph(g)
     y = gts.node_truth.any(axis=1).astype(np.float64)
@@ -245,19 +244,20 @@ def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
     model = fit_logreg(x[train_idx], y[train_idx], l2=l2)
     auc = auc_pr(model.predict_proba(x[test_idx]), y[test_idx])
 
-    zero_bg = np.zeros_like(model.background_mean)
-    masks = build_task_masks(model, x, zero_bg)
-    f1 = weighted_f1(masks, gts.node_truth)
     nodes = test_idx[y[test_idx] == 1.0]
-    psi = linear_shap(model, x[nodes], zero_bg)
-    return _task_result("node", auc, nodes.tolist(),
-                        gts.node_truth[nodes].argmax(axis=1).tolist(),
-                        psi, f1)
+    return _task_result("node", auc, model, x, gts.node_truth, nodes,
+                        nodes.tolist())
 
 
-def _task_result(task, auc, keys, g_index, psi, f1) -> TaskResult:
-    """Plausibility of each instance; those with no positive attribution are skipped."""
-    values = plausibility(psi, f1, g_index)
+def _task_result(task, auc, model, x, truth, rows, keys) -> TaskResult:
+    """Masks over the universe x, their F1 against truth, and the plausibility
+    of the instances at x's rows (named by keys); an instance's attributions
+    are its row of the masks, and those with none positive are skipped."""
+    masks = build_task_masks(model, x, np.zeros_like(model.background_mean))
+    f1 = weighted_f1(masks, truth)
+    # an instance's community is the first one holding it
+    g_index = truth[rows].argmax(axis=1).tolist()
+    values = plausibility(masks[rows], f1, g_index)
     per_instance = [(key, gi, float(val))
                     for key, gi, val in zip(keys, g_index, values)
                     if not math.isnan(val)]
@@ -265,4 +265,3 @@ def _task_result(task, auc, keys, g_index, psi, f1) -> TaskResult:
     return TaskResult(task=task, auc_pr=auc, plausibility_mean=mean,
                       per_instance=per_instance,
                       skipped=len(keys) - len(per_instance))
-

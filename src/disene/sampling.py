@@ -176,7 +176,8 @@ def pairs_from_walks(walks, window: int) -> np.ndarray:
 
 
 def _negative_rng(seed: int):
-    # one stream for all negatives, apart from every node's walk stream
+    # one stream for all negatives. Its key is also node 0x5EED's (24301)
+    # walk stream key in _node_rng, so on a graph that large the two are one
     return np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
 
 

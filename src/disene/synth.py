@@ -242,7 +242,11 @@ def _attached_cliques(spec: SynthSpec, base: str):
             base_edges = cand
             break
     if base_edges is None:
-        raise RuntimeError(f"{base} base graph not connected after 100 attempts")
+        setting = (f"ba_m={spec.ba_m}" if base == "ba"
+                   else f"er_p={spec.er_p}")
+        raise ValueError(f"{spec.kind}: no connected {base} base graph of "
+                         f"base_nodes={spec.base_nodes} and {setting} in "
+                         f"100 attempts")
 
     clique_edges, labels = _planted(spec, offset=spec.base_nodes)
     n = spec.base_nodes + spec.num_cliques * spec.clique_size

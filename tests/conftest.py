@@ -6,6 +6,8 @@ trained embedding goes through `trained` / `trained_full`, which memoize per
 lean on this heavily; unit tests mostly build their own toy inputs.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ from disene.synth import default_spec, generate_synthetic
 from disene.training import LossConfig, train
 
 ACCEPTANCE_LOG = []
+
+# When a property test fails, Hypothesis's pytest plugin imports this module
+# (and through it libcst) to suggest a patch. That import raises a
+# DeprecationWarning, which filterwarnings = error turns into an
+# INTERNALERROR that ends the session. Imported once here, with only that
+# warning ignored, the plugin's later import finds it loaded.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,6 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from disene import cli
 from disene.cli import _build_parser, _resolve_run, main
 from disene.downstream import fit_logreg, run_link_task, run_node_task
 from disene.graph_core import load_edge_list, load_ground_truth
@@ -107,6 +108,19 @@ class TestGen:
 
     def test_unknown_kind_fails(self, tmp_path):
         assert _run("gen", "--kind", "smallworld", "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command, extra", [("gen", []),
+                                                ("train", MICRO_TRAIN)])
+    def test_er_base_that_cannot_connect_fails(self, tmp_path, capsys,
+                                               command, extra):
+        out = tmp_path / "out"
+        assert _status(command, "--kind", "er", "--er-p", "0",
+                       "--base-nodes", "30", "--num-cliques", "2", *extra,
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: er_cliques: ") and err.count("\n") == 1
+        assert "base_nodes=30 and er_p=0.0" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, kind, given, flag", [
         ("gen", "sbm", ["--ba-m", "3"], "--ba-m"),
@@ -313,21 +327,18 @@ class TestConfigFile:
         assert sidecar["dim"] == 5            # flag beat the config
         assert sidecar["config"]["epochs"] == 2
 
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dimension": 4}))
-        with pytest.raises(SystemExit) as ei:
-            _run("gen", "--kind", "ring", "--config", str(cfg),
-                 "--out", str(tmp_path))
-        assert ei.value.code == 2
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = _config(tmp_path, dimension=4)
+        assert _status("gen", "--kind", "ring", "--config", cfg,
+                       "--out", str(tmp_path)) == 2
+        assert "unknown config key 'dimension'" in capsys.readouterr().err
 
-    def test_wrong_type_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"num_cliques": "four"}))
-        with pytest.raises(SystemExit) as ei:
-            _run("gen", "--kind", "ring", "--config", str(cfg),
-                 "--out", str(tmp_path))
-        assert ei.value.code == 2
+    def test_wrong_type_rejected(self, tmp_path, capsys):
+        cfg = _config(tmp_path, num_cliques="four")
+        assert _status("gen", "--kind", "ring", "--config", cfg,
+                       "--out", str(tmp_path)) == 2
+        assert ("config key 'num_cliques' expects int"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, key, value", [
         (["train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN],
@@ -903,6 +914,27 @@ class TestBench:
         # the old rows keep no graph; the new run names its own
         assert graphs["0"] == {""}
         assert len(graphs["1"]) == 1 and len(graphs["1"].pop()) == 12
+
+    @pytest.mark.parametrize("datasets, seeds", [("ring,ring_cliques", "0"),
+                                                 ("ring", "0,0")])
+    def test_repeated_cell_runs_once(self, tmp_path, capsys, monkeypatch,
+                                     datasets, seeds):
+        fits = []
+
+        def counting_fit(g, run, real=cli._fit):
+            fits.append(run.config)
+            return real(g, run)
+        monkeypatch.setattr(cli, "_fit", counting_fit)
+        assert main(["bench", "--datasets", datasets, "--methods",
+                     "disene-fc", "--dims", "2", "--seeds", seeds,
+                     "--tasks", "link", "--permutations", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert "bench: 1 runs, 0 already done, 1 to go" in capsys.readouterr().out
+        assert len(fits) == 1
+        with open(tmp_path / "results.csv", newline="") as fh:
+            keys = [(r["dataset"], r["seed"], r["metric"])
+                    for r in csv.DictReader(fh)]
+        assert keys and len(keys) == len(set(keys))
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_permutations_below_one_fail(self, tmp_path, count, capsys):

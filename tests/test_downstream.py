@@ -17,8 +17,9 @@ from disene import downstream
 from disene.downstream import (LogRegModel, build_task_masks, edge_features,
                                fit_logreg, linear_shap, plausibility,
                                run_link_task, run_node_task)
-from disene.graph_core import (build_graph, communities_from_labels,
-                               sample_non_edges, split_edges)
+from disene.graph_core import (EdgeSplit, build_graph,
+                               communities_from_labels, sample_non_edges,
+                               split_edges)
 from disene.metrics import weighted_f1
 from disene.synth import default_spec, generate_synthetic
 
@@ -465,6 +466,81 @@ class TestLinkTask:
         res = run_link_task(_indicator_embedding(), g, split, gts, seed=0)
         keys = {k for k, _, _ in res.per_instance}
         assert (4, 5) not in keys
+
+    def test_train_non_edge_rejected(self, two_cliques):
+        g, gts = two_cliques
+        split = split_edges(g, 0.2, seed=1)
+        bad = EdgeSplit(np.concatenate([split.train_edges, [[0, 9]]]),
+                        split.test_edges, split.test_negatives)
+        with pytest.raises(ValueError, match=r"\(0, 9\) is not an edge"):
+            run_link_task(_indicator_embedding(), g, bad, gts, seed=0)
+
+
+def _fitted_model(run, monkeypatch):
+    """Run a task and return its result with the classifier it fitted."""
+    fitted = []
+
+    def spy(*args, **kwargs):
+        fitted.append(fit_logreg(*args, **kwargs))
+        return fitted[-1]
+    monkeypatch.setattr(downstream, "fit_logreg", spy)
+    res = run()
+    assert len(fitted) == 1
+    return res, fitted[0]
+
+
+def _instance_oracle(model, universe, truth, x_inst, keys, g_index):
+    """Per-instance path: each instance's own features -> linear_shap with the
+    zero background -> plausibility against masks over the universe."""
+    zero = np.zeros(x_inst.shape[1])
+    f1 = weighted_f1(build_task_masks(model, universe, zero), truth)
+    values = plausibility(linear_shap(model, x_inst, zero), f1, g_index)
+    kept = [(k, gi, float(v)) for k, gi, v in zip(keys, g_index, values)
+            if not math.isnan(v)]
+    mean = float(np.mean([v for *_, v in kept])) if kept else None
+    return kept, mean, len(keys) - len(kept)
+
+
+def _first_community(truth_rows):
+    return [int(np.flatnonzero(t)[0]) for t in truth_rows]
+
+
+@pytest.mark.parametrize("fixture", ["two_cliques", "clique_with_background"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_link_task_matches_the_per_instance_oracle(fixture, seed, request,
+                                                   monkeypatch):
+    g, gts = request.getfixturevalue(fixture)
+    h = np.random.default_rng(seed).random((g.num_nodes, 4)) ** 2
+    split = split_edges(g, 0.3, seed=seed)
+    res, model = _fitted_model(
+        lambda: run_link_task(h, g, split, gts, seed=seed), monkeypatch)
+    truth = gts.edge_truth[g.edge_rows(split.test_edges)]
+    inside = truth.any(axis=1)
+    pairs = split.test_edges[inside]
+    assert len(pairs) > 0
+    expected = _instance_oracle(model, edge_features(h, g.edges),
+                                gts.edge_truth, edge_features(h, pairs),
+                                list(map(tuple, pairs.tolist())),
+                                _first_community(truth[inside]))
+    assert (res.per_instance, res.plausibility_mean, res.skipped) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])   # seeds 2-4 split single-class
+def test_node_task_matches_the_per_instance_oracle(clique_with_background,
+                                                   seed, monkeypatch):
+    g, gts = clique_with_background
+    h = np.random.default_rng(seed).random((g.num_nodes, 4)) ** 2
+    res, model = _fitted_model(lambda: run_node_task(h, g, gts, seed=seed),
+                               monkeypatch)
+    order = np.random.default_rng(
+        np.random.SeedSequence([seed, 0xD1])).permutation(g.num_nodes)
+    test = np.sort(order[:4])    # round(0.2 * 20) test nodes
+    nodes = test[gts.node_truth[test].any(axis=1)]
+    assert len(nodes) > 0
+    expected = _instance_oracle(model, h.astype(np.float64), gts.node_truth,
+                                h[nodes].astype(np.float64), nodes.tolist(),
+                                _first_community(gts.node_truth[nodes]))
+    assert (res.per_instance, res.plausibility_mean, res.skipped) == expected
 
 
 @pytest.fixture

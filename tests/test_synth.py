@@ -227,3 +227,11 @@ class TestValidation:
             SynthSpec(kind="ba_cliques", ba_m=0).validate()
         with pytest.raises(ValueError):
             SynthSpec(kind="er_cliques", er_p=1.5).validate()
+
+    @pytest.mark.parametrize("base_nodes, er_p", [(30, 0.0), (320, 0.001)])
+    def test_er_base_that_cannot_connect_rejected(self, base_nodes, er_p):
+        spec = SynthSpec(kind="er_cliques", num_cliques=2, clique_size=4,
+                         base_nodes=base_nodes, er_p=er_p)
+        with pytest.raises(ValueError, match=rf"er_cliques: .* "
+                           rf"base_nodes={base_nodes} and er_p={er_p} "):
+            generate_synthetic(spec)
