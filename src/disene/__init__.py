@@ -19,8 +19,8 @@ from .training import (AdamState, GradBuffer, LossConfig, TrainResult,
                        adam_step, loss_breakdown, total_loss_and_grads, train)
 from .explain import (Explanation, build_explanations, edge_features,
                       node_support)
-from .metrics import (MetricsReport, auc_pr, comprehensibility, compute_report,
-                      fpc_matrix, jaccard, overlap_consistency, pearson,
+from .metrics import (auc_pr, comprehensibility, compute_report, fpc_matrix,
+                      jaccard, overlap_consistency, pearson,
                       positional_coherence, sparsity)
 from .downstream import (LogRegModel, TaskResult, build_task_masks,
                          fit_logreg, linear_shap, plausibility)

@@ -203,7 +203,7 @@ def _resolve_graph(args, sidecar=None):
         if given:
             raise ValueError(f"--{given[0].replace('_', '-')} goes with "
                              f"--kind, which names a synthetic graph")
-    ref = sidecar.get("data", {}) if sidecar is not None else {}
+    ref = sidecar["data"] if sidecar is not None else {}
     if data or (not kind and "path" in ref):
         data = data or ref["path"]
         with open(data, "rb") as fh:
@@ -224,11 +224,7 @@ def _resolve_graph(args, sidecar=None):
         g, gts = generate_synthetic(spec)
         data_ref = {"spec": asdict(spec)}
     if sidecar is not None:
-        want = sidecar.get("graph")
-        if want is None:
-            raise ValueError("run.json records no graph fingerprint; retrain "
-                             "the checkpoint")
-        got = _fingerprint(g)
+        want, got = sidecar["graph"], _fingerprint(g)
         if got != want:
             raise ValueError(
                 f"the graph ({got['num_nodes']} nodes, {got['num_edges']} "
@@ -237,24 +233,49 @@ def _resolve_graph(args, sidecar=None):
     return g, gts, data_ref
 
 
+# the run.json entries the checkpoint commands read, and those of its config
+_SIDECAR_KEYS = ("label", "seed", "data", "graph", "config", "config_hash",
+                 "num_nodes", "dim")
+_SIDECAR_CONFIG_KEYS = ("split", "split_seed")
+
+
 def _load_checkpoint(path):
-    """A checkpoint directory's run.json and embedding: (sidecar, h)."""
+    """A checkpoint directory's run.json and embedding: (sidecar, h).
+
+    The only reader of run.json: it must be a JSON object holding every
+    entry of _SIDECAR_KEYS, its config those of _SIDECAR_CONFIG_KEYS, and
+    the embedding must be the (num_nodes, dim) it records.
+    """
     if not path:
         raise ValueError("need --checkpoint")
     with open(os.path.join(path, "run.json")) as fh:
         sidecar = json.load(fh)
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"checkpoint {path}: run.json holds no JSON object; "
+                         f"retrain the checkpoint")
+    missing = ([k for k in _SIDECAR_KEYS if k not in sidecar]
+               or [f"config.{k}" for k in _SIDECAR_CONFIG_KEYS
+                   if k not in sidecar["config"]])
+    if missing:
+        raise ValueError(f"checkpoint {path}: run.json records no "
+                         f"{missing[0]!r}; retrain the checkpoint")
     h = load_embedding_binary(os.path.join(path, "embedding.bin"))
-    if h.shape[0] != sidecar.get("num_nodes"):
+    if h.shape != (sidecar["num_nodes"], sidecar["dim"]):
         raise ValueError(f"checkpoint {path}: the embedding has {h.shape[0]} "
-                         f"rows, run.json records {sidecar.get('num_nodes')} "
-                         f"nodes")
+                         f"rows of K={h.shape[1]}, run.json records "
+                         f"{sidecar['num_nodes']} nodes of K={sidecar['dim']}")
     return sidecar, h
+
+
+def _provenance(sidecar) -> dict:
+    """What report.json and the task files copy from run.json."""
+    return {k: sidecar[k] for k in ("label", "config_hash", "data", "graph")}
 
 
 def _recorded_split(g: Graph, sidecar, use: str):
     """The train/test split the checkpoint was trained with."""
     conf = sidecar["config"]
-    if not conf.get("split"):
+    if not conf["split"]:
         raise ValueError(f"checkpoint was trained without a split; {use} "
                          f"needs one")
     return split_edges(g, conf["split"], conf["split_seed"])
@@ -408,19 +429,13 @@ def cmd_evaluate(args) -> int:
     rows = []
     for i, (sidecar, h, g, gts) in enumerate(loaded):
         expl = build_explanations(h, g)
-        rep = compute_report(
-            h, expl, gts,
-            num_permutations=args.permutations,
-            seed=sidecar.get("seed", 0),
-            metadata={"label": sidecar.get("label"),
-                      "seed": sidecar.get("seed"),
-                      "config_hash": sidecar.get("config_hash"),
-                      "data": sidecar.get("data"),
-                      "graph": sidecar["graph"], "dim": h.shape[1]},
-            toggles=toggles)
+        rep = compute_report(h, expl, gts, num_permutations=args.permutations,
+                             seed=sidecar["seed"], toggles=toggles)
+        rep["metadata"] = {**_provenance(sidecar), "seed": sidecar["seed"],
+                           "dim": h.shape[1]}
         name = "report.json" if len(loaded) == 1 else f"report_{i}.json"
-        _write_json(os.path.join(out, name), rep.to_json())
-        rows.append(rep.metrics)
+        _write_json(os.path.join(out, name), rep)
+        rows.append(rep["metrics"])
 
     keys = sorted({k for r in rows for k in r if isinstance(r.get(k), (int, float))})
     with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
@@ -442,7 +457,7 @@ def cmd_downstream(args) -> int:
     if gts is None:
         raise ValueError("downstream tasks need ground truth "
                          "(--ground-truth, or a synthetic --kind)")
-    seed = sidecar.get("seed", 0) if args.seed is None else args.seed
+    seed = sidecar["seed"] if args.seed is None else args.seed
     task = args.task
 
     if task == "link":
@@ -454,9 +469,7 @@ def cmd_downstream(args) -> int:
 
     out = _outdir(args, default=args.checkpoint)
     _write_json(os.path.join(out, f"{task}_task.json"), {
-        "task": task, "label": sidecar.get("label"),
-        "config_hash": sidecar.get("config_hash"),
-        "data": sidecar.get("data"), "graph": sidecar["graph"],
+        "task": task, **_provenance(sidecar),
         "seed": seed, "auc_pr": result.auc_pr,
         "plausibility": result.plausibility_mean,
         "instances": len(result.per_instance), "skipped": result.skipped})
@@ -505,12 +518,12 @@ def _bench_one(job) -> list[dict]:
         values["node_plausibility"] = node.plausibility_mean
 
     expl = build_explanations(h, g)
-    rep = compute_report(h, expl, gts, num_permutations=permutations,
-                         seed=seed)
+    metrics = compute_report(h, expl, gts, num_permutations=permutations,
+                             seed=seed)["metrics"]
     for key in ("comprehensibility_mean", "sparsity_score", "ovc", "poc",
                 "empty_dims"):
-        if key in rep.metrics:
-            values[key] = rep.metrics[key]
+        if key in metrics:
+            values[key] = metrics[key]
 
     chash = config_hash(run.config)
     graph = _fingerprint(g)["edges_sha256"][:12]

@@ -255,8 +255,9 @@ def _task_result(task, auc, model, x, truth, rows, keys) -> TaskResult:
     are its row of the masks, and those with none positive are skipped."""
     masks = build_task_masks(model, x, np.zeros_like(model.background_mean))
     f1 = weighted_f1(masks, truth)
-    # an instance's community is the first one holding it
-    g_index = truth[rows].argmax(axis=1).tolist()
+    # an instance's community is the first one holding it; a truth with no
+    # community holds no instance, and argmax would find no column
+    g_index = truth[rows].argmax(axis=1).tolist() if len(rows) else []
     values = plausibility(masks[rows], f1, g_index)
     per_instance = [(key, gi, float(val))
                     for key, gi, val in zip(keys, g_index, values)

@@ -335,7 +335,8 @@ class EdgeSplit:
 def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgeSplit:
     """Uniform edge holdout plus an equal number of sampled non-edges.
 
-    Exactly round(test_fraction * |E|) edges go to the test side. Negatives
+    Exactly round(test_fraction * |E|) edges go to the test side, which
+    must leave at least one edge on each side (ValueError). Negatives
     are distinct node pairs rejection-sampled against the full edge set.
     Deterministic for a given seed.
     """
@@ -343,8 +344,9 @@ def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgeSplit:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     m = g.num_edges
     n_test = int(math.floor(test_fraction * m + 0.5))
-    if n_test < 1:
-        raise ValueError(f"graph too small: round({test_fraction} * {m}) < 1 test edge")
+    if not 1 <= n_test < m:
+        raise ValueError(f"graph too small: round({test_fraction} * {m}) = "
+                         f"{n_test} test edges leaves one side empty")
     rng = np.random.default_rng(seed)
     order = rng.permutation(m)
     test_idx = np.sort(order[:n_test])

@@ -8,7 +8,6 @@ positional coherence) return (None, reason) instead of a number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -168,21 +167,20 @@ def fpc_matrix(h: np.ndarray, expl: Explanation) -> np.ndarray:
     return correlations(zeta, h.T)
 
 
-def positional_coherence(h: np.ndarray, expl: Explanation,
-                         num_permutations: int = 100, seed: int = 0,
-                         fpc_mat: np.ndarray | None = None) -> tuple[float | None, str | None]:
+def positional_coherence(fpc: np.ndarray, num_permutations: int = 100,
+                         seed: int = 0) -> tuple[float | None, str | None]:
     """Diagonal FPC sum over its average under random dimension permutations.
 
-    Permutations are drawn uniformly (fixed points included). Undefined FPC
-    entries are skipped from numerator and permutation sums alike; needs at
-    least 2 defined diagonal entries and a non-negligible denominator.
+    `fpc` is the (K, K) matrix `fpc_matrix` returns. Permutations are drawn
+    uniformly (fixed points included). Undefined (nan) FPC entries are
+    skipped from numerator and permutation sums alike; needs at least 2
+    defined diagonal entries and a non-negligible denominator.
     """
     if num_permutations < 1:
         raise ValueError(f"positional coherence needs at least 1 permutation, "
                          f"got {num_permutations}")
-    mat = fpc_matrix(h, expl) if fpc_mat is None else fpc_mat
-    k = mat.shape[0]
-    diag = np.diag(mat)
+    k = fpc.shape[0]
+    diag = np.diag(fpc)
     if np.sum(~np.isnan(diag)) < 2:
         return None, "fewer than 2 defined diagonal FPC values"
     numer = float(np.nansum(diag))
@@ -191,7 +189,7 @@ def positional_coherence(h: np.ndarray, expl: Explanation,
     idx = np.arange(k)
     for i in range(num_permutations):
         perm = rng.permutation(k)
-        sums[i] = np.nansum(mat[idx, perm])
+        sums[i] = np.nansum(fpc[idx, perm])
     denom = float(sums.mean())
     if abs(denom) < 1e-9:
         return None, "permutation-average denominator is ~0"
@@ -230,67 +228,46 @@ def auc_pr(scores, labels) -> float:
     return float(np.sum((rec - prev) * prec))
 
 
-@dataclass
-class MetricsReport:
-    """One evaluation row: scalar metrics plus per-dimension breakdowns."""
-    metadata: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
-    per_dimension: dict = field(default_factory=dict)
-    nulls: dict = field(default_factory=dict)   # metric name -> reason
-
-    def to_json(self) -> dict:
-        return {"metadata": self.metadata, "metrics": self.metrics,
-                "per_dimension": self.per_dimension, "nulls": self.nulls}
-
-
 def compute_report(h: np.ndarray, expl: Explanation,
                    gts: GroundTruth | None = None,
                    num_permutations: int = 100, seed: int = 0,
-                   metadata: dict | None = None,
-                   toggles: dict | None = None) -> MetricsReport:
+                   toggles: dict | None = None) -> dict:
     """Embedding-level metrics for one trained model.
 
-    `toggles` may switch off individual metrics by name
-    (comprehensibility, sparsity, ovc, poc). Ground truth is only needed
-    for comprehensibility; when given, it must be of the explanation's
-    graph.
+    Returns the report as `report.json` holds it, less its metadata:
+    {"metrics": scalar metrics, "per_dimension": per-dimension lists,
+    "nulls": metric name -> why it is null}. `toggles` may switch off
+    individual metrics by name (comprehensibility, sparsity, ovc, poc).
+    Ground truth is only needed for comprehensibility; when given, it must
+    be of the explanation's graph.
     """
     if gts is not None:
         gts.check_graph(expl.graph)
     on = lambda name: toggles is None or toggles.get(name, True)
-    rep = MetricsReport(metadata=metadata or {})
-    rep.metrics["num_dims"] = h.shape[1]
-    rep.metrics["empty_dims"] = len(expl.empty_dims)
+    metrics = {"num_dims": h.shape[1], "empty_dims": len(expl.empty_dims)}
+    per_dim = {}
 
     if on("comprehensibility") and gts is not None and gts.num_communities:
         scores, best = comprehensibility(expl.weights, gts.edge_truth)
-        rep.per_dimension["comprehensibility"] = scores.tolist()
-        rep.per_dimension["best_community"] = best
-        rep.metrics["comprehensibility_mean"] = float(np.mean(scores))
+        per_dim["comprehensibility"] = scores.tolist()
+        per_dim["best_community"] = best
+        metrics["comprehensibility_mean"] = float(np.mean(scores))
 
     if on("sparsity"):
         sp = sparsity(expl.weights)
-        rep.per_dimension["sparsity"] = sp.tolist()
-        rep.metrics["sparsity_score"] = 1.0 - float(np.mean(sp))
+        per_dim["sparsity"] = sp.tolist()
+        metrics["sparsity_score"] = 1.0 - float(np.mean(sp))
 
+    # the metrics that may be undefined: a null value comes with its reason
+    undefined = {}
     if on("ovc"):
-        val, reason = overlap_consistency(h, expl)
-        if val is None:
-            rep.metrics["ovc"] = None
-            rep.nulls["ovc"] = reason
-        else:
-            rep.metrics["ovc"] = val
-
+        undefined["ovc"] = overlap_consistency(h, expl)
     if on("poc"):
         mat = fpc_matrix(h, expl)
-        rep.per_dimension["fpc_diag"] = [None if math.isnan(x) else float(x)
-                                         for x in np.diag(mat)]
-        val, reason = positional_coherence(h, expl, num_permutations, seed,
-                                           fpc_mat=mat)
-        if val is None:
-            rep.metrics["poc"] = None
-            rep.nulls["poc"] = reason
-        else:
-            rep.metrics["poc"] = val
+        per_dim["fpc_diag"] = [None if math.isnan(x) else float(x)
+                               for x in np.diag(mat)]
+        undefined["poc"] = positional_coherence(mat, num_permutations, seed)
+    metrics.update((name, val) for name, (val, _) in undefined.items())
+    nulls = {name: why for name, (val, why) in undefined.items() if val is None}
 
-    return rep
+    return {"metrics": metrics, "per_dimension": per_dim, "nulls": nulls}

@@ -68,6 +68,11 @@ class SynthSpec:
                 raise ValueError("base graph needs at least 2 nodes")
             if self.attach_edges_per_clique < 1:
                 raise ValueError("each clique must attach with at least one edge")
+            # a clique's hooks are distinct (base node, clique node) pairs
+            hooks = self.clique_size * self.base_nodes
+            if self.attach_edges_per_clique > hooks:
+                raise ValueError(f"attach_edges_per_clique exceeds the {hooks} "
+                                 f"distinct hooks of a clique to the base")
         if not (0.0 <= self.er_p <= 1.0) or not (0.0 <= self.sbm_p_out <= 1.0):
             raise ValueError("edge probabilities must lie in [0, 1]")
         if self.kind == "ba_cliques" and not (1 <= self.ba_m < self.base_nodes):

@@ -16,7 +16,7 @@ from disene.cli import _build_parser, _resolve_run, main
 from disene.downstream import fit_logreg, run_link_task, run_node_task
 from disene.graph_core import load_edge_list, load_ground_truth
 from disene.metrics import compute_report
-from disene.model import load_embedding_binary
+from disene.model import load_embedding_binary, save_embedding_binary
 from disene.sampling import WalkConfig
 from disene.synth import default_spec, generate_synthetic
 from disene.training import LossConfig, train
@@ -121,6 +121,17 @@ class TestGen:
         assert err.startswith("error: er_cliques: ") and err.count("\n") == 1
         assert "base_nodes=30 and er_p=0.0" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["gen"], ["train", *MICRO_TRAIN]])
+    def test_more_hooks_than_base_clique_pairs_fails(self, tmp_path, capsys,
+                                                     command):
+        # a clique of 2 has only 4 distinct hooks to a base of 2 nodes
+        assert _run(*command, "--kind", "ba", "--clique-size", "2",
+                    "--base-nodes", "2", "--ba-m", "1",
+                    "--attach-edges-per-clique", "5",
+                    "--out", str(tmp_path / "out")) == 2
+        assert "exceeds the 4 distinct hooks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, kind, given, flag", [
         ("gen", "sbm", ["--ba-m", "3"], "--ba-m"),
@@ -250,6 +261,15 @@ class TestTrain:
         assert _status("train", "--kind", "ring", *MICRO_GEN, *MICRO_TRAIN,
                        *given, "--out", str(tmp_path / "out")) == 2
         assert "--split-seed goes with --split" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_split_holding_out_every_edge_fails(self, tmp_path, capsys):
+        # round(0.9 * 3) holds out all three edges of a path
+        data = tmp_path / "path4.txt"
+        data.write_text("0 1\n1 2\n2 3\n")
+        assert _run("train", "--data", str(data), *MICRO_TRAIN,
+                    "--split", "0.9", "--out", str(tmp_path / "out")) == 2
+        assert "3 test edges leaves one side empty" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_walk_too_short_for_the_window_fails(self, tmp_path, capsys):
@@ -543,14 +563,64 @@ class TestProvenance:
         ["explain"], ["evaluate"], ["downstream", "--task", "node"]])
     def test_embedding_of_another_graph_is_refused(self, ring_ckpt, ba_setup,
                                                    tmp_path, command, capsys):
+        # the ba run's embedding, then one of the ring graph with K = 6 in
+        # place of the K = 4 run.json records
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
         (ckpt / "run.json").write_bytes((ring_ckpt / "run.json").read_bytes())
+        num_nodes = json.loads((ring_ckpt / "run.json").read_text())[
+            "num_nodes"]
+        for i, write in enumerate([
+                lambda p: p.write_bytes(
+                    (ba_setup[1] / "embedding.bin").read_bytes()),
+                lambda p: save_embedding_binary(p, np.ones((num_nodes, 6)))]):
+            write(ckpt / "embedding.bin")
+            out = tmp_path / f"out{i}"
+            assert _run(*command, "--checkpoint", str(ckpt),
+                        "--out", str(out)) == 2
+            assert "run.json records" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, broken", [
+        (["explain", "--background", "train"], "config"),
+        (["evaluate"], "seed"),
+        (["downstream", "--task", "link"], "config_hash"),
+        (["downstream", "--task", "node"], "config.split_seed"),
+        (["explain"], None),
+        (["evaluate"], None),
+        (["downstream", "--task", "link"], None)])
+    def test_malformed_run_json_is_refused(self, ring_split_ckpt, tmp_path,
+                                           capsys, command, broken):
+        # `broken` names the entry taken out; None makes run.json a list
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
         (ckpt / "embedding.bin").write_bytes(
-            (ba_setup[1] / "embedding.bin").read_bytes())
+            (ring_split_ckpt / "embedding.bin").read_bytes())
+        sidecar = json.loads((ring_split_ckpt / "run.json").read_text())
+        if broken is None:
+            sidecar = list(sidecar)
+        elif broken.startswith("config."):
+            del sidecar["config"][broken.split(".")[1]]
+        else:
+            del sidecar[broken]
+        (ckpt / "run.json").write_text(json.dumps(sidecar))
         assert _run(*command, "--checkpoint", str(ckpt),
-                    "--out", str(tmp_path)) == 2
-        assert "run.json records" in capsys.readouterr().err
+                    "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+        assert (f"run.json records no {broken!r}" if broken
+                else "run.json holds no JSON object") in err
+        assert "retrain the checkpoint" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_train_records_what_the_checkpoint_reader_needs(self, ring_ckpt):
+        # the writer and the one reader of run.json agree on its entries
+        sidecar = json.loads((ring_ckpt / "run.json").read_text())
+        assert set(cli._SIDECAR_KEYS) <= set(sidecar)
+        assert set(cli._SIDECAR_CONFIG_KEYS) <= set(sidecar["config"])
+        got, h = cli._load_checkpoint(str(ring_ckpt))
+        assert got == sidecar
+        assert h.shape == (sidecar["num_nodes"], sidecar["dim"])
 
     def test_outputs_name_their_graph(self, tmp_path):
         # the same settings on two graphs give one config hash; the graph
@@ -817,6 +887,24 @@ class TestDownstream:
                     "--task", "link", "--l2", l2, "--out", str(tmp_path)) == 2
         assert "l2 must be a finite number > 0" in capsys.readouterr().err
         assert not (tmp_path / "link_task.json").exists()
+
+    def test_link_task_on_a_truth_without_communities(self, ring_split_ckpt,
+                                                      ring_data, tmp_path):
+        # no test edge lies in a community: AUC-PR alone, as when the
+        # communities miss every test edge
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"communities": []}))
+        out = tmp_path / "out"
+        assert _run("downstream", "--checkpoint", str(ring_split_ckpt),
+                    "--data", str(ring_data / "edges.txt"),
+                    "--ground-truth", str(truth),
+                    "--task", "link", "--out", str(out)) == 0
+        payload = json.loads((out / "link_task.json").read_text())
+        assert 0.0 <= payload["auc_pr"] <= 1.0
+        assert payload["plausibility"] is None
+        assert payload["instances"] == 0 and payload["skipped"] == 0
+        assert (out / "link_instances.csv").read_text().splitlines() == [
+            "instance,community,plausibility"]
 
     def test_node_task_outputs(self, ba_setup, tmp_path):
         data, ckpt = ba_setup

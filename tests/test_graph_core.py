@@ -291,7 +291,7 @@ class TestSplits:
     def test_split_partitions_the_edges(self, g, fraction, seed):
         n_test = int(math.floor(fraction * g.num_edges + 0.5))
         non_edges = g.num_nodes * (g.num_nodes - 1) // 2 - g.num_edges
-        assume(1 <= n_test <= non_edges)
+        assume(1 <= n_test <= non_edges and n_test < g.num_edges)
         s = split_edges(g, fraction, seed)
         train = {tuple(e) for e in s.train_edges.tolist()}
         test = {tuple(e) for e in s.test_edges.tolist()}
@@ -304,6 +304,14 @@ class TestSplits:
         assert (neg[:, 0] < neg[:, 1]).all()
         assert len({tuple(e) for e in neg.tolist()}) == n_test
         assert not {tuple(e) for e in neg.tolist()} & g.edge_set
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.9, 0.99])
+    def test_split_with_an_empty_side_rejected(self, fraction):
+        # a 3-edge path: round(0.1 * 3) = 0 holds out no edge, and
+        # round(0.9 * 3) = 3 leaves none to train on
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="leaves one side empty"):
+            split_edges(g, fraction, 0)
 
     def test_deterministic(self, two_cliques):
         g, _ = two_cliques

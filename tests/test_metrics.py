@@ -12,8 +12,7 @@ from disene import metrics
 from disene.cli import _write_json
 from disene.explain import Explanation, build_explanations, node_support
 from disene.graph_core import build_graph, communities_from_labels
-from disene.metrics import (MetricsReport, auc_pr, comprehensibility,
-                            compute_report, fpc_matrix, jaccard,
+from disene.metrics import (auc_pr, comprehensibility, compute_report, fpc_matrix, jaccard,
                             overlap_consistency, pearson,
                             positional_coherence, proximities, sparsity,
                             weighted_f1)
@@ -324,38 +323,36 @@ class TestPositionalCoherence:
     def test_needs_a_permutation(self, count):
         mat = np.full((4, 4), 0.5)
         with pytest.raises(ValueError, match="at least 1 permutation"):
-            positional_coherence(None, None, num_permutations=count,
-                                 fpc_mat=mat)
+            positional_coherence(mat, num_permutations=count)
 
     def test_constant_matrix_scores_exactly_one(self):
         mat = np.full((4, 4), 0.5)
-        val, reason = positional_coherence(None, None, fpc_mat=mat)
+        val, reason = positional_coherence(mat)
         assert reason is None
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_matrix_is_undefined(self):
-        val, reason = positional_coherence(None, None,
-                                           fpc_mat=np.zeros((3, 3)))
+        val, reason = positional_coherence(np.zeros((3, 3)))
         assert val is None and "denominator" in reason
 
     def test_sparse_diagonal_is_undefined(self):
         mat = np.full((3, 3), np.nan)
         mat[0, 0] = 0.9
-        val, reason = positional_coherence(None, None, fpc_mat=mat)
+        val, reason = positional_coherence(mat)
         assert val is None and "diagonal" in reason
 
     def test_deterministic_in_the_seed(self):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(5, 5)) + 2.0
-        a = positional_coherence(None, None, seed=11, fpc_mat=mat)
-        b = positional_coherence(None, None, seed=11, fpc_mat=mat)
+        a = positional_coherence(mat, seed=11)
+        b = positional_coherence(mat, seed=11)
         assert a == b
         assert a[0] is not None
 
     def test_strong_diagonal_scores_above_one(self):
         mat = np.full((6, 6), 0.1)
         np.fill_diagonal(mat, 0.9)
-        val, reason = positional_coherence(None, None, fpc_mat=mat)
+        val, reason = positional_coherence(mat)
         assert reason is None
         assert val > 1.0
 
@@ -424,21 +421,21 @@ class TestComputeReport:
     def test_metric_values_on_indicator_embedding(self, indicator_setup):
         g, gts, h, expl = indicator_setup
         rep = compute_report(h, expl, gts)
-        assert rep.metrics["num_dims"] == 3
-        assert rep.metrics["empty_dims"] == 0
+        assert rep["metrics"]["num_dims"] == 3
+        assert rep["metrics"]["empty_dims"] == 0
         # dims 0/1 recover their cliques exactly; dim 2 covers 3 of 10 edges
         want = (1.0 + 1.0 + 6.0 / 13.0) / 3.0
-        assert rep.metrics["comprehensibility_mean"] == pytest.approx(want, abs=1e-9)
-        assert rep.per_dimension["best_community"] == [0, 1, 0]
-        assert 0.0 < rep.metrics["sparsity_score"] < 1.0
-        assert "ovc" in rep.metrics and "poc" in rep.metrics
+        assert rep["metrics"]["comprehensibility_mean"] == pytest.approx(want, abs=1e-9)
+        assert rep["per_dimension"]["best_community"] == [0, 1, 0]
+        assert 0.0 < rep["metrics"]["sparsity_score"] < 1.0
+        assert "ovc" in rep["metrics"] and "poc" in rep["metrics"]
 
     def test_toggles_drop_metrics(self, indicator_setup):
         g, gts, h, expl = indicator_setup
         rep = compute_report(h, expl, gts,
                              toggles={"ovc": False, "poc": False})
-        assert "ovc" not in rep.metrics and "poc" not in rep.metrics
-        assert "comprehensibility_mean" in rep.metrics
+        assert "ovc" not in rep["metrics"] and "poc" not in rep["metrics"]
+        assert "comprehensibility_mean" in rep["metrics"]
 
     def test_ground_truth_of_another_graph_rejected(self, indicator_setup):
         g, _, h, expl = indicator_setup
@@ -459,8 +456,8 @@ class TestComputeReport:
     def test_no_ground_truth_skips_comprehensibility(self, indicator_setup):
         g, _, h, expl = indicator_setup
         rep = compute_report(h, expl, gts=None)
-        assert "comprehensibility_mean" not in rep.metrics
-        assert "sparsity_score" in rep.metrics
+        assert "comprehensibility_mean" not in rep["metrics"]
+        assert "sparsity_score" in rep["metrics"]
 
     def test_nulls_carry_reasons(self, two_cliques):
         g, gts = two_cliques
@@ -468,16 +465,18 @@ class TestComputeReport:
         h[:5, :] = 1.0  # three identical columns: OvC has zero JSI variance
         expl = build_explanations(h, g)
         rep = compute_report(h, expl, gts)
-        assert rep.metrics["ovc"] is None
-        assert "ovc" in rep.nulls
+        assert rep["metrics"]["ovc"] is None
+        assert "ovc" in rep["nulls"]
 
     def test_save_round_trip(self, indicator_setup, tmp_path):
         import json
         g, gts, h, expl = indicator_setup
-        rep = compute_report(h, expl, gts, metadata={"run": "x"})
+        rep = compute_report(h, expl, gts)
+        assert sorted(rep) == ["metrics", "nulls", "per_dimension"]
+        rep["metadata"] = {"run": "x"}
         p = tmp_path / "report.json"
-        _write_json(p, rep.to_json())
-        assert p.read_text() == json.dumps(rep.to_json(), indent=1,
+        _write_json(p, rep)
+        assert p.read_text() == json.dumps(rep, indent=1,
                                            sort_keys=True) + "\n"
         data = json.loads(p.read_text())
         assert data["metadata"] == {"run": "x"}
@@ -486,5 +485,5 @@ class TestComputeReport:
     def test_save_refuses_nan(self, tmp_path):
         p = tmp_path / "report.json"
         with pytest.raises(ValueError):
-            _write_json(p, MetricsReport(metrics={"poc": math.nan}).to_json())
+            _write_json(p, {"metrics": {"poc": math.nan}})
         assert not p.exists()

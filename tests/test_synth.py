@@ -228,6 +228,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             SynthSpec(kind="er_cliques", er_p=1.5).validate()
 
+    @pytest.mark.parametrize("kind", ["ba_cliques", "er_cliques"])
+    def test_more_hooks_than_base_clique_pairs_rejected(self, kind):
+        # a clique of 2 has 2 * 2 distinct hooks to a base of 2 nodes; the
+        # hook draw would never find a fifth
+        spec = SynthSpec(kind=kind, num_cliques=2, clique_size=2,
+                         base_nodes=2, ba_m=1, er_p=1.0,
+                         attach_edges_per_clique=5)
+        with pytest.raises(ValueError, match="exceeds the 4 distinct hooks"):
+            spec.validate()
+        g, _ = generate_synthetic(replace(spec, attach_edges_per_clique=4))
+        # every clique node hooks to both base nodes
+        assert g.num_edges == 1 + 2 * 1 + 2 * 4
+
     @pytest.mark.parametrize("base_nodes, er_p", [(30, 0.0), (320, 0.001)])
     def test_er_base_that_cannot_connect_rejected(self, base_nodes, er_p):
         spec = SynthSpec(kind="er_cliques", num_cliques=2, clique_size=4,
