@@ -30,7 +30,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from functools import cache
 from multiprocessing import get_context
 from typing import NamedTuple
@@ -42,8 +42,8 @@ from .explain import build_explanations, save_explanation
 from .graph_core import (Graph, ground_truth_to_json, load_edge_list,
                          load_ground_truth, split_edges, train_subgraph)
 from .metrics import compute_report
-from .model import (ACTIVATIONS, load_embedding_binary, save_embedding_binary,
-                    save_embedding_text)
+from .model import (ACTIVATIONS, ENCODER_KINDS, load_embedding_binary,
+                    save_embedding_binary, save_embedding_text)
 from .sampling import WalkConfig
 from .synth import KINDS, READS, SynthSpec, default_spec, generate_synthetic
 from .training import LossConfig, train
@@ -54,8 +54,7 @@ BENCH_SEEDS = (0, 1, 2, 3, 4)
 BENCH_SPLIT = 0.1
 
 # short aliases accepted anywhere a dataset kind is expected
-_KIND_ALIASES = {"ring": "ring_cliques", "sbm": "sbm_cliques",
-                 "ba": "ba_cliques", "er": "er_cliques"}
+_KIND_ALIASES = {kind.removesuffix("_cliques"): kind for kind in KINDS}
 
 
 def _int_list(text):
@@ -79,34 +78,41 @@ def _config_keys(parser) -> dict:
             if a.option_strings and a.dest not in ("help", "config")}
 
 
-def _config_argv(path, keys: dict) -> list[str]:
-    """The flags a config file stands for, for argparse to parse.
-
-    A switch becomes its flag when true, a list its comma-joined items, and
-    any other value `--flag=value`; floats print back exactly.
-    """
+def _json_object(path) -> dict:
+    """The JSON object a file holds: a config file, or a run.json."""
     with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} holds no JSON object")
+    return obj
+
+
+def _config_argv(cfg: dict, keys: dict, what: str = "config key") -> list[str]:
+    """The flags a config object stands for, for argparse to parse.
+
+    Each key must name a flag of `keys`, and its value must have the flag's
+    JSON type; `what` names a key in the ValueError otherwise. A switch
+    becomes its flag when true, a list its comma-joined items, and any
+    other value `--flag=value`; floats print back exactly.
+    """
     argv = []
     for key, val in cfg.items():
         action = keys.get(key)
         if action is None:
-            raise ValueError(f"unknown config key {key!r} (this subcommand "
-                             f"has no --{key.replace('_', '-')} flag)")
+            raise ValueError(f"unknown {what} {key!r} (no --"
+                             f"{key.replace('_', '-')} flag takes it)")
         want = bool if action.nargs == 0 else _JSON_TYPES[action.type]
         # an integer stands for a float; a bool is only a bool
         fits = isinstance(val, (int, float) if want is float else want)
         if not fits or isinstance(val, bool) != (want is bool):
-            raise ValueError(f"config key {key!r} expects {want.__name__}")
+            raise ValueError(f"{what} {key!r} expects {want.__name__}")
         item = _LIST_ITEMS.get(action.type)
         if item is not None:
             if any(type(x) is not item for x in val):
-                raise ValueError(f"config key {key!r} expects a list of "
+                raise ValueError(f"{what} {key!r} expects a list of "
                                  f"{item.__name__}")
             if item is str and any(x == "" or "," in x for x in val):
-                raise ValueError(f"config key {key!r}: an item cannot be "
+                raise ValueError(f"{what} {key!r}: an item cannot be "
                                  f"empty or hold a comma")
             val = ",".join(map(str, val))
         flag = action.option_strings[0]
@@ -158,9 +164,8 @@ def _write_json(path, payload):
 # ---------------------------------------------------------------- graphs
 
 # the generator settings a flag or config key may override, with --kind
-_GEN_FIELDS = ("num_cliques", "clique_size", "base_nodes",
-               "attach_edges_per_clique", "noise_edges",
-               "er_p", "sbm_p_out", "ba_m")
+_GEN_FIELDS = tuple(f.name for f in fields(SynthSpec)
+                    if f.name not in ("kind", "seed"))
 
 
 def _synth_spec(args, kind: str):
@@ -233,32 +238,69 @@ def _resolve_graph(args, sidecar=None):
     return g, gts, data_ref
 
 
-# the run.json entries the checkpoint commands read, and those of its config
-_SIDECAR_KEYS = ("label", "seed", "data", "graph", "config", "config_hash",
-                 "num_nodes", "dim")
+# the run.json entries the checkpoint commands read, with their JSON types,
+# those its config must hold, and the types of its graph fingerprint's
+_SIDECAR_KEYS = {"label": str, "seed": int, "data": dict, "graph": dict,
+                 "config": dict, "config_hash": str, "num_nodes": int,
+                 "dim": int}
 _SIDECAR_CONFIG_KEYS = ("split", "split_seed")
+_GRAPH_KEYS = {"num_nodes": int, "num_edges": int, "edges_sha256": str}
+
+
+def _command_keys(command: str) -> dict:
+    """Config key -> flag action of a subcommand."""
+    return _build_parser().parse_args([command]).config_keys
+
+
+def _check_entries(entries: dict, types: dict, prefix: str = ""):
+    """Raise unless `entries` holds each key of `types`, of that type."""
+    for key, want in types.items():
+        if key not in entries:
+            raise ValueError(f"run.json records no {prefix + key!r}")
+        # type(), not isinstance: a bool is no int
+        if type(entries[key]) is not want:
+            raise ValueError(f"run.json entry {prefix + key!r} expects "
+                             f"{want.__name__}")
+
+
+def _check_sidecar(sidecar: dict):
+    """Raise unless run.json holds each entry the checkpoint commands read,
+    typed as they read it: its config as a `train` config file (but for the
+    derived encoder), a generator spec as a `gen` one that validates."""
+    _check_entries(sidecar, _SIDECAR_KEYS)
+    _check_entries(sidecar["graph"], _GRAPH_KEYS, "graph.")
+    conf, data = dict(sidecar["config"]), sidecar["data"]
+    missing = [k for k in _SIDECAR_CONFIG_KEYS if k not in conf]
+    if missing:
+        raise ValueError(f"run.json records no 'config.{missing[0]}'")
+    if conf.pop("encoder", None) not in ENCODER_KINDS:
+        raise ValueError(f"run.json entry 'config.encoder' must be one of "
+                         f"{ENCODER_KINDS}")
+    _config_argv(conf, _command_keys("train"), "run.json config key")
+    if type(data.get("path")) is not str:
+        if type(data.get("spec")) is not dict:
+            raise ValueError("run.json entry 'data' holds neither a 'path' "
+                             "string nor a 'spec' object")
+        spec_keys = ("kind", "seed", *_GEN_FIELDS)
+        _config_argv(data["spec"], {k: a for k, a in _command_keys("gen").items()
+                                    if k in spec_keys}, "run.json spec key")
+        _check_entries(data["spec"], {"kind": str}, "data.spec.")
+        SynthSpec(**data["spec"]).validate()
 
 
 def _load_checkpoint(path):
     """A checkpoint directory's run.json and embedding: (sidecar, h).
 
-    The only reader of run.json: it must be a JSON object holding every
-    entry of _SIDECAR_KEYS, its config those of _SIDECAR_CONFIG_KEYS, and
-    the embedding must be the (num_nodes, dim) it records.
+    The only reader of run.json: it must pass `_check_sidecar`, and the
+    embedding must be the (num_nodes, dim) it records.
     """
     if not path:
         raise ValueError("need --checkpoint")
-    with open(os.path.join(path, "run.json")) as fh:
-        sidecar = json.load(fh)
-    if not isinstance(sidecar, dict):
-        raise ValueError(f"checkpoint {path}: run.json holds no JSON object; "
-                         f"retrain the checkpoint")
-    missing = ([k for k in _SIDECAR_KEYS if k not in sidecar]
-               or [f"config.{k}" for k in _SIDECAR_CONFIG_KEYS
-                   if k not in sidecar["config"]])
-    if missing:
-        raise ValueError(f"checkpoint {path}: run.json records no "
-                         f"{missing[0]!r}; retrain the checkpoint")
+    try:
+        sidecar = _json_object(os.path.join(path, "run.json"))
+        _check_sidecar(sidecar)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}; retrain the checkpoint")
     h = load_embedding_binary(os.path.join(path, "embedding.bin"))
     if h.shape != (sidecar["num_nodes"], sidecar["dim"]):
         raise ValueError(f"checkpoint {path}: the embedding has {h.shape[0]} "
@@ -512,7 +554,8 @@ def _bench_one(job) -> list[dict]:
         link = run_link_task(h, g, split, gts, seed=seed)
         values["link_auc_pr"] = link.auc_pr
         values["link_plausibility"] = link.plausibility_mean
-    if "node" in tasks and dataset in ("ba_cliques", "er_cliques"):
+    # the node task needs background nodes, which a base graph gives
+    if "node" in tasks and "base_nodes" in READS[dataset]:
         node = run_node_task(h, g, gts, seed=seed)
         values["node_auc_pr"] = node.auc_pr
         values["node_plausibility"] = node.plausibility_mean
@@ -592,6 +635,10 @@ def _summaries(out, rows):
 
 
 def cmd_bench(args) -> int:
+    # an empty --tasks means metrics only; an empty axis means no run
+    for axis in ("datasets", "methods", "dims", "seeds"):
+        if not getattr(args, axis):
+            raise ValueError(f"--{axis} names nothing to run")
     datasets = [_kind_of(d) for d in args.datasets]
     for m in args.methods:
         if m not in METHODS:
@@ -663,8 +710,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen_params = argparse.ArgumentParser(add_help=False)
     gen_params.add_argument("--seed", type=int)
-    gen_params.add_argument("--kind", help="synthetic dataset: ring|sbm|ba|er "
-                                           "(or full names)")
+    gen_params.add_argument("--kind", help="synthetic dataset: "
+                            f"{'|'.join(_KIND_ALIASES)} (or full names)")
     for f in _GEN_FIELDS:
         gen_params.add_argument("--" + f.replace("_", "-"),
                                 type=type(getattr(SynthSpec, f)))
@@ -783,8 +830,8 @@ def main(argv=None) -> int:
         if args.config:
             # the file's flags go first, so the command line's win
             args = parser.parse_args(
-                [argv[0], *_config_argv(args.config, args.config_keys),
-                 *argv[1:]])
+                [argv[0], *_config_argv(_json_object(args.config),
+                                        args.config_keys), *argv[1:]])
         _check_counts(args)
         _maybe_reexec(args, argv)
         return args.func(args)

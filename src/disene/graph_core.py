@@ -2,12 +2,13 @@
 
 Everything downstream (sampling, training, explanation, metrics) works on the
 `Graph` type defined here: simple undirected graphs over a dense node index
-range 0..num_nodes-1, no self loops, no duplicate edges, no weights. A node
-pair u < v is identified by the int64 code u * V + v; graph construction,
-edge lookups and non-edge sampling work on these codes. Ground truth is a
-node indicator array of one graph; a community's edges are derived from it
-as the graph's edges with both endpoints in it. A ground-truth file stores
-only each community's node names, as the edge list names them.
+range 0..num_nodes-1, no self loops, no duplicate edges, no weights. An
+unordered node pair {u, v} has the code min(u, v) * V + max(u, v), which only
+`_fold` computes (for every caller, in either orientation), and a `Graph` is
+built from its edges' ascending codes. Ground truth is a node indicator array
+of one graph; a community's edges are the graph's edges with both endpoints
+in it. A ground-truth file stores only each community's node names, as the
+edge list names them.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from scipy.sparse import csgraph
 class Graph:
     """Immutable undirected graph.
 
-    Nodes are dense integers 0..num_nodes-1. Edges are a lexicographically
-    sorted (E, 2) int array with u < v per row; arrays indexed by edge
-    (explanation masks, community indicators) follow its row order. Each
-    edge also has a pair code u * V + v; `codes` holds them in row order,
-    which is ascending, so an edge is found by binary search. The adjacency
-    is stored once, in CSR form: the sorted neighbors of v are
+    Built from `codes`, the distinct ascending int64 pair codes of its
+    edges (`build_graph` makes them). Edges are the codes decoded, a
+    lexicographically sorted (E, 2) int64 array with u < v per row; arrays
+    indexed by edge (explanation masks, community indicators) follow its
+    row order, and an edge is found by binary search in `codes`. The
+    adjacency is stored once, in CSR form: the sorted neighbors of v are
     indices[indptr[v]:indptr[v + 1]]. `node_ids` optionally keeps the
     original string tokens of a loaded edge list (index-aligned).
 
@@ -38,14 +39,14 @@ class Graph:
     construction.
     """
 
-    def __init__(self, num_nodes: int, edges: np.ndarray, node_ids: list[str] | None):
+    def __init__(self, num_nodes: int, codes: np.ndarray, node_ids: list[str] | None):
         self.num_nodes = num_nodes
-        self.edges = edges
+        self.codes = codes
+        self.edges = np.stack([codes // num_nodes, codes % num_nodes], axis=1)
         self.node_ids = node_ids
-        self.codes = _pair_codes(edges, num_nodes)
         # both directions of every edge, ordered by (row, column)
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
         self.indices = dst[np.argsort(src * num_nodes + dst)]
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(src, minlength=num_nodes))]).astype(np.int64)
@@ -80,8 +81,7 @@ class Graph:
 
     def _find(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate row of each (u, v) pair and whether it holds that pair."""
-        rows, found = _find_codes(self.codes, _pair_codes(np.sort(pairs, axis=1),
-                                                          self.num_nodes))
+        rows, found = _find_codes(self.codes, _fold(*pairs.T, self.num_nodes))
         # a pair with a node outside the graph can share an edge's code
         found &= ((pairs >= 0) & (pairs < self.num_nodes)).all(axis=1)
         return rows, found
@@ -90,9 +90,9 @@ class Graph:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
 
 
-def _pair_codes(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
-    """u * V + v per (u, v) row: one integer per node pair, ordered as the pairs."""
-    return pairs[:, 0] * num_nodes + pairs[:, 1]
+def _fold(u: np.ndarray, v: np.ndarray, num_nodes: int) -> np.ndarray:
+    """The code min * V + max of each unordered pair {u, v}, in u's dtype."""
+    return np.minimum(u, v) * num_nodes + np.maximum(u, v)
 
 
 def _find_codes(codes: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,10 +133,9 @@ def build_graph(num_nodes: int, edges, node_ids=None) -> Graph:
     if bad.any():
         u, v = pairs[np.argmax(bad)]
         raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-    pairs = np.sort(pairs, axis=1)
-    codes, _ = _distinct(_pair_codes(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes))
-    arr = np.stack([codes // num_nodes, codes % num_nodes], axis=1)
-    return Graph(num_nodes, arr, list(node_ids) if node_ids else None)
+    u, v = pairs.T
+    codes, _ = _distinct(_fold(u, v, num_nodes)[u != v])
+    return Graph(num_nodes, codes, list(node_ids) if node_ids else None)
 
 
 def largest_component_subgraph(g: Graph) -> Graph:
@@ -379,8 +378,8 @@ def sample_non_edges(g: Graph, count: int, rng) -> np.ndarray:
     while len(taken) < count and attempts < limit:
         size = min(limit - attempts, 2 * (count - len(taken)) + 64)
         attempts += size
-        uv = np.sort(rng.integers(n, size=2 * size).reshape(-1, 2), axis=1)
-        codes = _pair_codes(uv[uv[:, 0] != uv[:, 1]], n)
+        u, v = rng.integers(n, size=2 * size).reshape(-1, 2).T
+        codes = _fold(u, v, n)[u != v]
         fresh = ~_find_codes(g.codes, codes)[1] & ~np.isin(codes, taken)
         # a pair drawn twice in one batch is taken at its first draw
         _, first = np.unique(codes, return_index=True)
@@ -400,7 +399,7 @@ def _remaining_non_edges(g: Graph, taken: np.ndarray) -> np.ndarray:
     """Every pair u < v that is neither an edge nor a `taken` code, lexicographic."""
     n = g.num_nodes
     pairs = np.stack(np.triu_indices(n, k=1), axis=1)
-    return pairs[~np.isin(_pair_codes(pairs, n), np.concatenate([g.codes, taken]))]
+    return pairs[~np.isin(_fold(*pairs.T, n), np.concatenate([g.codes, taken]))]
 
 
 def train_subgraph(g: Graph, split: EdgeSplit) -> Graph:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, _distinct
+from .graph_core import Graph, _distinct, _fold
 
 
 @dataclass(frozen=True)
@@ -230,12 +230,12 @@ def count_pairs(g: Graph, cfg: WalkConfig):
         a, b = walks[:, :-delta], walks[:, delta:]
         ok = (a >= 0) & (b >= 0) & (a != b)
         a, b = a[ok], b[ok]
-        folded[0].append(np.minimum(a, b) * n + np.maximum(a, b))
+        folded[0].append(_fold(a, b, n))
         # a negative keeps its positive's second endpoint: b for (a, b),
         # then a for (b, a), k times each
         v = np.repeat(np.concatenate([b, a]), k)
         u = rng.integers(0, n, size=len(v), dtype=dtype)
-        folded[1].append(np.minimum(u, v) * n + np.maximum(u, v))
+        folded[1].append(_fold(u, v, n))
     (pos_codes, pos_counts), (neg_codes, neg_counts) = (
         _distinct(np.concatenate(side)) for side in folded)
     del walks, folded

@@ -7,6 +7,11 @@ Four families, all built around 32 planted 10-cliques by default:
 - ba_cliques:   preferential-attachment base graph with cliques attached
 - er_cliques:   Erdos-Renyi base graph with cliques attached
 
+`_FAMILIES`, at the end, is their one table: a kind's generator, the
+`SynthSpec` fields it reads and its defaults beyond the class's. `KINDS`,
+`READS`, `default_spec`, `generate_synthetic` and the CLI's generator flags
+and kind aliases come from it; a new family is one row and one generator.
+
 Every generator returns edges as one (E, 2) array and leaves cleaning to
 `build_graph`. Ground truth is the clique labels' intra-label edges, through
 `communities_from_labels`; base nodes carry label -1. Generation is
@@ -26,6 +31,7 @@ A bound of 2**32 or more, where numpy takes another path, raises instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,8 +39,6 @@ from scipy.sparse import csgraph
 
 from .graph_core import (Graph, GroundTruth, build_graph, communities_from_labels,
                          sample_non_edges)
-
-KINDS = ("ring_cliques", "sbm_cliques", "ba_cliques", "er_cliques")
 
 # calibrated so expected edge counts land on the benchmark sizes
 _SBM_P_OUT = 517 / 49600
@@ -63,7 +67,7 @@ class SynthSpec:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
         if self.num_cliques < 1 or self.clique_size < 2:
             raise ValueError("need at least one clique of size >= 2")
-        if self.kind in ("ba_cliques", "er_cliques"):
+        if "base_nodes" in READS[self.kind]:
             if self.base_nodes < 2:
                 raise ValueError("base graph needs at least 2 nodes")
             if self.attach_edges_per_clique < 1:
@@ -75,45 +79,23 @@ class SynthSpec:
                                  f"distinct hooks of a clique to the base")
         if not (0.0 <= self.er_p <= 1.0) or not (0.0 <= self.sbm_p_out <= 1.0):
             raise ValueError("edge probabilities must lie in [0, 1]")
-        if self.kind == "ba_cliques" and not (1 <= self.ba_m < self.base_nodes):
+        if "ba_m" in READS[self.kind] and not 1 <= self.ba_m < self.base_nodes:
             raise ValueError("ba_m must satisfy 1 <= ba_m < base_nodes")
         if self.noise_edges < 0:
             raise ValueError("noise_edges must be non-negative")
 
 
-# the SynthSpec fields each family's generator reads, besides kind; any other
-# field leaves its graph unchanged
-_EVERY = ("seed", "num_cliques", "clique_size")
-_ATTACHED = (*_EVERY, "base_nodes", "attach_edges_per_clique")
-READS = {"ring_cliques": (*_EVERY, "noise_edges"),
-         "sbm_cliques": (*_EVERY, "sbm_p_out"),
-         "ba_cliques": (*_ATTACHED, "ba_m"),
-         "er_cliques": (*_ATTACHED, "er_p")}
-
-
 def default_spec(kind: str, seed: int = 0) -> SynthSpec:
-    """Benchmark-calibrated spec for a dataset family.
-
-    ring gets 147 noise edges; the other families rely on their probability
-    parameters, already calibrated at the class level.
-    """
+    """Benchmark-calibrated spec of a family: the class's defaults, then its own."""
     spec = SynthSpec(kind=kind, seed=seed)
     spec.validate()
-    if kind == "ring_cliques":
-        spec = replace(spec, noise_edges=_RING_NOISE)
-    return spec
+    return replace(spec, **_FAMILIES[kind].defaults)
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[Graph, GroundTruth]:
     """Generate one benchmark graph and its planted ground truth."""
     spec.validate()
-    if spec.kind == "ring_cliques":
-        return _ring_cliques(spec)
-    if spec.kind == "sbm_cliques":
-        return _sbm_cliques(spec)
-    if spec.kind == "ba_cliques":
-        return _attached_cliques(spec, base="ba")
-    return _attached_cliques(spec, base="er")
+    return _FAMILIES[spec.kind].generate(spec)
 
 
 def _planted(spec: SynthSpec, offset: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +218,8 @@ def _connected(num_nodes: int, edges: np.ndarray) -> bool:
     return csgraph.connected_components(adj, directed=False)[0] == 1
 
 
-def _attached_cliques(spec: SynthSpec, base: str):
+def _attached_cliques(spec: SynthSpec):
+    base = spec.kind.removesuffix("_cliques")     # ba or er
     # regenerate the base until connected; each retry reseeds deterministically
     base_edges = None
     for retry in range(100):
@@ -247,8 +230,7 @@ def _attached_cliques(spec: SynthSpec, base: str):
             base_edges = cand
             break
     if base_edges is None:
-        setting = (f"ba_m={spec.ba_m}" if base == "ba"
-                   else f"er_p={spec.er_p}")
+        setting = f"ba_m={spec.ba_m}" if base == "ba" else f"er_p={spec.er_p}"
         raise ValueError(f"{spec.kind}: no connected {base} base graph of "
                          f"base_nodes={spec.base_nodes} and {setting} in "
                          f"100 attempts")
@@ -270,3 +252,22 @@ def _attached_cliques(spec: SynthSpec, base: str):
         hooks.extend(placed)
     edges = np.concatenate([base_edges, clique_edges, np.array(hooks)])
     return _with_truth(n, edges, labels)
+
+
+class _Family(NamedTuple):
+    generate: Callable[[SynthSpec], tuple[Graph, GroundTruth]]
+    reads: tuple[str, ...]  # SynthSpec fields besides kind; others change nothing
+    defaults: dict          # default_spec's values beyond the class's
+
+
+_EVERY = ("seed", "num_cliques", "clique_size")
+_ATTACHED = (*_EVERY, "base_nodes", "attach_edges_per_clique")
+_FAMILIES = {
+    "ring_cliques": _Family(_ring_cliques, (*_EVERY, "noise_edges"),
+                            {"noise_edges": _RING_NOISE}),
+    "sbm_cliques": _Family(_sbm_cliques, (*_EVERY, "sbm_p_out"), {}),
+    "ba_cliques": _Family(_attached_cliques, (*_ATTACHED, "ba_m"), {}),
+    "er_cliques": _Family(_attached_cliques, (*_ATTACHED, "er_p"), {}),
+}
+KINDS = tuple(_FAMILIES)
+READS = {kind: family.reads for kind, family in _FAMILIES.items()}

@@ -91,7 +91,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_blas_funcs
 
-from .graph_core import Graph, _distinct
+from .graph_core import Graph, _distinct, _fold
 from .model import (ACTIVATIONS, EncoderParams, forward, init_params,
                     normalized_adjacency)
 # train counts its pattern with count_pairs; build_pair_batch stays
@@ -236,7 +236,7 @@ def _count_pattern(positives: np.ndarray, negatives: np.ndarray,
                    num_nodes: int) -> _CountPattern:
     n = num_nodes
     sides = (_aggregate(positives, n), _aggregate(negatives, n))
-    folded = [np.minimum(w.u, w.v) * n + np.maximum(w.u, w.v) for w in sides]
+    folded = [_fold(w.u, w.v, n) for w in sides]
     codes, _ = _distinct(np.concatenate(folded))
     pos, neg = (np.bincount(np.searchsorted(codes, f), weights=w.w,
                             minlength=len(codes))

@@ -588,28 +588,49 @@ class TestProvenance:
         (["downstream", "--task", "node"], "config.split_seed"),
         (["explain"], None),
         (["evaluate"], None),
-        (["downstream", "--task", "link"], None)])
-    def test_malformed_run_json_is_refused(self, ring_split_ckpt, tmp_path,
-                                           capsys, command, broken):
-        # `broken` names the entry taken out; None makes run.json a list
+        (["downstream", "--task", "link"], None),
+        (["evaluate"], ("data.spec.foo", 1)),
+        (["evaluate"], ("data.spec.num_cliques", "8")),
+        (["downstream", "--task", "link"], ("config.split", "0.1")),
+        (["evaluate"], ("seed", "7")),
+        (["evaluate"], ("dim", 4.0))])
+    def test_malformed_run_json_is_refused(self, ring_split_ckpt, ring_data,
+                                           tmp_path, capsys, command, broken):
+        # `broken` names the entry taken out, or is (entry, value) for one
+        # set to a value it cannot hold; None makes run.json a list. A
+        # data.spec entry is one of the generator spec `gen` recorded for
+        # the checkpoint's edge list, which names the same graph.
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
         (ckpt / "embedding.bin").write_bytes(
             (ring_split_ckpt / "embedding.bin").read_bytes())
         sidecar = json.loads((ring_split_ckpt / "run.json").read_text())
+        broken, value = broken if isinstance(broken, tuple) else (broken, None)
         if broken is None:
             sidecar = list(sidecar)
-        elif broken.startswith("config."):
-            del sidecar["config"][broken.split(".")[1]]
         else:
-            del sidecar[broken]
+            if broken.startswith("data.spec."):
+                truth = json.loads((ring_data / "ground_truth.json").read_text())
+                sidecar["data"] = {"spec": truth["generator"]}
+            *path, key = broken.split(".")
+            entries = sidecar
+            for step in path:
+                entries = entries[step]
+            if value is None:
+                del entries[key]
+            else:
+                entries[key] = value
         (ckpt / "run.json").write_text(json.dumps(sidecar))
         assert _run(*command, "--checkpoint", str(ckpt),
                     "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint ") and err.count("\n") == 1
-        assert (f"run.json records no {broken!r}" if broken
-                else "run.json holds no JSON object") in err
+        if broken is None:
+            assert "run.json holds no JSON object" in err
+        elif value is None:
+            assert f"run.json records no {broken!r}" in err
+        else:
+            assert f"{key!r}" in err
         assert "retrain the checkpoint" in err
         assert not (tmp_path / "out").exists()
 
@@ -1049,6 +1070,20 @@ class TestBench:
         assert _status(*MICRO_BENCH, "--config", cfg,
                        "--out", str(tmp_path)) == 2
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("axis", ["datasets", "methods", "dims", "seeds"])
+    @pytest.mark.parametrize("source", ["", ",", "config"])
+    def test_empty_grid_axis_fails(self, tmp_path, capsys, axis, source):
+        # an empty --tasks is legal (metrics only); an empty axis runs
+        # nothing, whether the flag is empty, a comma alone or a config []
+        grid = {"datasets": ["ring"], "methods": ["disene-fc"], "dims": [2],
+                "seeds": [0], "tasks": ["link"], "permutations": 5}
+        argv = ([*MICRO_BENCH, f"--{axis}={source}"] if source != "config" else
+                ["bench", "--config", _config(tmp_path, **{**grid, axis: []})])
+        out = tmp_path / "out"
+        assert _status(*argv, "--out", str(out)) == 2
+        assert f"--{axis} names nothing" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_fails(self, tmp_path):
         assert main(["bench", "--methods", "deepwalk",

@@ -5,7 +5,8 @@ The graph and split digests were recorded from the tuple-set
 implementation of the graph layer and the generators, the corpus digests
 from the step-by-step walk loop, and the ground-truth digests from files
 holding only node lists, which equal those of the older files that also
-held edge indices and labels. A change to a generator, to the non-edge
+held edge indices and labels. The pair-code and CSR digests were recorded
+while `Graph` still encoded the edge array it was given. A change to a generator, to the non-edge
 sampler or to the walks that alters any graph, split, ground truth or
 corpus fails here, so it has to say so and record new digests.
 """
@@ -41,6 +42,36 @@ GRAPHS = {
                         "a0ec328ab4d31f6f3a5daa2eeecef67f438cb80502f99e96800b0e9b53d38adc"),
     ("er_cliques", 1): ("5a2666b45d08ac9e4ca8de84980cb9de36884d278ebbb31fb974b28516ce0add",
                         "ebe9c16f65b66e2d3763b0f75cf1362178e0d74cd0dd4aa7fa1d949fc33370cd"),
+}
+
+# (kind, seed) -> sha256 of g.codes, g.indices and g.indptr, each as
+# little-endian int64: the pair codes edge lookups search, and the CSR
+# adjacency walks and BFS read
+CSR = {
+    ("ring_cliques", 0): ("c02fb8da1b8b9f8f7800d588f232dbb9a51ed15863cb84e779603772b3ce522b",
+                          "dc12949cd26810060d19107206bc3a9c58bdfc0f3b83f2a2a8f78f0176e41fd9",
+                          "260b9719c79994bc3207cbd27d41eac0cb0e011ce8c69fbd013c74b21e8dc2cf"),
+    ("ring_cliques", 1): ("0dac6164cc0d9d8c401482c9f6ba141025a7c311285f1d515fa20158df648829",
+                          "f52b232b0171077dc868ec05f5b117a2de04ea27baa30875358381212a754db3",
+                          "7598f8bd0307bc0867df369421df5cb1fd4689faff7c0652829dd802cd01bb18"),
+    ("sbm_cliques", 0): ("74cce5093a50770e86eb4d6c582c09a6196822b979dac492469e555f8276aff9",
+                         "31c34fdc649cef577bfb4e616ea3ce6ce567058021958030b47e3a1771f125d3",
+                         "4242f7620f87fa9661a9e66945530a854ae038eb70cc575cb999d15c749acc06"),
+    ("sbm_cliques", 1): ("00dd8ef832b574890a91c3658bd7a9e40bda4c59710b8e496201ddfd53ca8d72",
+                         "831107ab9b2d305de2f3f4c067e39adcb1ae8ba079250f867c9b8ce711490c63",
+                         "ee4ed7d035a2b8d4513e26bab1a40cfe359100226ef34ac43748d7bc6659833c"),
+    ("ba_cliques", 0): ("5b40d509eb0b3c6876347bbffae277193a53751cae1fbea0758a9efec5e58924",
+                        "6e70874ea7d0a321f3edb4ade10766a3232d75ec76cf9dcbed3b2eb7454bbb11",
+                        "f51409af999fe7a4f3d554c35e281753841e8ea4736e8ecc17baae84d562173c"),
+    ("ba_cliques", 1): ("a0b78ce05aa3b17f40172895f8a96a53d76f6138fbe59103515c07755016581e",
+                        "584ce3f570d5baf736be84c33d52392377bba7e2d33a2ecfec29c07f9ea4d871",
+                        "b959bd20cbab21bfe1bae139a99e3d9335acb3db30e648583277265f0b4dc03b"),
+    ("er_cliques", 0): ("2e55ff2fd6caad762c71e9cb9b9250b6067a73cd82cdb7645e5180134fdd1bc6",
+                        "d0df3b1d238d40e8d56f62f4ae4fb207d6198f41df22734d6264b3c1c264d9d3",
+                        "1d9109819f5f81f97fe9272d9510c5e69a72b1ede3cd7a3ac212a6a3964ccdcf"),
+    ("er_cliques", 1): ("d465667de543f6167808550dc26835f5b3cbbaeec6183981f610bf423eef2f7d",
+                        "e844610be1c896fb51b234183d33a58c33b44e6f373ed047f40d24461c493789",
+                        "90a94b26387440b568063fabfb67ed10b5311bf19e238dd1453b95fe8255798d"),
 }
 
 # (kind, seed) -> (sha256 of the positives, of the negatives) of
@@ -87,6 +118,13 @@ def test_graph_and_split(kind, seed):
     got = (_digest(g.edges),
            _digest(s.train_edges, s.test_edges, s.test_negatives))
     assert got == GRAPHS[kind, seed]
+
+
+@pytest.mark.parametrize("kind,seed", sorted(CSR))
+def test_codes_and_csr(kind, seed):
+    g, _ = generate_synthetic(default_spec(kind, seed=seed))
+    got = (_digest(g.codes), _digest(g.indices), _digest(g.indptr))
+    assert got == CSR[kind, seed]
 
 
 @pytest.mark.parametrize("kind,seed", sorted(CORPORA))
