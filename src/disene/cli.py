@@ -192,10 +192,10 @@ def _resolve_graph(args, sidecar=None):
     --data or --kind name it, never both; without either, a checkpoint
     command uses the source its run.json records. The generator settings,
     and the seed of `explain` and `evaluate`, go only with --kind. data_ref
-    says where the graph came from: the edge list's path and sha256, or
-    the resolved generator spec. --ground-truth goes only with an edge
-    list, whose gts is None without it. Given a checkpoint's sidecar, the
-    graph must be the one that checkpoint was trained on.
+    says where the graph came from: the edge list's absolute path and
+    sha256, or the resolved generator spec. --ground-truth goes only with
+    an edge list, whose gts is None without it. Given a checkpoint's
+    sidecar, the graph must be the one that checkpoint was trained on.
     """
     data, kind = getattr(args, "data", None), args.kind
     gt_path = getattr(args, "ground_truth", None)
@@ -215,7 +215,7 @@ def _resolve_graph(args, sidecar=None):
             digest = hashlib.sha256(fh.read()).hexdigest()
         g = load_edge_list(data)
         gts = load_ground_truth(gt_path, g) if gt_path else None
-        data_ref = {"path": data, "sha256": digest}
+        data_ref = {"path": os.path.abspath(data), "sha256": digest}
     else:
         if gt_path:
             raise ValueError("--ground-truth goes with an edge list; a "

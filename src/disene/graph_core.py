@@ -1,4 +1,4 @@
-"""Undirected graph container, ground truth, file I/O, edge splits and BFS.
+"""Graph container, ground truth, file I/O, edge splits, twin classes and BFS.
 
 Everything downstream (sampling, training, explanation, metrics) works on the
 `Graph` type defined here: simple undirected graphs over a dense node index
@@ -405,6 +405,67 @@ def _remaining_non_edges(g: Graph, taken: np.ndarray) -> np.ndarray:
 def train_subgraph(g: Graph, split: EdgeSplit) -> Graph:
     """Graph over the same node set containing only the training edges."""
     return build_graph(g.num_nodes, split.train_edges, g.node_ids)
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output mix of each uint64 in x: a fixed, seedless key."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def twin_quotient(g: Graph) -> tuple[np.ndarray, Graph]:
+    """Twin classes of g and the graph with one node per class: (cls, q).
+
+    Twins are nodes with the same closed neighbourhood N[v] = N(v) | {v},
+    such as the members of a clique without an outside edge. cls[v] is the
+    class of node v; classes are numbered in the order of their smallest
+    node. Two classes are adjacent in q when their members are adjacent in
+    g. Twins have the same distance to every other node, so the distance
+    between nodes of two classes is the distance between the classes in q;
+    two twins lie 1 hop apart. A graph without twins is its own quotient,
+    with cls the identity.
+
+    Each N[v] is hashed as the wrapping sum of its nodes' `_mix64` keys;
+    nodes of equal hash and degree share a class only if their sorted
+    closed rows are equal, so a hash collision costs time, never a class.
+    """
+    n = g.num_nodes
+    # sorted closed rows: the CSR rows with each node put into its own row
+    rows = np.repeat(np.arange(n), g.degrees)
+    closed = np.sort(np.concatenate([rows * n + g.indices,
+                                     np.arange(n) * (n + 1)])) % n
+    ptr = g.indptr + np.arange(n + 1)
+    keys = _mix64(np.arange(n, dtype=np.uint64))
+    hashes = np.add.reduceat(keys[closed], ptr[:-1])
+    # the smallest twin of each node; pending nodes are in runs of equal
+    # (hash, degree) in node order, and each round settles the first node
+    # of every run and the rest of its run that matches it
+    rep = np.arange(n)
+    pending = np.lexsort((g.degrees, hashes))
+    while len(pending):
+        h, d = hashes[pending], g.degrees[pending]
+        starts = np.ones(len(pending), dtype=bool)
+        starts[1:] = (h[1:] != h[:-1]) | (d[1:] != d[:-1])
+        first = pending[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
+        same = _rows_equal(closed, ptr, pending, first)
+        rep[pending[same]] = first[same]
+        pending = pending[~same]
+    root = rep == np.arange(n)
+    cls = (np.cumsum(root) - 1)[rep]
+    return cls, build_graph(int(root.sum()), cls[g.edges])
+
+
+def _rows_equal(closed: np.ndarray, ptr: np.ndarray, a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """Whether closed row a[i] equals closed row b[i], for rows of equal length."""
+    length = ptr[a + 1] - ptr[a]
+    start = np.cumsum(length) - length
+    offset = np.arange(length.sum()) - np.repeat(start, length)
+    equal = (closed[np.repeat(ptr[a], length) + offset]
+             == closed[np.repeat(ptr[b], length) + offset])
+    return np.logical_and.reduceat(equal, start)
 
 
 # Levels the word-packed BFS runs before the sources still open go to

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from scipy.special import xlogy
 
 from .explain import Explanation, node_support
-from .graph_core import Graph, GroundTruth, bfs_distances
+from .graph_core import Graph, GroundTruth, bfs_distances, twin_quotient
 
 
 def correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,28 +142,45 @@ def proximities(g: Graph, sources) -> np.ndarray:
     return np.reciprocal(prox, out=prox)
 
 
-# entries of the (sources x V) proximity block fpc_matrix holds at once, at most
+# entries of the (sources x V') proximity block fpc_matrix holds at once, at
+# most, for the V' nodes of the twin-contracted graph
 SOURCE_BLOCK_ENTRIES = 1 << 20
 
 
 def fpc_matrix(h: np.ndarray, expl: Explanation) -> np.ndarray:
     """All FPC(d, l) = Pearson(zeta(., V_d), H_:,l); undefined entries are nan.
 
-    zeta(u, V_d) = sum_{v in V_d} 1 / (1 + dist(u, v)), the proximities
-    from the union of the V_d summed per dimension. The union is taken in
-    blocks of SOURCE_BLOCK_ENTRIES // V sources, so memory is O(block * V)
-    however many nodes the explanations cover.
+    zeta(u, V_d) = sum_{v in V_d} 1 / (1 + dist(u, v)). The search runs on
+    `twin_quotient`'s graph, one node per class of nodes with the same
+    closed neighbourhood, which keeps every distance between classes. Each
+    class c holding explanation nodes is one source, weighted by W_c, its
+    number of V_d's nodes. That sum puts x's twins 0 hops from x, where
+    they sit at 1, so node x of class c gets zeta(x) = zeta_q(c) -
+    (W_c - w_x) / 2, with w_x = 1 when x is in V_d: exact in float64, and
+    0 for a one-node class. Sources go in blocks of
+    SOURCE_BLOCK_ENTRIES // V' for the quotient's V' nodes, so memory is
+    O(block * V' + K * V) however many nodes the explanations cover.
     """
     k, g = h.shape[1], expl.graph
-    nodes = node_support(expl)
-    used = np.flatnonzero(nodes.any(axis=1))
+    w = node_support(expl).astype(np.float64)
+    cls, q = twin_quotient(g)
+    members = sp.csr_matrix((np.ones(g.num_nodes), (cls, np.arange(g.num_nodes))),
+                            shape=(q.num_nodes, g.num_nodes))
+    wq = members @ w
+    used = np.flatnonzero(wq.any(axis=1))
     if len(used) == 0:
         return np.full((k, k), np.nan)
-    weights = nodes[used].astype(np.float64)
-    zeta = np.zeros((k, g.num_nodes))
-    height = max(1, SOURCE_BLOCK_ENTRIES // g.num_nodes)
+    zeta = np.zeros((k, q.num_nodes))
+    height = max(1, SOURCE_BLOCK_ENTRIES // q.num_nodes)
     for r0 in range(0, len(used), height):
-        zeta += weights[r0:r0 + height].T @ proximities(g, used[r0:r0 + height])
+        block = used[r0:r0 + height]
+        zeta += wq[block].T @ proximities(q, block)
+    # in place, w becomes each node's (w_x - W_c) / 2
+    w -= wq[cls]
+    w *= 0.5
+    zeta = zeta[:, cls]
+    zeta += w.T
+    del w, wq  # freed before correlations copies zeta and h
     return correlations(zeta, h.T)
 
 

@@ -676,6 +676,24 @@ class TestProvenance:
         assert sidecar["data"]["path"] == str(ring_data / "edges.txt")
         assert len(sidecar["data"]["sha256"]) == 64
 
+    def test_relative_data_path_serves_any_directory(self, ring_data, tmp_path,
+                                                     monkeypatch):
+        # train records the edge list's absolute path, so a checkpoint
+        # command run from another directory still finds it
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "edges.txt").write_bytes(
+            (ring_data / "edges.txt").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert _run("train", "--data", "data/edges.txt", *MICRO_TRAIN,
+                    "--out", "ckpt") == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert _status("evaluate", "--checkpoint", str(tmp_path / "ckpt"),
+                       "--permutations", "5", "--out", "out") == 0
+        sidecar = json.loads((tmp_path / "ckpt" / "run.json").read_text())
+        assert sidecar["data"]["path"] == str(tmp_path / "data" / "edges.txt")
+
     def test_outputs_name_their_edge_list(self, ba_setup, tmp_path):
         # report.json and the task files carry run.json's data reference,
         # here the edge list's path and sha256

@@ -2,16 +2,17 @@
 implementation or pinned from a hand calculation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disene import metrics
+from disene import graph_core, metrics
 from disene.cli import _write_json
 from disene.explain import Explanation, build_explanations, node_support
-from disene.graph_core import build_graph, communities_from_labels
+from disene.graph_core import build_graph, communities_from_labels, twin_quotient
 from disene.metrics import (auc_pr, comprehensibility, compute_report, fpc_matrix, jaccard,
                             overlap_consistency, pearson,
                             positional_coherence, proximities, sparsity,
@@ -316,6 +317,107 @@ class TestFpc:
         got = fpc_matrix(h, expl)
         assert np.array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def clique_graphs(draw):
+    """Two components, each a random base with planted cliques hooked to it
+    by one or two of their nodes, plus isolated nodes, relabelled at random."""
+    edges, n = [], 0
+    for _ in range(2):
+        base = draw(st.integers(1, 5))
+        nodes = list(range(n, n + base))
+        edges += [(nodes[i], nodes[i + 1]) for i in range(base - 1)]
+        edges += draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                         st.sampled_from(nodes)), max_size=3))
+        n += base
+        for _ in range(draw(st.integers(1, 3))):
+            size = draw(st.integers(2, 5))
+            clique = list(range(n, n + size))
+            edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+            for hook in clique[:draw(st.integers(1, min(2, size)))]:
+                edges.append((hook, draw(st.sampled_from(nodes))))
+            n += size
+    n += draw(st.integers(0, 2))
+    perm = np.array(draw(st.permutations(range(n))))
+    return build_graph(n, perm[np.array(edges)])
+
+
+def _closed_neighbourhoods(g):
+    closed = [{v} for v in range(g.num_nodes)]
+    for a, b in g.edges.tolist():
+        closed[a].add(b)
+        closed[b].add(a)
+    return [frozenset(c) for c in closed]
+
+
+def _check_twin_classes(g, cls, q):
+    """cls groups g's nodes by closed neighbourhood, numbered by smallest
+    node, and q joins the classes whose members g joins."""
+    closed = _closed_neighbourhoods(g)
+    for u in range(g.num_nodes):
+        for v in range(g.num_nodes):
+            assert (cls[u] == cls[v]) == (closed[u] == closed[v])
+    _, first = np.unique(cls, return_index=True)
+    assert np.all(np.diff(first) > 0) and q.num_nodes == len(first)
+    want = {tuple(sorted(e)) for e in cls[g.edges].tolist() if e[0] != e[1]}
+    assert set(map(tuple, q.edges.tolist())) == want
+
+
+def _check_fpc_against_oracle(g, seed):
+    h = np.abs(np.random.default_rng(seed).normal(size=(g.num_nodes, 3)))
+    expl = build_explanations(h, g)
+    nodes = node_support(expl)
+    mat = fpc_matrix(h, expl)
+    for d in range(3):
+        for l in range(3):
+            want = _fpc_oracle(h, g, np.flatnonzero(nodes[:, d]), l)
+            if math.isnan(want):
+                assert math.isnan(mat[d, l])
+            else:
+                assert abs(mat[d, l] - want) <= 1e-12
+    return h, expl, mat
+
+
+class TestTwinContraction:
+    @settings(max_examples=40, deadline=None)
+    @given(g=clique_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_classes_and_fpc_match_brute_force(self, g, seed):
+        _check_twin_classes(g, *twin_quotient(g))
+        _check_fpc_against_oracle(g, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(g=clique_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_colliding_keys_split_no_class_wrongly(self, g, seed):
+        # every closed neighbourhood hashes alike, so only the exact row
+        # comparison keeps non-twins apart
+        h, expl, want = _check_fpc_against_oracle(g, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_core, "_mix64", np.zeros_like)
+            _check_twin_classes(g, *twin_quotient(g))
+            got = fpc_matrix(h, expl)
+        np.testing.assert_array_equal(got, want)
+
+    def test_fpc_searches_one_source_per_used_class(self, monkeypatch):
+        spec = replace(default_spec("ba_cliques", seed=3), num_cliques=16,
+                       base_nodes=160)
+        g, _ = generate_synthetic(spec)
+        h = np.abs(np.random.default_rng(3).normal(size=(g.num_nodes, 8)))
+        expl = build_explanations(h, g)
+        closed = _closed_neighbourhoods(g)
+        used = node_support(expl).any(axis=1)
+        searched, bfs = [], metrics.bfs_distances
+
+        def record(graph, sources):
+            searched.append((graph.num_nodes, len(sources)))
+            return bfs(graph, sources)
+        monkeypatch.setattr(metrics, "bfs_distances", record)
+        fpc_matrix(h, expl)
+        assert searched
+        assert {n for n, _ in searched} == {len(set(closed))}
+        assert len(set(closed)) < g.num_nodes
+        assert sum(b for _, b in searched) == len(
+            {closed[v] for v in np.flatnonzero(used)})
 
 
 class TestPositionalCoherence:
