@@ -333,9 +333,9 @@ def cmd_gen(args) -> int:
         for u, v in g.edges.tolist():
             fh.write(f"{u} {v}\n")
 
-    labels = np.full(g.num_nodes, -1, dtype=np.int64)
+    labels, m = np.full(g.num_nodes, -1, dtype=np.int64), gts.members
     for i in range(gts.num_communities):
-        labels[gts.node_truth[:, i]] = i
+        labels[m.indices[m.indptr[i]:m.indptr[i + 1]]] = i
     with open(os.path.join(out, "labels.txt"), "w") as fh:
         for v in range(g.num_nodes):
             fh.write(f"{v} {labels[v]}\n")

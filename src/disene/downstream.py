@@ -7,14 +7,15 @@ minimises mean log loss + 0.5 * l2 * ||beta||^2 (intercept unpenalized,
 l2 finite and > 0) by damped Newton: Cholesky-solved (K+1)-dimensional
 Newton steps with Armijo backtracking, until max |gradient| <= GRAD_TOL
 (1e-10). Both tasks then explain the classifier with exact per-feature
-attributions for linear models: Psi_j(x) = beta_j (x_j - mu_j) against the
-training-feature means.
+attributions for linear models, Psi_j(x) = beta_j (x_j - mu_j), taken
+against the zero background mu = 0: a zero feature of a non-negative
+embedding is an absent feature.
 
 The positive parts of Psi_j over a global universe (all graph edges, or all
 nodes) form per-feature masks B^(j), one (N, J) array whose rows follow
 g.edges or the node index. An instance's attributions are its row of those
-masks, and its plausibility is their weighted F1 against its own
-ground-truth community.
+masks, and its plausibility is their weighted F1 against the first
+ground-truth community holding it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from .explain import edge_features
-from .graph_core import EdgeSplit, Graph, GroundTruth, sample_non_edges
+from .graph_core import (EdgeSplit, Graph, GroundTruth, first_community,
+                         sample_non_edges)
 from .metrics import auc_pr, weighted_f1
 
 # fit_logreg stops once every partial derivative of its objective is this
@@ -208,11 +210,8 @@ def run_link_task(h: np.ndarray, g: Graph, split: EdgeSplit, gts: GroundTruth,
     y_test = np.concatenate([np.ones(len(test_rows)),
                              np.zeros(len(split.test_negatives))])
     auc = auc_pr(model.predict_proba(x_test), y_test)
-
-    inside = gts.edge_truth[test_rows].any(axis=1)
-    return _task_result("link", auc, model, x, gts.edge_truth,
-                        test_rows[inside],
-                        list(map(tuple, split.test_edges[inside].tolist())))
+    return _task_result("link", auc, model, x, gts.edge_members, test_rows,
+                        list(map(tuple, split.test_edges.tolist())))
 
 
 def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
@@ -226,7 +225,8 @@ def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
     attributions are its row of the masks.
     """
     gts.check_graph(g)
-    y = gts.node_truth.any(axis=1).astype(np.float64)
+    y = np.zeros(g.num_nodes)
+    y[gts.members.indices] = 1.0
     if y.min() == y.max():
         raise ValueError("node task needs both community and background nodes")
 
@@ -243,26 +243,25 @@ def run_node_task(h: np.ndarray, g: Graph, gts: GroundTruth, seed: int = 0,
     x = h.astype(np.float64)
     model = fit_logreg(x[train_idx], y[train_idx], l2=l2)
     auc = auc_pr(model.predict_proba(x[test_idx]), y[test_idx])
-
-    nodes = test_idx[y[test_idx] == 1.0]
-    return _task_result("node", auc, model, x, gts.node_truth, nodes,
-                        nodes.tolist())
+    return _task_result("node", auc, model, x, gts.members, test_idx,
+                        test_idx.tolist())
 
 
-def _task_result(task, auc, model, x, truth, rows, keys) -> TaskResult:
-    """Masks over the universe x, their F1 against truth, and the plausibility
-    of the instances at x's rows (named by keys); an instance's attributions
-    are its row of the masks, and those with none positive are skipped."""
+def _task_result(task, auc, model, x, members, rows, keys) -> TaskResult:
+    """Masks over the universe x, their F1 against the (C, N) `members`, and
+    the plausibility of the instances at x's rows (named by keys) that lie in
+    a community, against the first one holding each; an instance's
+    attributions are its row of the masks, and those with none positive are
+    skipped."""
     masks = build_task_masks(model, x, np.zeros_like(model.background_mean))
-    f1 = weighted_f1(masks, truth)
-    # an instance's community is the first one holding it; a truth with no
-    # community holds no instance, and argmax would find no column
-    g_index = truth[rows].argmax(axis=1).tolist() if len(rows) else []
-    values = plausibility(masks[rows], f1, g_index)
-    per_instance = [(key, gi, float(val))
-                    for key, gi, val in zip(keys, g_index, values)
+    f1 = weighted_f1(masks, members)
+    g_index = first_community(members, rows)
+    inside = np.flatnonzero(g_index >= 0)
+    values = plausibility(masks[rows[inside]], f1, g_index[inside])
+    per_instance = [(keys[i], int(g_index[i]), float(val))
+                    for i, val in zip(inside.tolist(), values)
                     if not math.isnan(val)]
     mean = float(np.mean([p[2] for p in per_instance])) if per_instance else None
     return TaskResult(task=task, auc_pr=auc, plausibility_mean=mean,
                       per_instance=per_instance,
-                      skipped=len(keys) - len(per_instance))
+                      skipped=len(inside) - len(per_instance))

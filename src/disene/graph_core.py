@@ -5,10 +5,10 @@ Everything downstream (sampling, training, explanation, metrics) works on the
 range 0..num_nodes-1, no self loops, no duplicate edges, no weights. An
 unordered node pair {u, v} has the code min(u, v) * V + max(u, v), which only
 `_fold` computes (for every caller, in either orientation), and a `Graph` is
-built from its edges' ascending codes. Ground truth is a node indicator array
-of one graph; a community's edges are the graph's edges with both endpoints
-in it. A ground-truth file stores only each community's node names, as the
-edge list names them.
+built from its edges' ascending codes. Ground truth is a (C, V) membership
+CSR of one graph; a community's edges are the graph's edges with both
+endpoints in it. A ground-truth file stores only each community's node
+names, as the edge list names them.
 """
 
 from __future__ import annotations
@@ -61,6 +61,13 @@ class Graph:
         """The edges as (u, v) tuples with u < v, built on first use."""
         return frozenset(map(tuple, self.edges.tolist()))
 
+    @cached_property
+    def incidence(self) -> sp.csr_matrix:
+        """(V, E) bool membership: node v is an endpoint of edge row e."""
+        e = np.arange(self.num_edges)
+        return membership(self.edges.T.ravel(), np.tile(e, 2),
+                          (self.num_nodes, self.num_edges))
+
     def matrix(self, dtype=np.float64) -> sp.csr_matrix:
         """Symmetric 0/1 adjacency matrix over the CSR arrays."""
         data = np.ones(len(self.indices), dtype=dtype)
@@ -93,6 +100,25 @@ class Graph:
 def _fold(u: np.ndarray, v: np.ndarray, num_nodes: int) -> np.ndarray:
     """The code min * V + max of each unordered pair {u, v}, in u's dtype."""
     return np.minimum(u, v) * num_nodes + np.maximum(u, v)
+
+
+def membership(rows, cols, shape) -> sp.csr_matrix:
+    """(R, N) bool CSR holding each (rows[i], cols[i]) pair: every row's
+    columns ascending and distinct, repeated pairs held once."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    m = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
+    m.sum_duplicates()
+    return m
+
+
+def first_community(members: sp.csr_matrix, rows) -> np.ndarray:
+    """The smallest community holding each of the columns `rows` of the
+    (C, N) membership `members`, or -1 for a column in none."""
+    by_col = members.tocsc()        # each column's communities, ascending
+    rows = np.asarray(rows, dtype=np.int64)
+    start, end = by_col.indptr[rows], by_col.indptr[rows + 1]
+    # a column in no community reads the -1 put past the last entry
+    return np.append(by_col.indices, -1)[np.where(end > start, start, by_col.nnz)]
 
 
 def _find_codes(codes: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,21 +224,21 @@ def load_edge_list(path, largest_component: bool = True) -> Graph:
 class GroundTruth:
     """Ground-truth communities of one graph.
 
-    `node_truth` is the (V, C) bool indicator over graph's node index;
-    column c is community c.
+    `members` is the (C, V) bool membership CSR (see `membership`) over the
+    graph's node index; row c holds community c's nodes.
     """
     graph: Graph
-    node_truth: np.ndarray
+    members: sp.csr_matrix
 
     @property
     def num_communities(self) -> int:
-        return self.node_truth.shape[1]
+        return self.members.shape[0]
 
     @cached_property
-    def edge_truth(self) -> np.ndarray:
-        """(E, C) bool over the rows of graph.edges: both endpoints in c."""
-        ends = self.graph.edges
-        return self.node_truth[ends[:, 0]] & self.node_truth[ends[:, 1]]
+    def edge_members(self) -> sp.csr_matrix:
+        """(C, E) bool membership over the rows of graph.edges: both
+        endpoints in c, so the edge meets c's nodes twice."""
+        return self.members.astype(np.int8) @ self.graph.incidence == 2
 
     def check_graph(self, g: Graph):
         """Raise unless g is the graph this ground truth was built over.
@@ -230,18 +256,14 @@ class GroundTruth:
     def community_of_edge(self, u, v):
         """First community holding edge (u, v), else None (also for a non-edge)."""
         rows, found = self.graph._find(np.array([[u, v]], dtype=np.int64))
-        return _first(self.edge_truth[rows[0]]) if found[0] else None
+        c = first_community(self.edge_members, rows)[0] if found[0] else -1
+        return None if c < 0 else int(c)
 
     def community_of_node(self, v):
         """First community holding node v, else None."""
-        if not 0 <= v < len(self.node_truth):
-            return None
-        return _first(self.node_truth[v])
-
-
-def _first(row: np.ndarray):
-    hits = np.flatnonzero(row)
-    return int(hits[0]) if len(hits) else None
+        inside = 0 <= v < self.graph.num_nodes
+        c = first_community(self.members, [v])[0] if inside else -1
+        return None if c < 0 else int(c)
 
 
 def communities_from_labels(g: Graph, labels: np.ndarray,
@@ -263,10 +285,8 @@ def communities_from_labels(g: Graph, labels: np.ndarray,
     inside &= ~np.isin(ends[:, 0], list(exclude or ()))
     rows = np.flatnonzero(inside)
     kinds, col = np.unique(ends[rows, 0], return_inverse=True)
-    node_truth = np.zeros((g.num_nodes, len(kinds)), dtype=bool)
-    node_truth[g.edges[rows, 0], col] = True
-    node_truth[g.edges[rows, 1], col] = True
-    return GroundTruth(g, node_truth)
+    return GroundTruth(g, membership(np.tile(col, 2), g.edges[rows].T.ravel(),
+                                     (len(kinds), g.num_nodes)))
 
 
 def ground_truth_to_json(gt: GroundTruth) -> dict:
@@ -275,11 +295,11 @@ def ground_truth_to_json(gt: GroundTruth) -> dict:
     A node is named as the graph's edge list names it: by its `node_ids`
     token, or by its integer index when the graph has none.
     """
-    ids = gt.graph.node_ids
-    members = (np.flatnonzero(gt.node_truth[:, c]).tolist()
-               for c in range(gt.num_communities))
-    return {"communities": [{"nodes": [ids[v] for v in m] if ids else m}
-                            for m in members]}
+    ids, m = gt.graph.node_ids, gt.members
+    nodes = (m.indices[m.indptr[c]:m.indptr[c + 1]].tolist()
+             for c in range(gt.num_communities))
+    return {"communities": [{"nodes": [ids[v] for v in vs] if ids else vs}
+                            for vs in nodes]}
 
 
 def ground_truth_from_json(g: Graph, payload: dict) -> GroundTruth:
@@ -304,7 +324,7 @@ def ground_truth_from_json(g: Graph, payload: dict) -> GroundTruth:
     names = g.node_ids or [str(v) for v in range(g.num_nodes)]
     index = {name: v for v, name in enumerate(names)}
     comms = payload["communities"]
-    node_truth = np.zeros((g.num_nodes, len(comms)), dtype=bool)
+    rows, cols = [], []
     for c, comm in enumerate(comms):
         if not (isinstance(comm, dict) and set(comm) == {"nodes"}
                 and isinstance(comm["nodes"], list)):
@@ -314,8 +334,9 @@ def ground_truth_from_json(g: Graph, payload: dict) -> GroundTruth:
             if str(name) not in index:
                 raise ValueError(f"ground truth names node {name!r}, "
                                  f"outside the graph")
-            node_truth[index[str(name)], c] = True
-    return GroundTruth(g, node_truth)
+            rows.append(c)
+            cols.append(index[str(name)])
+    return GroundTruth(g, membership(rows, cols, (len(comms), g.num_nodes)))
 
 
 def load_ground_truth(path, g: Graph) -> GroundTruth:

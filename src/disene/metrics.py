@@ -14,7 +14,8 @@ import scipy.sparse as sp
 from scipy.special import xlogy
 
 from .explain import Explanation, node_support
-from .graph_core import Graph, GroundTruth, bfs_distances, twin_quotient
+from .graph_core import (Graph, GroundTruth, bfs_distances, membership,
+                         twin_quotient)
 
 
 def correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,38 +45,33 @@ def pearson(x, y) -> float:
     return float(correlations(x, y)[0, 0])
 
 
-def weighted_f1(weights: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """F1 of every mask column against every truth column: (K, C).
+def weighted_f1(weights: np.ndarray, members: sp.csr_matrix) -> np.ndarray:
+    """F1 of every mask column against every community: (K, C).
 
-    `weights` (N, K) holds non-negative masks and `truth` (N, C) membership
-    indicators over the same N rows; any non-zero truth entry counts as
-    membership. Precision weights each row by its mask value (W^T T / sum w);
-    recall counts the mask's strictly positive support against the truth
-    size ([W > 0]^T T / |C|). A zero mask or an empty truth column scores 0.
-    Both numerators are summed over the truth's non-zeros only.
+    `weights` (N, K) holds non-negative masks over N rows and `members` is
+    the (C, N) membership CSR M of the communities over the same rows.
+    Precision weights each row by its mask value (M W / sum w); recall
+    counts the mask's strictly positive support against the community size
+    (M [W > 0] / |C|). A zero mask or an empty community scores 0. Both
+    numerators are summed over the members only.
     """
     w = np.asarray(weights, dtype=np.float64)
-    t = np.asarray(truth)
-    n, c = t.shape
-    row, col = np.divmod(np.flatnonzero(t), c)
-    # (C, N): each community's member rows, in row order
-    members = sp.csr_matrix((np.ones(len(row)), (col, row)), shape=(c, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         prec = (members @ w).T / w.sum(axis=0)[:, None]
         rec = ((members @ (w > 0.0).astype(np.float64)).T
-               / np.bincount(col, minlength=c)[None, :])
+               / np.diff(members.indptr)[None, :])
         f1 = 2.0 * prec * rec / (prec + rec)
     return np.where((prec > 0.0) & (rec > 0.0), f1, 0.0)
 
 
-def comprehensibility(weights: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, list]:
+def comprehensibility(weights: np.ndarray, members: sp.csr_matrix) -> tuple[np.ndarray, list]:
     """Best F1 of each mask column against any ground-truth community.
 
-    `truth` is the (E, C) community edge indicator. Returns the (K,) scores
-    and the index of each column's best community; an empty mask scores 0
-    with no community.
+    `members` is the (C, E) community edge membership. Returns the (K,)
+    scores and the index of each column's best community; an empty mask
+    scores 0 with no community.
     """
-    f1 = weighted_f1(weights, truth)
+    f1 = weighted_f1(weights, members)
     empty = ~(np.asarray(weights) > 0.0).any(axis=0)
     scores = np.where(empty, 0.0, f1.max(axis=1))
     best = [None if e else int(i) for e, i in zip(empty, f1.argmax(axis=1))]
@@ -164,9 +160,8 @@ def fpc_matrix(h: np.ndarray, expl: Explanation) -> np.ndarray:
     k, g = h.shape[1], expl.graph
     w = node_support(expl).astype(np.float64)
     cls, q = twin_quotient(g)
-    members = sp.csr_matrix((np.ones(g.num_nodes), (cls, np.arange(g.num_nodes))),
-                            shape=(q.num_nodes, g.num_nodes))
-    wq = members @ w
+    classes = membership(cls, np.arange(g.num_nodes), (q.num_nodes, g.num_nodes))
+    wq = classes @ w
     used = np.flatnonzero(wq.any(axis=1))
     if len(used) == 0:
         return np.full((k, k), np.nan)
@@ -265,7 +260,7 @@ def compute_report(h: np.ndarray, expl: Explanation,
     per_dim = {}
 
     if on("comprehensibility") and gts is not None and gts.num_communities:
-        scores, best = comprehensibility(expl.weights, gts.edge_truth)
+        scores, best = comprehensibility(expl.weights, gts.edge_members)
         per_dim["comprehensibility"] = scores.tolist()
         per_dim["best_community"] = best
         metrics["comprehensibility_mean"] = float(np.mean(scores))

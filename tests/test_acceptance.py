@@ -144,7 +144,10 @@ def _shapley_oracle(model, x):
 
 
 def _c2_instance(rng):
-    """Two labeled cliques plus cross edges: <= 30 edges, nonempty truth."""
+    """Two labeled cliques plus cross edges: <= 30 edges, nonempty truth.
+
+    Returns the graph, its ground truth and each clique's node set.
+    """
     s1, s2 = int(rng.integers(3, 6)), int(rng.integers(3, 6))
     n = s1 + s2
     edges = [(u, v) for u in range(s1) for v in range(u + 1, s1)]
@@ -156,7 +159,7 @@ def _c2_instance(rng):
             edges.append(e)
     g = build_graph(n, edges)
     gts = communities_from_labels(g, np.array([0] * s1 + [1] * s2))
-    return g, gts
+    return g, gts, [set(range(s1)), set(range(s1, n))]
 
 
 def test_criterion_2_metric_oracles():
@@ -170,14 +173,14 @@ def test_criterion_2_metric_oracles():
         worst = max(worst, abs(a - b))
 
     for inst in range(50):
-        g, gts = _c2_instance(rng)
+        g, gts, comm_nodes = _c2_instance(rng)
         k = int(rng.integers(2, 9))
         h = np.abs(rng.normal(size=(g.num_nodes, k)))
         all_edges = [tuple(e) for e in g.edges.tolist()]
-        edge_truth = gts.edge_truth
-        # each community's edge set, as the oracles take it
-        comm_edges = [frozenset(all_edges[i] for i in np.flatnonzero(col))
-                      for col in edge_truth.T]
+        # each community's edge set, as the oracles take it: the edges
+        # with both endpoints in its nodes
+        comm_edges = [frozenset(e for e in all_edges if set(e) <= nodes)
+                      for nodes in comm_nodes]
 
         def mask_array(dicts):
             """(E, len(dicts)) weights over g.edges from {edge: weight} dicts."""
@@ -192,7 +195,7 @@ def test_criterion_2_metric_oracles():
                           replace=False)
         mask = {all_edges[i]: float(rng.uniform(0.1, 2.0)) for i in take}
         items, support = list(mask.items()), frozenset(mask)
-        scores, _ = comprehensibility(mask_array([mask]), edge_truth)
+        scores, _ = comprehensibility(mask_array([mask]), gts.edge_members)
         check(scores[0], max(_f1_oracle(items, support, c)
                              for c in comm_edges))
         total = sum(w for _, w in items)
@@ -237,7 +240,7 @@ def test_criterion_2_metric_oracles():
         psi2 = rng.normal(size=k)
         psi2[0] = abs(psi2[0]) + 0.1
         gi = int(rng.integers(0, gts.num_communities))
-        f1 = weighted_f1(mask_array(dicts), edge_truth)
+        f1 = weighted_f1(mask_array(dicts), gts.edge_members)
         got = plausibility(psi2[None, :], f1, [gi])[0]
         f = [max(p, 0.0) for p in psi2]
         want = sum(fj * _f1_oracle(list(d.items()), frozenset(d),

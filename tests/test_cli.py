@@ -180,11 +180,11 @@ class TestGen:
         assert gts.num_communities == want.num_communities
         ids = np.array([int(t) for t in g.node_ids])
         for c in range(want.num_communities):
-            nodes = np.sort(ids[gts.node_truth[:, c]])
-            np.testing.assert_array_equal(
-                nodes, np.flatnonzero(want.node_truth[:, c]))
-            edges = sorted(map(sorted, ids[g.edges[gts.edge_truth[:, c]]].tolist()))
-            assert edges == want_g.edges[want.edge_truth[:, c]].tolist()
+            nodes = np.sort(ids[gts.members[c].indices])
+            np.testing.assert_array_equal(nodes, want.members[c].indices)
+            edges = ids[g.edges[gts.edge_members[c].indices]]
+            assert (sorted(map(sorted, edges.tolist()))
+                    == want_g.edges[want.edge_members[c].indices].tolist())
 
 
 class TestTrain:

@@ -343,12 +343,12 @@ def _f1(g, gts, masks):
     for j, m in enumerate(masks):
         for e, x in m.items():
             w[g.edge_rows([e]), j] = x
-    return weighted_f1(w, gts.edge_truth)
+    return weighted_f1(w, gts.edge_members)
 
 
 def _unit_mask(g, gts, c):
     """{edge: 1.0} over community c's edges."""
-    return {tuple(e): 1.0 for e in g.edges[gts.edge_truth[:, c]].tolist()}
+    return {tuple(e): 1.0 for e in g.edges[gts.edge_members[c].indices].tolist()}
 
 
 class TestPlausibility:
@@ -489,11 +489,11 @@ def _fitted_model(run, monkeypatch):
     return res, fitted[0]
 
 
-def _instance_oracle(model, universe, truth, x_inst, keys, g_index):
+def _instance_oracle(model, universe, members, x_inst, keys, g_index):
     """Per-instance path: each instance's own features -> linear_shap with the
     zero background -> plausibility against masks over the universe."""
     zero = np.zeros(x_inst.shape[1])
-    f1 = weighted_f1(build_task_masks(model, universe, zero), truth)
+    f1 = weighted_f1(build_task_masks(model, universe, zero), members)
     values = plausibility(linear_shap(model, x_inst, zero), f1, g_index)
     kept = [(k, gi, float(v)) for k, gi, v in zip(keys, g_index, values)
             if not math.isnan(v)]
@@ -514,12 +514,12 @@ def test_link_task_matches_the_per_instance_oracle(fixture, seed, request,
     split = split_edges(g, 0.3, seed=seed)
     res, model = _fitted_model(
         lambda: run_link_task(h, g, split, gts, seed=seed), monkeypatch)
-    truth = gts.edge_truth[g.edge_rows(split.test_edges)]
+    truth = gts.edge_members.toarray().T[g.edge_rows(split.test_edges)]
     inside = truth.any(axis=1)
     pairs = split.test_edges[inside]
     assert len(pairs) > 0
     expected = _instance_oracle(model, edge_features(h, g.edges),
-                                gts.edge_truth, edge_features(h, pairs),
+                                gts.edge_members, edge_features(h, pairs),
                                 list(map(tuple, pairs.tolist())),
                                 _first_community(truth[inside]))
     assert (res.per_instance, res.plausibility_mean, res.skipped) == expected
@@ -535,11 +535,12 @@ def test_node_task_matches_the_per_instance_oracle(clique_with_background,
     order = np.random.default_rng(
         np.random.SeedSequence([seed, 0xD1])).permutation(g.num_nodes)
     test = np.sort(order[:4])    # round(0.2 * 20) test nodes
-    nodes = test[gts.node_truth[test].any(axis=1)]
+    truth = gts.members.toarray().T
+    nodes = test[truth[test].any(axis=1)]
     assert len(nodes) > 0
-    expected = _instance_oracle(model, h.astype(np.float64), gts.node_truth,
+    expected = _instance_oracle(model, h.astype(np.float64), gts.members,
                                 h[nodes].astype(np.float64), nodes.tolist(),
-                                _first_community(gts.node_truth[nodes]))
+                                _first_community(truth[nodes]))
     assert (res.per_instance, res.plausibility_mean, res.skipped) == expected
 
 

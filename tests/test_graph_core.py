@@ -7,11 +7,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from disene import graph_core
 from disene.graph_core import (build_graph, communities_from_labels,
-                               bfs_distances,
+                               bfs_distances, first_community,
                                ground_truth_from_json, ground_truth_to_json,
                                largest_component_subgraph, load_edge_list,
                                sample_non_edges, split_edges, train_subgraph)
@@ -123,8 +124,8 @@ class TestLoaders:
     def test_ground_truth_json_roundtrip(self, two_cliques):
         g, gts = two_cliques
         back = ground_truth_from_json(g, ground_truth_to_json(gts))
-        np.testing.assert_array_equal(back.edge_truth, gts.edge_truth)
-        np.testing.assert_array_equal(back.node_truth, gts.node_truth)
+        assert (back.members != gts.members).nnz == 0
+        assert (back.edge_members != gts.edge_members).nnz == 0
 
     @pytest.mark.parametrize("key,bad", [
         ("edge_indices", [-1, -2, -3]), ("edge_indices", [21]),
@@ -165,14 +166,16 @@ class TestLoaders:
             got, {"communities": [{"nodes": sorted(c)} for c in comms]})
         member = np.array([[t in c for c in comms] for t in got.node_ids],
                           dtype=bool).reshape(got.num_nodes, len(comms))
-        np.testing.assert_array_equal(gts.node_truth, member)
+        assert gts.members.has_canonical_format
+        np.testing.assert_array_equal(gts.members.toarray(), member.T)
         np.testing.assert_array_equal(
-            gts.edge_truth, member[got.edges[:, 0]] & member[got.edges[:, 1]])
+            gts.edge_members.toarray(),
+            (member[got.edges[:, 0]] & member[got.edges[:, 1]]).T)
         payload = ground_truth_to_json(gts)
         assert [set(c["nodes"]) for c in payload["communities"]] == comms
         again = ground_truth_from_json(got, payload)
-        np.testing.assert_array_equal(again.node_truth, gts.node_truth)
-        np.testing.assert_array_equal(again.edge_truth, gts.edge_truth)
+        assert (again.members != gts.members).nnz == 0
+        assert (again.edge_members != gts.edge_members).nnz == 0
 
 
 class TestCommunities:
@@ -181,8 +184,8 @@ class TestCommunities:
         gts = communities_from_labels(g, np.array([0, 0, -1, -1]),
                                       exclude={-1})
         assert gts.num_communities == 1
-        assert gts.node_truth[:, 0].tolist() == [True, True, False, False]
-        assert gts.edge_truth[:, 0].tolist() == [True, False]
+        assert gts.members.toarray().tolist() == [[True, True, False, False]]
+        assert gts.edge_members.toarray().tolist() == [[True, False]]
 
     def test_community_lookup(self, two_cliques):
         g, gts = two_cliques
@@ -206,7 +209,7 @@ class TestCommunities:
 
     def test_indicators_match_lookups(self, two_cliques):
         g, gts = two_cliques
-        edges, nodes = gts.edge_truth, gts.node_truth
+        edges, nodes = gts.edge_members.toarray().T, gts.members.toarray().T
         assert edges.shape == (g.num_edges, 2) and nodes.shape == (10, 2)
         for (u, v), row in zip(g.edges.tolist(), edges):
             c = gts.community_of_edge(u, v)
@@ -214,6 +217,17 @@ class TestCommunities:
         for v, row in enumerate(nodes):
             assert row.tolist() == [gts.community_of_node(v) == 0,
                                     gts.community_of_node(v) == 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(0, 5), n=st.integers(1, 12), data=st.data())
+def test_first_community_matches_brute_force(c, n, data):
+    # communities overlap, some columns lie in none, and C may be 0
+    member = data.draw(arrays(np.bool_, (c, n)))
+    rows = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    got = first_community(sp.csr_matrix(member), rows)
+    want = [next((k for k in range(c) if member[k, r]), -1) for r in rows]
+    assert got.tolist() == want
 
 
 def _non_edges_reference(g, count, rng):

@@ -2,10 +2,12 @@
 implementation or pinned from a hand calculation."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ from disene.metrics import (auc_pr, comprehensibility, compute_report, fpc_matri
                             overlap_consistency, pearson,
                             positional_coherence, proximities, sparsity,
                             weighted_f1)
-from disene.synth import default_spec, generate_synthetic
+from disene.synth import SynthSpec, default_spec, generate_synthetic
 
 
 def _expl_from_sets(edge_sets, g=None):
@@ -70,6 +72,11 @@ def _dense_weighted_f1(weights, truth):
     return np.where((prec > 0.0) & (rec > 0.0), f1, 0.0)
 
 
+def _members(truth):
+    """The (C, N) bool membership CSR of an (N, C) indicator."""
+    return sp.csr_matrix(np.asarray(truth, dtype=bool).T)
+
+
 def _random_f1_case(seed, n, k, c, dtype):
     """Sparse masks with an all-zero last column, and 0/1 truth with an empty
     last column and, from C = 3, a first row in two communities."""
@@ -87,68 +94,61 @@ def _random_f1_case(seed, n, k, c, dtype):
 class TestWeightedF1:
     def test_hand_case(self):
         # rows (0,1), (2,3); precision 2/3 (weighted), recall 1 -> f1 = 0.8
-        got = weighted_f1(np.array([[2.0], [1.0]]), np.array([[1], [0]]))
+        got = weighted_f1(np.array([[2.0], [1.0]]), _members([[1], [0]]))
         assert got.shape == (1, 1)
         assert got[0, 0] == pytest.approx(0.8, abs=1e-12)
 
     def test_zero_truth_or_no_overlap_scores_zero(self):
         # rows (0,1), (5,6); the mask holds (0,1); truths: empty, {(5,6)}
         got = weighted_f1(np.array([[1.0], [0.0]]),
-                          np.array([[0, 0], [0, 1]]))
+                          _members([[0, 0], [0, 1]]))
         assert got.tolist() == [[0.0, 0.0]]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
-           k=st.integers(1, 5), c=st.integers(0, 6),
-           dtype=st.sampled_from([bool, np.int64]))
-    def test_matches_the_dense_formula(self, seed, n, k, c, dtype):
-        w, t = _random_f1_case(seed, n, k, c, dtype)
-        got = weighted_f1(w, t)
+           k=st.integers(1, 5), c=st.integers(0, 6))
+    def test_matches_the_dense_formula(self, seed, n, k, c):
+        w, t = _random_f1_case(seed, n, k, c, bool)
+        got = weighted_f1(w, _members(t))
         assert got.shape == (k, c)
         np.testing.assert_allclose(got, _dense_weighted_f1(w, t),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, c", [(1, 0), (1, 3), (9, 0), (9, 4)])
-    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    @pytest.mark.parametrize("dtype", [bool])
     def test_edge_shapes_match_the_dense_formula(self, n, c, dtype):
         w, t = _random_f1_case(n + c, n, 3, c, dtype)
-        got = weighted_f1(w, t)
+        got = weighted_f1(w, _members(t))
         assert got.shape == (3, c)
         np.testing.assert_allclose(got, _dense_weighted_f1(w, t),
                                    rtol=0, atol=1e-12)
-
-    def test_any_non_zero_truth_entry_is_membership(self):
-        w = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
-        t = np.array([[1, 0], [1, 1], [0, 1]])
-        np.testing.assert_array_equal(weighted_f1(w, 5 * t),
-                                      weighted_f1(w, t))
 
 
 class TestComprehensibility:
     def test_exact_community_mask_scores_one(self, two_cliques):
         g, gts = two_cliques
-        mask = gts.edge_truth[:, [0]].astype(np.float64)
-        score, best = comprehensibility(mask, gts.edge_truth)
+        mask = gts.edge_members[[0]].T.toarray().astype(np.float64)
+        score, best = comprehensibility(mask, gts.edge_members)
         assert score[0] == pytest.approx(1.0, abs=1e-12)
         assert best == [0]
 
     def test_picks_the_best_community(self, two_cliques):
         g, gts = two_cliques
-        mask = gts.edge_truth[:, [1]].astype(np.float64)
-        _, best = comprehensibility(mask, gts.edge_truth)
+        mask = gts.edge_members[[1]].T.toarray().astype(np.float64)
+        _, best = comprehensibility(mask, gts.edge_members)
         assert best == [1]
 
     def test_empty_mask(self, two_cliques):
         g, gts = two_cliques
         score, best = comprehensibility(np.zeros((g.num_edges, 1)),
-                                        gts.edge_truth)
+                                        gts.edge_members)
         assert score.tolist() == [0.0] and best == [None]
 
     def test_partial_mask_hand_value(self, two_cliques):
         # 3 of community 0's 10 edges, uniform: prec 1, rec 0.3 -> 6/13
         g, gts = two_cliques
         mask = _mask(g, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
-        score, best = comprehensibility(mask, gts.edge_truth)
+        score, best = comprehensibility(mask, gts.edge_members)
         assert score[0] == pytest.approx(6.0 / 13.0, abs=1e-12)
         assert best == [0]
 
@@ -554,6 +554,29 @@ class TestComputeReport:
         for toggles in (None, {"comprehensibility": False}):
             with pytest.raises(ValueError, match="ground truth covers"):
                 compute_report(h0, expl0, gts1, toggles=toggles)
+
+    def test_ground_truth_stays_sparse(self):
+        # a ring of 2000 3-cliques: V = 6000, E = 8000 and C = 2000, where a
+        # dense (V, C) truth takes 11 MiB and an (E, C) one 15 MiB; the
+        # sparse truth peaks under 2 MiB in each step
+        spec = SynthSpec(kind="ring_cliques", num_cliques=2000, clique_size=3)
+        tracemalloc.start()
+        try:
+            g, gts = generate_synthetic(spec)
+            generate_peak = tracemalloc.get_traced_memory()[1]
+            h = np.random.default_rng(0).random((g.num_nodes, 4))
+            expl = build_explanations(h, g)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            rep = compute_report(h, expl, gts, toggles={
+                "sparsity": False, "ovc": False, "poc": False})
+            report_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert (g.num_nodes, g.num_edges, gts.num_communities) == (6000, 8000, 2000)
+        assert len(rep["per_dimension"]["comprehensibility"]) == 4
+        assert generate_peak < 8 * 2**20
+        assert report_peak < 8 * 2**20
 
     def test_no_ground_truth_skips_comprehensibility(self, indicator_setup):
         g, _, h, expl = indicator_setup

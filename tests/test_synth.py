@@ -19,7 +19,7 @@ def edges_set_of(g, rows):
 
 
 def clique_nodes(gts):
-    return set(np.flatnonzero(gts.node_truth.any(axis=1)).tolist())
+    return set(gts.members.indices.tolist())
 
 
 class TestShapes:
@@ -28,7 +28,7 @@ class TestShapes:
         assert g.num_nodes == 320
         assert g.num_edges == 1619  # 32 cliques + ring + 147 noise
         assert gts.num_communities == 32
-        assert gts.node_truth.sum(axis=0).tolist() == [10] * 32
+        assert np.diff(gts.members.indptr).tolist() == [10] * 32
 
     @pytest.mark.parametrize("kind", ["sbm_cliques", "ba_cliques", "er_cliques"])
     def test_attached_families_have_base_plus_cliques(self, kind):
@@ -44,10 +44,10 @@ class TestShapes:
             g, gts = generate_synthetic(spec)
             es = edges_set(g)
             for c in range(gts.num_communities):
-                nodes = np.flatnonzero(gts.node_truth[:, c]).tolist()
+                nodes = gts.members[c].indices.tolist()
                 want = {(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]}
                 assert want <= es
-                assert edges_set_of(g, gts.edge_truth[:, c]) == want
+                assert edges_set_of(g, gts.edge_members[c].indices) == want
             # the planted labels: clique c on the last nodes, -1 before them
             planted = spec.num_cliques * spec.clique_size
             labels = np.full(g.num_nodes, -1)
@@ -56,8 +56,8 @@ class TestShapes:
             ends = labels[g.edges]
             comm = np.arange(gts.num_communities)
             np.testing.assert_array_equal(
-                gts.edge_truth,
-                (ends[:, [0]] == comm) & (ends[:, [1]] == comm))
+                gts.edge_members.toarray(),
+                ((ends[:, [0]] == comm) & (ends[:, [1]] == comm)).T)
 
     def test_attachment_count(self):
         # each clique hangs off the base by exactly one extra edge
