@@ -6,7 +6,14 @@ embeddings (planted-community membership vs background). The classifier
 minimises mean log loss + 0.5 * l2 * ||beta||^2 (intercept unpenalized,
 l2 finite and > 0) by damped Newton: Cholesky-solved (K+1)-dimensional
 Newton steps with Armijo backtracking, until max |gradient| <= GRAD_TOL
-(1e-10). Both tasks then explain the classifier with exact per-feature
+(1e-10). A step's Hessian block X^T diag(s) X has two forms. Sparse
+features, such as er64's link design (3% non-zero, 37% of rows all zero),
+sum s_r x_rj x_rk over each row's pairs of non-zeros in one bincount; dense
+ones, such as ba2560's (17% non-zero), take one SYRK of X diag(sqrt(s)).
+The pairs are chosen when they number at most PAIR_SHARE of the SYRK's
+N K^2 / 2 multiply-adds: one er64 link Hessian takes 0.2 ms as pairs against
+2.1-2.3 ms as a SYRK, one ba2560 link Hessian 6.3-7.0 ms as a SYRK against
+17-19 ms as pairs. Both tasks then explain the classifier with exact per-feature
 attributions for linear models, Psi_j(x) = beta_j (x_j - mu_j), taken
 against the zero background mu = 0: a zero feature of a non-negative
 embedding is an absent feature.
@@ -24,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
@@ -42,6 +50,15 @@ ARMIJO = 1e-4
 LINE_SEARCH_STEPS = 60
 # predicted decreases below this share of |objective| are rounding noise
 F_RESOLUTION = 1e-13
+# fit_logreg forms its Hessian block x^T diag(s) x from each row's pairs of
+# non-zeros when they number at most PAIR_SHARE of the SYRK's N K^2 / 2
+# multiply-adds (sum_r nnz_r^2 pairs). At K = 64 one Hessian took 0.17-0.20
+# ms from er64's 3%-dense link features (N K^2 / 2 = 217-228 x the pairs)
+# against 2.1-2.3 ms by SYRK, and 17-19 ms from ba2560's 17%-dense ones
+# (12 x) against 6.3-7.0 ms. Whole fits, which also build the pairs, broke
+# even between 30 x and 53 x: the pairs ran 0.62-0.90 x the SYRK's speed at
+# 30 x and 1.02-1.15 x at 53 x (N = 512 to 22074; 2-core Xeon, 1 BLAS thread)
+PAIR_SHARE = 1 / 64
 # share of the nodes the node task holds out for scoring
 NODE_TEST_FRACTION = 0.2
 
@@ -72,6 +89,10 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray,
     backtracking). The fit stops once max |gradient| <= GRAD_TOL and raises
     RuntimeError if MAX_NEWTON_STEPS steps do not get there. Features must
     be finite. Deterministic.
+
+    The Hessian block x^T diag(s) x comes from x's rows' pairs of non-zeros
+    (with x @ w and x^T r from a CSR of x) when they are few enough against
+    the SYRK's multiply-adds (PAIR_SHARE), and from one SYRK otherwise.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -85,10 +106,14 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray,
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
     n, k = x.shape
+    nnz = np.count_nonzero(x, axis=1)
+    sparse = nnz @ nnz <= PAIR_SHARE * n * k * k / 2
+    design, gram = (_pair_design if sparse else _syrk_design)(x)
+    design_t = design.T
     w = np.zeros(k + 1)           # beta, then the intercept
 
     def objective(w):
-        z = x @ w[:k] + w[k]
+        z = design @ w[:k] + w[k]
         loss = np.mean(np.logaddexp(0.0, z) - y * z)
         return loss + 0.5 * l2 * (w[:k] @ w[:k]), z
 
@@ -96,17 +121,15 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray,
     for _ in range(MAX_NEWTON_STEPS):
         p = expit(z)
         r = p - y
-        grad = np.append(x.T @ r / n + l2 * w[:k], r.mean())
+        grad = np.append(design_t @ r / n + l2 * w[:k], r.mean())
         if np.abs(grad).max() <= GRAD_TOL:
             return LogRegModel(beta=w[:k].copy(), intercept=float(w[k]),
                                background_mean=x.mean(axis=0))
         s = p * (1.0 - p)
-        xr = x * np.sqrt(s)[:, None]   # the one (N, K) temporary of a step
         hess = np.empty((k + 1, k + 1))
-        hess[:k, :k] = xr.T @ xr          # numpy runs A^T A as one SYRK
-        hess[k, :k] = hess[:k, k] = x.T @ s
+        hess[:k, :k] = gram(s)
+        hess[k, :k] = hess[:k, k] = design_t @ s
         hess[k, k] = s.sum()
-        del xr
         hess /= n
         hess[:k, :k] += l2 * np.eye(k)
         step = -cho_solve(cho_factor(hess), grad)
@@ -126,6 +149,42 @@ def fit_logreg(features: np.ndarray, labels: np.ndarray,
         w, f, z = w + t * step, f_t, z_t
     raise RuntimeError(f"logistic regression did not converge in "
                        f"{MAX_NEWTON_STEPS} Newton steps")
+
+
+def _syrk_design(x: np.ndarray):
+    """x, and the function s -> x^T diag(s) x that fills one (N, K) buffer
+    with x * sqrt(s) and takes its symmetric product (a SYRK)."""
+    scaled = np.empty_like(x)
+
+    def gram(s):
+        np.multiply(x, np.sqrt(s)[:, None], out=scaled)
+        return scaled.T @ scaled   # numpy runs A^T A as one SYRK
+    return x, gram
+
+
+def _pair_design(x: np.ndarray):
+    """x as a CSR, and the function s -> x^T diag(s) x that sums s_r x_rj
+    x_rk over every row r and ordered pair (j, k) of its non-zero columns,
+    as one bincount of the codes j * K + k."""
+    n, k = x.shape
+    # row-major, so each row's entries are adjacent and its columns ascend
+    row, col = np.divmod(np.flatnonzero(x != 0), k)
+    value = x[row, col]
+    nnz = np.bincount(row, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(nnz)))
+    # entry e of row r pairs with the nnz_r entries from indptr[r]; its
+    # pairs fill the block that starts at ends[e] - nnz_r
+    reps = nnz[row]
+    first = np.repeat(np.arange(len(row)), reps)
+    ends = np.cumsum(reps)
+    second = np.arange(len(first)) - np.repeat(ends - reps - indptr[row], reps)
+    pair_row, pair_code = row[first], col[first] * k + col[second]
+    pair_value = value[first] * value[second]
+
+    def gram(s):
+        return np.bincount(pair_code, weights=s[pair_row] * pair_value,
+                           minlength=k * k).reshape(k, k)
+    return sp.csr_matrix((value, col, indptr), shape=(n, k)), gram
 
 
 def linear_shap(model: LogRegModel, x: np.ndarray,

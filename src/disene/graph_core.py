@@ -113,7 +113,9 @@ def membership(rows, cols, shape) -> sp.csr_matrix:
 
 def first_community(members: sp.csr_matrix, rows) -> np.ndarray:
     """The smallest community holding each of the columns `rows` of the
-    (C, N) membership `members`, or -1 for a column in none."""
+    (C, N) membership `members`, or -1 for a column in none. A CSR is
+    converted on every call; a CSC, as GroundTruth keeps for its lookups, is
+    read as it is."""
     by_col = members.tocsc()        # each column's communities, ascending
     rows = np.asarray(rows, dtype=np.int64)
     start, end = by_col.indptr[rows], by_col.indptr[rows + 1]
@@ -240,6 +242,16 @@ class GroundTruth:
         endpoints in c, so the edge meets c's nodes twice."""
         return self.members.astype(np.int8) @ self.graph.incidence == 2
 
+    @cached_property
+    def _node_lookup(self) -> sp.csc_matrix:
+        """members by column, converted once for community_of_node."""
+        return self.members.tocsc()
+
+    @cached_property
+    def _edge_lookup(self) -> sp.csc_matrix:
+        """edge_members by column, converted once for community_of_edge."""
+        return self.edge_members.tocsc()
+
     def check_graph(self, g: Graph):
         """Raise unless g is the graph this ground truth was built over.
 
@@ -256,13 +268,13 @@ class GroundTruth:
     def community_of_edge(self, u, v):
         """First community holding edge (u, v), else None (also for a non-edge)."""
         rows, found = self.graph._find(np.array([[u, v]], dtype=np.int64))
-        c = first_community(self.edge_members, rows)[0] if found[0] else -1
+        c = first_community(self._edge_lookup, rows)[0] if found[0] else -1
         return None if c < 0 else int(c)
 
     def community_of_node(self, v):
         """First community holding node v, else None."""
         inside = 0 <= v < self.graph.num_nodes
-        c = first_community(self.members, [v])[0] if inside else -1
+        c = first_community(self._node_lookup, [v])[0] if inside else -1
         return None if c < 0 else int(c)
 
 

@@ -77,6 +77,21 @@ def _relu_hadamard_dataset(seed=0, n=3000, k=32, v=300):
     return x, y
 
 
+def _sparse_dataset(seed=0, n=4000, k=64):
+    """Non-negative features like er64's link design: about 3% of the
+    entries non-zero and 40% of the rows all zero."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, k)) * (rng.random((n, k)) < 0.05)
+    x[rng.random(n) < 0.4] = 0.0
+    y = (rng.random(n) < expit(x @ rng.normal(scale=3.0, size=k) - 0.5)).astype(float)
+    return x, y
+
+
+# PAIR_SHARE values that send every design to one Hessian form: the pairs of
+# non-zeros never exceed inf times the SYRK's work, and always exceed -1 times
+HESSIAN_FORMS = {"pairs": math.inf, "syrk": -1.0}
+
+
 def _reference_newton(x, y, l2):
     """The fit with its Hessian formed as x.T @ (x * s), step for step:
     (beta, intercept, Newton steps taken)."""
@@ -149,21 +164,69 @@ class TestFitLogreg:
         np.testing.assert_allclose(model.beta, ref[:-1], atol=1e-6)
         assert model.intercept == pytest.approx(ref[-1], abs=1e-6)
 
-    @pytest.mark.parametrize("data, l2", [(_toy_dataset(), 0.1),
-                                          (_hadamard_dataset(), 1e-4),
-                                          (_relu_hadamard_dataset(), 1e-4)])
-    def test_matches_the_reference_newton(self, data, l2, monkeypatch):
+    # every entry of _hadamard_dataset is non-zero: as pairs its Hessian
+    # would hold 20M of them, about 1 GB, which the rule never chooses
+    @pytest.mark.parametrize("data, l2, forms", [
+        (_toy_dataset(), 0.1, ("pairs", "syrk")),
+        (_hadamard_dataset(), 1e-4, ("syrk",)),
+        (_relu_hadamard_dataset(), 1e-4, ("pairs", "syrk")),
+        (_sparse_dataset(), 1e-4, ("pairs", "syrk"))],
+        ids=["data0-0.1", "data1-0.0001", "data2-0.0001", "data3-0.0001"])
+    def test_matches_the_reference_newton(self, data, l2, forms, monkeypatch):
         x, y = data
         beta, intercept, steps = _reference_newton(x, y, l2)
-        solves = []
-        monkeypatch.setattr(downstream, "cho_solve",
-                            lambda *a: solves.append(1) or cho_solve(*a))
-        model = fit_logreg(x, y, l2=l2)
-        assert len(solves) == steps
         scale = max(np.abs(beta).max(), abs(intercept))
-        np.testing.assert_allclose(model.beta, beta, rtol=0, atol=1e-12 * scale)
-        assert model.intercept == pytest.approx(intercept, rel=0,
-                                                abs=1e-12 * scale)
+        for form in forms:
+            monkeypatch.setattr(downstream, "PAIR_SHARE", HESSIAN_FORMS[form])
+            solves = []
+            monkeypatch.setattr(downstream, "cho_solve",
+                                lambda *a: solves.append(1) or cho_solve(*a))
+            model = fit_logreg(x, y, l2=l2)
+            assert len(solves) == steps
+            np.testing.assert_allclose(model.beta, beta, rtol=0,
+                                       atol=1e-12 * scale)
+            assert model.intercept == pytest.approx(intercept, rel=0,
+                                                    abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("x", [
+        np.zeros((5, 3)),                                   # no pairs
+        np.array([[0.0], [2.0], [0.0], [-1.5]]),            # K = 1
+        np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0],         # a full row,
+                  [0.0, -4.0, 0.0], [5.0, 0.0, 0.0]]),      # a zero column
+        np.array([[0.0, 1.0, 0.0, 2.0]] * 3 + [[0.0] * 4]),
+        _sparse_dataset()[0], _relu_hadamard_dataset()[0], _toy_dataset()[0]])
+    def test_pair_hessian_matches_the_dense_product(self, x):
+        s = np.random.default_rng(1).random(len(x)) * 0.25
+        csr, gram = downstream._pair_design(x)
+        np.testing.assert_array_equal(csr.toarray(), x)
+        want = x.T @ (x * s[:, None])
+        np.testing.assert_allclose(gram(s), want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+
+    # rows and densities of the benchmark workloads' designs at seeds
+    # 28001-28003, where N K^2 / 2 was 217-228 x the pairs for er64's links
+    # (3.4% non-zero, 38% of rows all zero), 85-98 x for its nodes (6.6%),
+    # 11.7-12.6 x for ba2560's links (17.6%) and 4.2-4.3 x for its nodes
+    # (32.8%); here 210, 92, 15 and 4.5 x, so a PAIR_SHARE outside 1/92 to
+    # 1/15 moves a workload to the other form and fails
+    @pytest.mark.parametrize("n, zero_rows, density, form", [
+        (7738, 0.38, 0.034, "pairs"), (512, 0.0, 0.066, "pairs"),
+        (22074, 0.0, 0.176, "syrk"), (2048, 0.0, 0.328, "syrk")])
+    def test_workload_densities_pick_their_hessian_form(self, n, zero_rows,
+                                                        density, form,
+                                                        monkeypatch):
+        rng = np.random.default_rng(0)
+        nonzero = rng.random((n, 64)) < density / (1.0 - zero_rows)
+        nonzero[rng.random(n) < zero_rows] = False
+        x = rng.random((n, 64)) * nonzero
+        y = (rng.random(n) < 0.5).astype(float)
+        chosen = []
+        for name, spied in (("pairs", "_pair_design"), ("syrk", "_syrk_design")):
+            build = getattr(downstream, spied)
+            monkeypatch.setattr(downstream, spied, lambda x, name=name, build=build:
+                                chosen.append(name) or build(x))
+        fit_logreg(x, y)
+        assert chosen == [form]
 
     def test_backtracks_where_the_newton_step_overshoots(self, monkeypatch):
         l2 = 1e-4

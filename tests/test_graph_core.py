@@ -197,6 +197,19 @@ class TestCommunities:
         assert gts.community_of_edge(0, 12) is None  # not a node
         assert gts.community_of_node(10) is None
 
+    def test_lookups_convert_each_membership_once(self, two_cliques,
+                                                  monkeypatch):
+        g, gts = two_cliques
+        converted = []
+        to_csc = sp.csr_matrix.tocsc
+        monkeypatch.setattr(sp.csr_matrix, "tocsc", lambda m, *a, **kw:
+                            converted.append(m.shape) or to_csc(m, *a, **kw))
+        for _ in range(3):
+            assert [gts.community_of_node(v) for v in (0, 7, 10)] == [0, 1, None]
+            assert [gts.community_of_edge(u, v) for u, v in
+                    ((0, 1), (4, 5), (0, 9))] == [0, None, None]
+        assert converted == [(2, 10), (2, g.num_edges)]
+
     def test_overlapping_communities_report_the_first(self, two_cliques):
         g, _ = two_cliques
         payload = {"communities": [{"nodes": [0, 1]}, {"nodes": [1, 2]}]}
